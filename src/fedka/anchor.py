@@ -176,6 +176,15 @@ def downsample_anchor(anchor: KnowledgeAnchor, cap: int, rng: np.random.Generato
     )
 
 
+def kept_classes(dominant: Sequence[int] | frozenset[int], class_count: int) -> np.ndarray:
+    """Class ids outside ``dominant`` in ascending order: the logit columns
+    the anchor term compares."""
+    kept = np.array([c for c in range(class_count) if c not in dominant], dtype=np.intp)
+    if kept.size == 0:
+        raise ValueError("every class is dominant: no logits left to compare")
+    return kept
+
+
 def discard_logits(logits: np.ndarray, dominant: Sequence[int] | frozenset[int]) -> np.ndarray:
     """Drop dominant-class columns, keeping the remaining ids in order."""
     k = logits.shape[1]
@@ -184,10 +193,65 @@ def discard_logits(logits: np.ndarray, dominant: Sequence[int] | frozenset[int])
         return logits
     if not dominant <= set(range(k)):
         raise ValueError(f"dominant classes {sorted(dominant)} outside [0, {k})")
-    kept = [c for c in range(k) if c not in dominant]
-    if not kept:
-        raise ValueError("every class is dominant: no logits left to compare")
-    return logits[:, kept]
+    return logits[:, kept_classes(dominant, k)]
+
+
+def ka_logit_loss_and_grad(
+    student_logits: np.ndarray, teacher_kept: np.ndarray, kept: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The anchor term on logits: the squared teacher-student gap over the
+    kept columns, summed per row and averaged over rows, and its gradient
+    with respect to the student logits (zero in the discarded columns).
+
+    ``teacher_kept`` holds the teacher's logits in the ``kept`` columns only.
+    """
+    rows = len(student_logits)
+    diff = student_logits[:, kept] - teacher_kept
+    loss = float(np.sum(diff * diff) / rows)
+    grad_logits = np.zeros_like(student_logits)
+    grad_logits[:, kept] = (2.0 / rows) * diff
+    return loss, grad_logits
+
+
+@dataclass(frozen=True)
+class AnchorTarget:
+    """What the anchor term needs at every step of a round: the stacked
+    anchor inputs, the kept logit columns, and the frozen teacher's logits
+    in those columns. The teacher does not move within a round, so all
+    three are computed once per round."""
+
+    inputs: np.ndarray
+    kept: np.ndarray
+    teacher_kept: np.ndarray
+
+
+def anchor_target(
+    anchor: KnowledgeAnchor, global_state: nn.ModelState, spec: nn.NetworkSpec
+) -> AnchorTarget:
+    """The round's anchor target, with the global model as the teacher."""
+    inputs = anchor.inputs()
+    kept = kept_classes(anchor.dominant, spec.class_count)
+    return AnchorTarget(inputs, kept, nn.forward_logits(global_state, spec, inputs)[:, kept])
+
+
+def anchored_loss_and_grad(
+    state: nn.ModelState,
+    spec: nn.NetworkSpec,
+    batch: nn.Batch,
+    target: AnchorTarget,
+    beta: float,
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy on the batch plus ``beta`` times the anchor term, with
+    the exact gradient, from one forward and one backward pass over the
+    batch rows followed by the anchor rows."""
+    labels = nn.batch_labels(spec, batch)
+    m = len(labels)
+    logits, caches = nn.forward_with_caches(
+        state, spec, np.concatenate([batch.inputs, target.inputs]))
+    ce, grad_ce = nn.softmax_cross_entropy(logits[:m], labels)
+    ka, grad_ka = ka_logit_loss_and_grad(logits[m:], target.teacher_kept, target.kept)
+    grad_logits = np.concatenate([grad_ce, beta * grad_ka])
+    return ce + beta * ka, nn.backward_from_logits(spec, state.params, caches, grad_logits)
 
 
 def ka_loss_and_grad(
@@ -200,9 +264,9 @@ def ka_loss_and_grad(
     """Mean squared gap between teacher and student on the anchor, after
     discarding dominant columns, with the exact gradient for the student.
 
-    The teacher (global) model is frozen: its logits are data here. They
-    can be precomputed once per round and passed in; the value is identical
-    either way because the teacher does not move within a round.
+    The teacher (global) model is frozen: its logits are data here and may
+    be passed in precomputed. Training adds this term inside the CE pass
+    (anchored_loss_and_grad); this standalone form is its reference.
     """
     if local_state.spec_hash != spec.spec_hash or global_state.spec_hash != spec.spec_hash:
         raise nn.ShapeError("anchor loss needs both states built for the given spec")
@@ -211,36 +275,7 @@ def ka_loss_and_grad(
     inputs = anchor.inputs()
     if teacher_logits is None:
         teacher_logits = nn.forward_logits(global_state, spec, inputs)
+    kept = kept_classes(anchor.dominant, spec.class_count)
     student_logits, caches = nn.forward_with_caches(local_state, spec, inputs)
-    kept = [c for c in range(spec.class_count) if c not in anchor.dominant]
-    if not kept:
-        raise ValueError("every class is dominant: no logits left to compare")
-    diff = teacher_logits[:, kept] - student_logits[:, kept]
-    loss = float(np.sum(diff * diff) / len(anchor))
-    grad_logits = np.zeros_like(student_logits)
-    grad_logits[:, kept] = (2.0 / len(anchor)) * (student_logits[:, kept] - teacher_logits[:, kept])
-    grad = nn.backward_from_logits(spec, local_state.params, caches, grad_logits)
-    return loss, grad
-
-
-def ka_loss(
-    anchor: KnowledgeAnchor,
-    global_state: nn.ModelState,
-    local_state: nn.ModelState,
-    spec: nn.NetworkSpec,
-    teacher_logits: np.ndarray | None = None,
-) -> float:
-    """The loss of ka_loss_and_grad without the backward pass."""
-    if local_state.spec_hash != spec.spec_hash or global_state.spec_hash != spec.spec_hash:
-        raise nn.ShapeError("anchor loss needs both states built for the given spec")
-    if len(anchor) == 0:
-        return 0.0
-    inputs = anchor.inputs()
-    if teacher_logits is None:
-        teacher_logits = nn.forward_logits(global_state, spec, inputs)
-    student_logits = nn.forward_logits(local_state, spec, inputs)
-    kept = [c for c in range(spec.class_count) if c not in anchor.dominant]
-    if not kept:
-        raise ValueError("every class is dominant: no logits left to compare")
-    diff = teacher_logits[:, kept] - student_logits[:, kept]
-    return float(np.sum(diff * diff) / len(anchor))
+    loss, grad_logits = ka_logit_loss_and_grad(student_logits, teacher_logits[:, kept], kept)
+    return loss, nn.backward_from_logits(spec, local_state.params, caches, grad_logits)

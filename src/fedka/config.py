@@ -119,7 +119,6 @@ class StrategyConfig:
     mu_anchor: int = ANCHOR_CAP_DEFAULT
     selection: str = "random"
     variant: str = "full"
-    cache_teacher_logits: bool = True
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ class ExperimentConfig:
         if self.model.preset == "mlp":
             d["model"]["hidden"] = list(self.model.hidden)
         if self.strategy.kind != "fedka":
-            for key in ("beta", "mu_anchor", "selection", "variant", "cache_teacher_logits"):
+            for key in ("beta", "mu_anchor", "selection", "variant"):
                 d["strategy"].pop(key)
         if self.strategy.kind != "fedprox":
             d["strategy"].pop("mu", None)
@@ -349,11 +348,11 @@ def resolve(raw: dict, output_root: str | None = None) -> ExperimentConfig:
 
     # strategy
     ssec = chk.section(raw, "strategy", {"kind", "mu", "beta", "mu_anchor", "selection",
-                                         "variant", "cache_teacher_logits"})
+                                         "variant"})
     skind = chk.value(ssec, "strategy", "kind", str, required=True, choices=STRATEGY_KINDS)
     mu = beta = 0.0
     mu_anchor = ANCHOR_CAP_DEFAULT
-    selection, variant, cache = "random", "full", True
+    selection, variant = "random", "full"
     if skind == "fedprox":
         mu = chk.value(ssec, "strategy", "mu", float, required=True, minimum=0.0)
     elif "mu" in ssec:
@@ -363,9 +362,8 @@ def resolve(raw: dict, output_root: str | None = None) -> ExperimentConfig:
         mu_anchor = chk.value(ssec, "strategy", "mu_anchor", int, default=ANCHOR_CAP_DEFAULT, minimum=1)
         selection = chk.value(ssec, "strategy", "selection", str, default="random", choices=SELECTIONS)
         variant = chk.value(ssec, "strategy", "variant", str, default="full", choices=VARIANTS)
-        cache = chk.value(ssec, "strategy", "cache_teacher_logits", bool, default=True)
     else:
-        for key in ("beta", "mu_anchor", "selection", "variant", "cache_teacher_logits"):
+        for key in ("beta", "mu_anchor", "selection", "variant"):
             if key in ssec:
                 chk.fail(f"strategy.{key}", "only applies to fedka")
     strategy = StrategyConfig(
@@ -373,7 +371,6 @@ def resolve(raw: dict, output_root: str | None = None) -> ExperimentConfig:
         beta=beta if beta is not None else 0.1,
         mu_anchor=mu_anchor or ANCHOR_CAP_DEFAULT,
         selection=selection or "random", variant=variant or "full",
-        cache_teacher_logits=cache if cache is not None else True,
     )
 
     # training

@@ -100,8 +100,7 @@ def local_train(
         raise ValueError("fedka training needs the shared one-per-class dataset")
     state = global_state.fresh_local()
 
-    built = None
-    teacher_logits = None
+    target = None
     anchor_log: tuple[tuple, ...] = ()
     if strategy.kind == "fedka":
         arng = stream(plan.master_seed, "anchor", plan.round_index, shard.client_id)
@@ -112,11 +111,8 @@ def local_train(
             variant=strategy.variant, chooser=chooser)
         built = anchor.downsample_anchor(built, strategy.mu_anchor, arng)
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
-        use_anchor = strategy.beta > 0.0 and len(built) > 0
-        if use_anchor and strategy.cache_teacher_logits:
-            teacher_logits = nn.forward_logits(global_state, spec, built.inputs())
-    else:
-        use_anchor = False
+        if strategy.beta > 0.0 and len(built) > 0:
+            target = anchor.anchor_target(built, global_state, spec)
 
     inputs, labels = dataset.take(shard.indices)
     n = len(shard)
@@ -128,16 +124,15 @@ def local_train(
         step_losses = []
         for start in range(0, n, plan.batch_size):
             sel = order[start:start + plan.batch_size]
-            loss, grad = nn.ce_loss_and_grad(state, spec, nn.Batch(inputs[sel], labels[sel]))
+            batch = nn.Batch(inputs[sel], labels[sel])
+            if target is not None:
+                loss, grad = anchor.anchored_loss_and_grad(state, spec, batch, target, strategy.beta)
+            else:
+                loss, grad = nn.ce_loss_and_grad(state, spec, batch)
             if strategy.kind == "fedprox" and strategy.mu > 0.0:
                 diff = state.params - global_state.params
                 loss += 0.5 * strategy.mu * float(diff @ diff)
                 grad = grad + strategy.mu * diff
-            if use_anchor:
-                ka_loss, ka_grad = anchor.ka_loss_and_grad(
-                    built, global_state, state, spec, teacher_logits)
-                loss += strategy.beta * ka_loss
-                grad = grad + strategy.beta * ka_grad
             state = nn.sgd_step(state, grad, plan.lr, plan.momentum, plan.weight_decay)
             step_losses.append(loss)
         trace.append(float(np.mean(step_losses)))
@@ -313,8 +308,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
                                          f"{cfg.strategy.selection}\n")
                 if epoch_fh is not None:
                     for e, st in enumerate(u.epoch_states, start=1):
-                        for rec in measure_local_forgetting(
-                                shards[u.client_id], teacher_acc, st, spec, test, r, cfg.metrics.xi):
+                        # the last epoch ends in the final state, whose records are above
+                        epoch_records = records if e == len(u.epoch_states) else (
+                            measure_local_forgetting(shards[u.client_id], teacher_acc, st,
+                                                     spec, test, r, cfg.metrics.xi))
+                        for rec in epoch_records:
                             epoch_fh.write(",".join([
                                 str(r), str(e), str(rec.client), str(rec.klass), rec.role,
                                 f"{rec.acc_global:.10g}", f"{rec.acc_local:.10g}", f"{rec.tau:.10g}",

@@ -108,7 +108,7 @@ def check_preset(
         coords = stream(seed, "gc-coords").choice(
             spec.param_count, size=min(coords_per_seed, spec.param_count), replace=False)
 
-        teacher_logits = nn.forward_logits(teacher, spec, built.inputs())
+        target = anchor_mod.anchor_target(built, teacher, spec)
 
         def ce(s):
             return nn.ce_loss_and_grad(s, spec, batch)
@@ -126,12 +126,12 @@ def check_preset(
             return nn.ce_loss(s, spec, batch) + 0.5 * mu * float(diff @ diff)
 
         def anchored(s):
-            loss, grad = nn.ce_loss_and_grad(s, spec, batch)
-            a_loss, a_grad = anchor_mod.ka_loss_and_grad(built, teacher, s, spec, teacher_logits)
-            return loss + beta * a_loss, grad + beta * a_grad
+            return anchor_mod.anchored_loss_and_grad(s, spec, batch, target, beta)
 
         def anchored_only(s):
-            a_loss = anchor_mod.ka_loss(built, teacher, s, spec, teacher_logits)
+            student_logits = nn.forward_logits(s, spec, target.inputs)
+            a_loss, _ = anchor_mod.ka_logit_loss_and_grad(
+                student_logits, target.teacher_kept, target.kept)
             return nn.ce_loss(s, spec, batch) + beta * a_loss
 
         worst["ce"] = max(worst["ce"], check_objective(ce, ce_only, state, coords, step))

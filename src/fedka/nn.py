@@ -423,7 +423,7 @@ def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: 
         if caches is not None:
             caches.append(h)
         h = layer.forward(params[sl], h)
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})")
     return h, caches
 
@@ -434,7 +434,7 @@ def _check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"inputs have sample shape {inputs.shape[1:]}, spec wants {spec.input_shape}"
         )
-    if not np.all(np.isfinite(inputs)):
+    if not np.isfinite(inputs).all():
         raise NonFiniteError("non-finite values in network inputs")
     return inputs
 
@@ -513,13 +513,19 @@ def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labe
     return -log_probs[np.arange(len(labels)), np.asarray(labels)]
 
 
-def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, batch: Batch):
-    """Mean softmax cross-entropy and its exact flat parameter gradient."""
+def batch_labels(spec: NetworkSpec, batch: Batch) -> np.ndarray:
+    """The batch's labels, checked to be non-empty and in [0, class_count)."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     labels = np.asarray(batch.labels)
     if labels.min() < 0 or labels.max() >= spec.class_count:
         raise ShapeError(f"labels must lie in [0, {spec.class_count})")
+    return labels
+
+
+def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, batch: Batch):
+    """Mean softmax cross-entropy and its exact flat parameter gradient."""
+    labels = batch_labels(spec, batch)
     logits, caches = forward_with_caches(state, spec, batch.inputs)
     loss, grad_logits = softmax_cross_entropy(logits, labels)
     grad = backward_from_logits(spec, state.params, caches, grad_logits)
@@ -545,11 +551,11 @@ def sgd_step(
         raise ValueError("learning rate must be > 0")
     if grad.shape != state.params.shape:
         raise ShapeError(f"gradient length {grad.size} != parameter length {state.params.size}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NonFiniteError("non-finite entries in gradient")
     velocity = momentum_coef * state.momentum + (grad + weight_decay * state.params)
     params = state.params - lr * velocity
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise NonFiniteError("parameters became non-finite after SGD step")
     return ModelState(params, velocity, state.spec_hash)
 

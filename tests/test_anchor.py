@@ -279,6 +279,56 @@ def test_ka_loss_rejects_mismatched_specs():
         anchor.ka_loss_and_grad(an, b_state, a_state, spec_a)
 
 
+FUSED_SPECS = {"mlp": nn.mlp_spec(5, (7,), 4), "t_cnn": nn.tcnn_spec((1, 12, 12), 4, 3)}
+
+
+def fused_setup(name):
+    """A spec, teacher and student states, a batch, and a round anchor with a
+    shared entry (class 0 missing), a local one (class 1 non-dominant) and
+    two dominant classes (2, 3)."""
+    spec = FUSED_SPECS[name]
+    flat = data.synth_blobs(4, 60, int(np.prod(spec.input_shape)), 4.0, seed=30)
+    ds = data.LabeledDataset(flat.inputs.reshape(len(flat), *spec.input_shape),
+                             flat.labels, 4, "fused")
+    shard = shard_with_roles(ds, [0, 1, 60, 40])
+    shared = anchor.build_shared_dataset(ds, seed=31)
+    built = anchor.build_anchor(shard, shared, ds, 1, stream(32, "anchor"))
+    assert [e.source for e in built.entries] == ["shared", "local"]
+    assert built.dominant == {2, 3}
+    teacher = nn.init_state(spec, stream(33, "init"))
+    student = nn.init_state(spec, stream(34, "init"))
+    inputs, labels = ds.take(shard.indices[::9])
+    return spec, teacher, student, nn.Batch(inputs, labels), built
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_SPECS))
+def test_fused_step_equals_ce_plus_beta_ka(name):
+    spec, teacher, student, batch, built = fused_setup(name)
+    beta = 0.3
+    target = anchor.anchor_target(built, teacher, spec)
+    loss, grad = anchor.anchored_loss_and_grad(student, spec, batch, target, beta)
+    ce, ce_grad = nn.ce_loss_and_grad(student, spec, batch)
+    ka, ka_grad = anchor.ka_loss_and_grad(built, teacher, student, spec)
+    assert ka > 0
+    ref_loss, ref_grad = ce + beta * ka, ce_grad + beta * ka_grad
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_SPECS))
+def test_fused_step_keeps_label_and_finiteness_checks(name):
+    spec, teacher, student, batch, built = fused_setup(name)
+    target = anchor.anchor_target(built, teacher, spec)
+    bad = nn.Batch(batch.inputs, np.where(batch.labels == 3, spec.class_count, batch.labels))
+    with pytest.raises(nn.ShapeError, match="labels must lie"):
+        anchor.anchored_loss_and_grad(student, spec, bad, target, 0.3)
+    huge = nn.ModelState(np.full_like(student.params, 1e308), student.momentum, spec.spec_hash)
+    positive = nn.Batch(np.abs(batch.inputs) + 1.0, batch.labels)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(nn.NonFiniteError, match=r"layer 0 \("):
+        anchor.anchored_loss_and_grad(huge, spec, positive, target, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # selection strategies
 # ---------------------------------------------------------------------------

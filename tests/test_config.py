@@ -121,7 +121,10 @@ def test_fedka_defaults():
     s = cfg.strategy
     assert s.beta == 0.1 and s.mu_anchor == 10
     assert s.selection == "random" and s.variant == "full"
-    assert s.cache_teacher_logits is True
+    # teacher logits are always computed once per round; the old switch is gone
+    raw = minimal_raw(strategy={"kind": "fedka", "cache_teacher_logits": True})
+    with pytest.raises(ConfigError, match="strategy.cache_teacher_logits.*unknown key"):
+        resolve(raw)
 
 
 def test_gamma_range():
