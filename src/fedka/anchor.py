@@ -85,9 +85,6 @@ class KnowledgeAnchor:
     def inputs(self) -> np.ndarray:
         return np.stack([e.input for e in self.entries])
 
-    def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.entries])
-
 
 def anchor_variant(shard: ClientShard, variant: str) -> frozenset[int]:
     """Class ids the anchor may cover under an ablation variant."""
@@ -183,17 +180,6 @@ def kept_classes(dominant: Sequence[int] | frozenset[int], class_count: int) -> 
     if kept.size == 0:
         raise ValueError("every class is dominant: no logits left to compare")
     return kept
-
-
-def discard_logits(logits: np.ndarray, dominant: Sequence[int] | frozenset[int]) -> np.ndarray:
-    """Drop dominant-class columns, keeping the remaining ids in order."""
-    k = logits.shape[1]
-    dominant = set(dominant)
-    if not dominant:
-        return logits
-    if not dominant <= set(range(k)):
-        raise ValueError(f"dominant classes {sorted(dominant)} outside [0, {k})")
-    return logits[:, kept_classes(dominant, k)]
 
 
 def ka_logit_loss_and_grad(

@@ -136,7 +136,6 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class MetricsConfig:
     xi: float = DEFAULT_XI
-    eval_interval: int = 1
     checkpoint_interval: int = 0  # 0: final checkpoint only
     epoch_forgetting: bool = False
 
@@ -390,11 +389,10 @@ def resolve(raw: dict, output_root: str | None = None) -> ExperimentConfig:
     )
 
     # metrics
-    xsec = chk.section(raw, "metrics", {"xi", "eval_interval", "checkpoint_interval",
-                                        "epoch_forgetting"}, required=False)
+    xsec = chk.section(raw, "metrics", {"xi", "checkpoint_interval", "epoch_forgetting"},
+                       required=False)
     metrics = MetricsConfig(
         xi=chk.value(xsec, "metrics", "xi", float, default=DEFAULT_XI, exclusive_min=0.0),
-        eval_interval=chk.value(xsec, "metrics", "eval_interval", int, default=1, minimum=1),
         checkpoint_interval=chk.value(xsec, "metrics", "checkpoint_interval", int, default=0, minimum=0),
         epoch_forgetting=chk.value(xsec, "metrics", "epoch_forgetting", bool, default=False),
     )

@@ -188,15 +188,7 @@ def build_model_spec(cfg: ExperimentConfig, sample_shape: tuple[int, ...], class
         if len(sample_shape) != 3:
             raise ValueError(f"t_cnn wants (C, H, W) samples, dataset has {sample_shape}")
         return nn.tcnn_spec(sample_shape, class_count, m.conv_kernel)
-    if len(sample_shape) == 1:
-        return nn.mlp_spec(sample_shape[0], m.hidden, class_count)
-    layers: list = [nn.Flatten()]
-    prev = int(np.prod(sample_shape))
-    for width in m.hidden:
-        layers += [nn.Dense(prev, width), nn.Relu()]
-        prev = width
-    layers.append(nn.Dense(prev, class_count))
-    return nn.NetworkSpec(tuple(layers), sample_shape, class_count)
+    return nn.mlp_spec(sample_shape, m.hidden, class_count)
 
 
 def build_shards(cfg: ExperimentConfig, train: LabeledDataset) -> list[ClientShard]:
@@ -230,9 +222,15 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
     spec = build_model_spec(cfg, train.inputs.shape[1:], train.class_count)
     base_shards = build_shards(cfg, train)
     schedules = _schedules_by_client(cfg)
-    for client in schedules:
-        if client not in {s.client_id for s in base_shards}:
+    by_id = {s.client_id: s for s in base_shards}
+    for client, rows in schedules.items():
+        if client not in by_id:
             raise RunError(f"reduction schedule names unknown client {client}")
+        # every row is checked before round 1, including rows after the last round
+        try:
+            apply_reduction_schedule(by_id[client], rows, train)
+        except ValueError as exc:
+            raise RunError(f"reduction schedule of client {client}: {exc}") from None
 
     global_state = nn.init_state(spec, stream(cfg.master_seed, "init"))
     shared = None
@@ -245,22 +243,15 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
     checkpoints.mkdir(exist_ok=True)
 
     t = cfg.training
-    rounds_curve: list[tuple[int, float]] = []
-    final_record: RoundRecord | None = None
-    anchors_fh = None
-    epoch_fh = None
+    history: list[RoundRecord] = []
     try:
-        writer = MetricsWriter(out / "metrics", train.class_count)
+        writer = MetricsWriter(
+            out, train.class_count,
+            anchor_selection=cfg.strategy.selection if cfg.strategy.kind == "fedka" else None,
+            epoch_forgetting=cfg.metrics.epoch_forgetting)
     except OSError as exc:
         raise RunError(f"cannot open metric files: {exc}") from None
-    try:
-        if cfg.strategy.kind == "fedka":
-            anchors_fh = open(out / "anchors.csv", "w", newline="")
-            anchors_fh.write("round,client,class,source,sample_id,strategy\n")
-        if cfg.metrics.epoch_forgetting:
-            epoch_fh = open(out / "metrics" / "forgetting_epochs.csv", "w", newline="")
-            epoch_fh.write("round,epoch,client,class,role,acc_global,acc_local,tau\n")
-
+    with writer:
         teacher_acc = classwise_accuracy(global_state, spec, test)
         all_ids = [s.client_id for s in base_shards]
         for r in range(1, t.rounds + 1):
@@ -296,27 +287,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             global_state = aggregate(updates)
             post_acc = classwise_accuracy(global_state, spec, test)
             acc = global_accuracy(post_acc, test)
-            rounds_curve.append((r, acc))
 
             for u in updates:
+                shard = shards[u.client_id]
                 records = measure_local_forgetting(
-                    shards[u.client_id], teacher_acc, u.state, spec, test, r, cfg.metrics.xi)
+                    shard, teacher_acc, u.state, spec, test, r, cfg.metrics.xi)
                 writer.write_forgetting(records)
-                if anchors_fh is not None:
-                    for klass, source, sample_id in u.anchor_log:
-                        anchors_fh.write(f"{r},{u.client_id},{klass},{source},{sample_id},"
-                                         f"{cfg.strategy.selection}\n")
-                if epoch_fh is not None:
-                    for e, st in enumerate(u.epoch_states, start=1):
-                        # the last epoch ends in the final state, whose records are above
-                        epoch_records = records if e == len(u.epoch_states) else (
-                            measure_local_forgetting(shards[u.client_id], teacher_acc, st,
-                                                     spec, test, r, cfg.metrics.xi))
-                        for rec in epoch_records:
-                            epoch_fh.write(",".join([
-                                str(r), str(e), str(rec.client), str(rec.klass), rec.role,
-                                f"{rec.acc_global:.10g}", f"{rec.acc_local:.10g}", f"{rec.tau:.10g}",
-                            ]) + "\n")
+                writer.write_anchors(r, u.client_id, u.anchor_log)
+                for e, st in enumerate(u.epoch_states[:-1], start=1):
+                    writer.write_epoch_forgetting(e, measure_local_forgetting(
+                        shard, teacher_acc, st, spec, test, r, cfg.metrics.xi))
+                if u.epoch_states:
+                    # the last epoch ends in the final state, whose records are above
+                    writer.write_epoch_forgetting(len(u.epoch_states), records)
 
             record = RoundRecord(
                 round=r, global_acc=acc, class_acc=tuple(post_acc),
@@ -324,24 +307,17 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
                 client_losses={u.client_id: float(np.mean(u.loss_trace)) for u in updates
                                if u.loss_trace},
             )
-            if r % cfg.metrics.eval_interval == 0 or r == t.rounds:
-                writer.write_round(record, [(cid, len(shards[cid])) for cid in all_ids])
-                final_record = record
+            writer.write_round(record, [(cid, len(shards[cid])) for cid in all_ids])
+            history.append(record)
             if cfg.metrics.checkpoint_interval and r % cfg.metrics.checkpoint_interval == 0:
                 nn.save_state(global_state, checkpoints / f"round_{r:05d}.bin")
             teacher_acc = post_acc
             if progress is not None:
                 progress(r, t.rounds, acc)
-    finally:
-        writer.close()
-        for fh in (anchors_fh, epoch_fh):
-            if fh is not None:
-                fh.close()
 
     nn.save_state(global_state, checkpoints / "final.bin")
-    written_curve = [(r, a) for r, a in rounds_curve
-                     if r % cfg.metrics.eval_interval == 0 or r == t.rounds]
-    write_summary(out / "summary.json", final_record, written_curve,
+    write_summary(out / "summary.json", history[-1] if history else None,
+                  [(h.round, h.global_acc) for h in history],
                   targets=[round(0.1 * k, 1) for k in range(1, 10)])
     manifest = {
         "config": cfg.to_dict(),

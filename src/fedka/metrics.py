@@ -138,13 +138,6 @@ def rounds_to_target(curve: Sequence[tuple[int, float]], target: float) -> int |
     return None
 
 
-def speedup(curve: Sequence[tuple[int, float]], baseline_rounds: int, target: float) -> float | None:
-    reached = rounds_to_target(curve, target)
-    if reached is None:
-        return None
-    return baseline_rounds / reached
-
-
 # ---------------------------------------------------------------------------
 # Persistent records
 # ---------------------------------------------------------------------------
@@ -154,23 +147,47 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-class MetricsWriter:
-    """Single-writer CSV sink flushed at round barriers.
+def _forgetting_row(rec: ForgettingRecord, *epoch: str) -> str:
+    return ",".join([
+        str(rec.round), *epoch, str(rec.client), str(rec.klass), rec.role,
+        _fmt(rec.acc_global), _fmt(rec.acc_local), _fmt(rec.tau),
+    ]) + "\n"
 
-    Files are written incrementally so a failed run still leaves the rounds
-    completed so far on disk.
+
+class MetricsWriter:
+    """The one writer of a run's CSV files, flushed at round barriers.
+
+    ``metrics/rounds.csv``, ``forgetting.csv`` and ``clients.csv`` are always
+    written; ``anchors.csv`` only when an anchor selection is named (fedka
+    runs), and ``metrics/forgetting_epochs.csv`` only with
+    ``epoch_forgetting``. Files are written incrementally so a failed run
+    keeps its finished rounds.
     """
 
-    def __init__(self, directory, class_count: int):
-        self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.class_count = class_count
-        self._rounds = open(self.dir / "rounds.csv", "w", newline="")
-        self._forget = open(self.dir / "forgetting.csv", "w", newline="")
-        self._clients = open(self.dir / "clients.csv", "w", newline="")
-        self._rounds.write("round,global_acc," + ",".join(f"acc_class_{k}" for k in range(class_count)) + "\n")
-        self._forget.write("round,client,class,role,acc_global,acc_local,tau\n")
-        self._clients.write("round,client,participated,n_samples,mean_loss\n")
+    def __init__(self, run_dir, class_count: int, anchor_selection: str | None = None,
+                 epoch_forgetting: bool = False):
+        metrics_dir = Path(run_dir) / "metrics"
+        metrics_dir.mkdir(parents=True, exist_ok=True)
+        self._files = []
+        self._selection = anchor_selection
+        self._rounds = self._open(metrics_dir / "rounds.csv", "round,global_acc," + ",".join(
+            f"acc_class_{k}" for k in range(class_count)))
+        self._forget = self._open(metrics_dir / "forgetting.csv",
+                                  "round,client,class,role,acc_global,acc_local,tau")
+        self._clients = self._open(metrics_dir / "clients.csv",
+                                   "round,client,participated,n_samples,mean_loss")
+        if anchor_selection is not None:
+            self._anchors = self._open(metrics_dir.parent / "anchors.csv",
+                                       "round,client,class,source,sample_id,strategy")
+        if epoch_forgetting:
+            self._epochs = self._open(metrics_dir / "forgetting_epochs.csv",
+                                      "round,epoch,client,class,role,acc_global,acc_local,tau")
+
+    def _open(self, path: Path, header: str):
+        fh = open(path, "w", newline="")
+        self._files.append(fh)
+        fh.write(header + "\n")
+        return fh
 
     def write_round(self, rec: RoundRecord, all_clients: Iterable[tuple[int, int]]) -> None:
         """Persist one finished round. ``all_clients`` yields (client_id,
@@ -187,21 +204,26 @@ class MetricsWriter:
                 str(n),
                 _fmt(loss) if loss is not None else "",
             ]) + "\n")
-        self.flush()
+        for fh in self._files:
+            fh.flush()
 
     def write_forgetting(self, records: Iterable[ForgettingRecord]) -> None:
         for rec in records:
-            self._forget.write(",".join([
-                str(rec.round), str(rec.client), str(rec.klass), rec.role,
-                _fmt(rec.acc_global), _fmt(rec.acc_local), _fmt(rec.tau),
-            ]) + "\n")
+            self._forget.write(_forgetting_row(rec))
 
-    def flush(self) -> None:
-        for fh in (self._rounds, self._forget, self._clients):
-            fh.flush()
+    def write_epoch_forgetting(self, epoch: int, records: Iterable[ForgettingRecord]) -> None:
+        """Records of the state a client held after local epoch ``epoch``."""
+        for rec in records:
+            self._epochs.write(_forgetting_row(rec, str(epoch)))
+
+    def write_anchors(self, round_index: int, client: int, rows: Iterable[tuple]) -> None:
+        """One row per (class, source, sample_id) anchor entry."""
+        for klass, source, sample_id in rows:
+            self._anchors.write(
+                f"{round_index},{client},{klass},{source},{sample_id},{self._selection}\n")
 
     def close(self) -> None:
-        for fh in (self._rounds, self._forget, self._clients):
+        for fh in self._files:
             fh.close()
 
     def __enter__(self):

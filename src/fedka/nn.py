@@ -340,16 +340,19 @@ class NetworkSpec:
         return NetworkSpec.from_json(json.loads(Path(path).read_text()))
 
 
-def mlp_spec(input_dim: int, hidden: Sequence[int], class_count: int) -> NetworkSpec:
-    """dense-relu chains ending in a linear logit layer."""
-    layers: list[Layer] = []
-    prev = input_dim
+def mlp_spec(input_shape: int | Shape, hidden: Sequence[int], class_count: int) -> NetworkSpec:
+    """dense-relu chains ending in a linear logit layer. An int or a 1-D
+    sample shape feeds the first dense layer directly; a multi-axis sample
+    shape is flattened first."""
+    shape = tuple(int(d) for d in np.atleast_1d(input_shape))
+    layers: list[Layer] = [Flatten()] if len(shape) > 1 else []
+    prev = int(np.prod(shape))
     for width in hidden:
         layers.append(Dense(prev, int(width)))
         layers.append(Relu())
         prev = int(width)
     layers.append(Dense(prev, class_count))
-    return NetworkSpec(tuple(layers), (input_dim,), class_count)
+    return NetworkSpec(tuple(layers), shape, class_count)
 
 
 def tcnn_spec(input_shape: Shape = (3, 32, 32), class_count: int = 10, conv_kernel: int = 5) -> NetworkSpec:
@@ -583,37 +586,6 @@ def max_rel_grad_error(loss_fn, grad: np.ndarray, params: np.ndarray, coords, st
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         worst = max(worst, err)
     return worst
-
-
-def finite_diff_check(
-    state: ModelState,
-    spec: NetworkSpec,
-    batch: Batch,
-    coord_sample: int,
-    step: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Check the CE gradient on a sample of coordinates; returns the worst
-    relative error. Coordinates are random when an rng is given, evenly
-    spaced otherwise."""
-    if coord_sample < 1:
-        raise ValueError("coord_sample must be >= 1")
-    if step <= 0:
-        raise ValueError("finite-difference step must be > 0")
-    n = spec.param_count
-    k = min(coord_sample, n)
-    if rng is None:
-        coords = np.unique(np.linspace(0, n - 1, k).astype(np.int64))
-    else:
-        coords = rng.choice(n, size=k, replace=False)
-    _, grad = ce_loss_and_grad(state, spec, batch)
-
-    def loss_at(params: np.ndarray) -> float:
-        probe = ModelState(params, state.momentum, state.spec_hash)
-        loss, _ = ce_loss_and_grad(probe, spec, batch)
-        return loss
-
-    return max_rel_grad_error(loss_at, grad, state.params, coords, step)
 
 
 def activation_margin(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> float:

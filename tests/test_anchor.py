@@ -166,24 +166,15 @@ def test_downsample_retention_is_roughly_uniform():
 # ---------------------------------------------------------------------------
 
 
-def test_discard_logits_examples():
-    logits = np.array([[1.0, 2.0, 3.0, 4.0]])
-    assert np.array_equal(anchor.discard_logits(logits, {1, 3}), [[1.0, 3.0]])
-    assert anchor.discard_logits(logits, frozenset()) is logits
-    assert anchor.discard_logits(logits, {0}).shape == (1, 3)
-    with pytest.raises(ValueError, match="no logits left"):
-        anchor.discard_logits(logits, {0, 1, 2, 3})
-    with pytest.raises(ValueError, match="outside"):
-        anchor.discard_logits(logits, {5})
-
-
-def test_discard_width_is_class_complement():
+def test_kept_classes_is_ascending_complement_of_dominant():
+    assert anchor.kept_classes({1, 3}, 4).tolist() == [0, 2]
+    assert anchor.kept_classes(frozenset(), 4).tolist() == [0, 1, 2, 3]
     rng = stream(3, "phi")
-    logits = rng.normal(size=(6, 9))
     for _ in range(20):
         dom = set(rng.choice(9, size=int(rng.integers(0, 8)), replace=False).tolist())
-        out = anchor.discard_logits(logits, dom)
-        assert out.shape == (6, 9 - len(dom))
+        assert anchor.kept_classes(dom, 9).tolist() == sorted(set(range(9)) - dom)
+    with pytest.raises(ValueError, match="no logits left"):
+        anchor.kept_classes({0, 1, 2, 3}, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_defaults_materialized():
     assert (t.lr, t.momentum, t.weight_decay) == (0.01, 0.9, 1e-5)
     assert t.participation_ratio == 1.0 and t.parallel_clients == 1
     assert cfg.partition.gamma == 0.05 and cfg.partition.min_samples_per_client == 1
-    assert cfg.metrics.xi == 1e-8 and cfg.metrics.eval_interval == 1
+    assert cfg.metrics.xi == 1e-8
     assert cfg.reduction == ()
     assert cfg.output_dir == "runs/t-seed5"
 
@@ -72,11 +72,13 @@ def test_every_violation_reported_with_field_path():
 def test_unknown_keys_rejected_at_every_level():
     raw = minimal_raw()
     raw["model"]["width"] = 3
-    raw["metrics"] = {"epsilon": 1e-8}
+    raw["metrics"] = {"epsilon": 1e-8, "eval_interval": 1}
     with pytest.raises(ConfigError) as err:
         resolve(raw)
     assert any(e.startswith("model.width") for e in err.value.errors)
     assert any(e.startswith("metrics.epsilon") for e in err.value.errors)
+    # every round is evaluated and written; no key thins rounds.csv
+    assert any(e.startswith("metrics.eval_interval: unknown key") for e in err.value.errors)
 
 
 def test_missing_required_fields_named():

@@ -376,6 +376,22 @@ def test_schedule_for_unknown_client_fails_fast(tmp_path):
         federation.run_experiment(cfg)
 
 
+def test_every_schedule_row_checked_before_round_one(tmp_path):
+    # keep exceeds the class count in a row due after the last (third) round
+    cfg = config.resolve(raw_config(tmp_path, schedules={"reduction": [[0, 5, 0, 10000]]}))
+    with pytest.raises(federation.RunError, match="schedule of client 0: round 5: cannot keep 10000"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "run" / "metrics").exists()
+
+
+def test_mlp_preset_flattens_image_samples(tmp_path):
+    cfg = config.resolve(raw_config(tmp_path, **{"model.hidden": [6]}))
+    spec = federation.build_model_spec(cfg, (1, 10, 10), 3)
+    assert [layer.name for layer in spec.layers] == [
+        "flatten", "dense(100->6)", "relu", "dense(6->3)"]
+    assert spec.spec_hash == "b02d96a68d4c0c2c85fe89011915b0888cdccfdf81576a67fda00ec314cdec35"
+
+
 def test_checkpoint_interval(tmp_path):
     out, _ = run_cfg(tmp_path, **{"metrics.checkpoint_interval": 2})
     names = sorted(p.name for p in (out / "checkpoints").iterdir())

@@ -36,6 +36,10 @@ CASES = {
     "mlp-fedka": {**BLOB, "strategy": {"kind": "fedka", "beta": 0.3}},
     "mlp-fedka-parallel": {**BLOB, "strategy": {"kind": "fedka", "beta": 0.3},
                            "training": {**BLOB["training"], "parallel_clients": 2}},
+    # client 0's class 3 shrinks from 11 to 4 to 1 samples: it turns from
+    # dominant to non-dominant and enters the anchor
+    "mlp-fedka-reduction": {**BLOB, "strategy": {"kind": "fedka", "beta": 0.3},
+                            "schedules": {"reduction": [[0, 2, 3, 4], [0, 3, 3, 1]]}},
     "tcnn-fedavg": {
         "partition": {"clients": 2, "alpha": 0.5},
         "model": {"preset": "t_cnn", "conv_kernel": 3},
@@ -90,6 +94,19 @@ DIGESTS = {
     },
     "mlp-fedka": FEDKA,
     "mlp-fedka-parallel": FEDKA,
+    # pinned before the metric files moved into MetricsWriter
+    "mlp-fedka-reduction": {
+        "metrics/clients.csv":
+            "49dafc64e427b33f9e3c1265a35ef0f881470f060eb6d3580db3afadb4c639d0",
+        "metrics/forgetting.csv":
+            "5e945681e6831ffc7afa3a3b4cb2fd2e969f5cbb7630cdd817b13363d81abbf5",
+        "metrics/rounds.csv":
+            "5211e5053ca7be975cc5f7c7d89986485d3ace71ad013d11a3825f85c66ae26f",
+        "anchors.csv":
+            "5984cb539efb484d38f5908d278639418fcd12de314e4dba0658c0699da3ea20",
+        "checkpoints/final.bin":
+            "e06aa536ad836a997a6ec64d446aa0678ea4a7a7d3e13d4d9a11b282da01842c",
+    },
     "tcnn-fedavg": {
         "metrics/clients.csv":
             "4f5d0890076149fcac96010320f15b05845affc07fc15f996e6681a60a1afd57",

@@ -121,8 +121,6 @@ def test_rounds_to_target_crossings():
     assert metrics.rounds_to_target(curve, 0.5) == 2
     assert metrics.rounds_to_target(curve, 0.6) == 2  # boundary inclusive
     assert metrics.rounds_to_target(curve, 0.9) is None
-    assert metrics.speedup(curve, baseline_rounds=6, target=0.5) == 3.0
-    assert metrics.speedup(curve, baseline_rounds=6, target=0.99) is None
     # curve against itself at its own final accuracy
     assert metrics.rounds_to_target(curve, curve[-1][1]) == 3
 
@@ -152,13 +150,13 @@ def test_csv_round_trip(tmp_path):
         writer.write_round(rec, [(0, 10), (1, 20), (2, 30)])
         writer.write_forgetting(forg)
 
-    rounds = metrics.read_rounds(tmp_path / "rounds.csv")
+    rounds = metrics.read_rounds(tmp_path / "metrics" / "rounds.csv")
     assert len(rounds) == 1
     assert rounds[0].round == 4
     assert rounds[0].global_acc == pytest.approx(1 / 3, abs=1e-10)
     assert rounds[0].class_acc == pytest.approx((1 / 3, 2 / 3), abs=1e-10)
 
-    back = metrics.read_forgetting(tmp_path / "forgetting.csv")
+    back = metrics.read_forgetting(tmp_path / "metrics" / "forgetting.csv")
     assert len(back) == 2
     for orig, parsed in zip(forg, back):
         assert (parsed.round, parsed.client, parsed.klass, parsed.role) == (
@@ -166,17 +164,33 @@ def test_csv_round_trip(tmp_path):
         assert parsed.acc_global == pytest.approx(orig.acc_global, rel=1e-9)
         assert parsed.tau == pytest.approx(orig.tau, rel=1e-9)
 
-    clients = (tmp_path / "clients.csv").read_text().splitlines()
+    clients = (tmp_path / "metrics" / "clients.csv").read_text().splitlines()
     assert clients[0] == "round,client,participated,n_samples,mean_loss"
     assert clients[1].startswith("4,0,1,10,0.123456789")
     assert clients[2] == "4,1,0,20,"
 
 
 def test_headers_match_pinned_layout(tmp_path):
-    with metrics.MetricsWriter(tmp_path, class_count=3):
+    with metrics.MetricsWriter(tmp_path / "plain", class_count=3):
         pass
-    assert (tmp_path / "rounds.csv").read_text() == "round,global_acc,acc_class_0,acc_class_1,acc_class_2\n"
-    assert (tmp_path / "forgetting.csv").read_text() == "round,client,class,role,acc_global,acc_local,tau\n"
+    plain = tmp_path / "plain"
+    assert (plain / "metrics" / "rounds.csv").read_text() == (
+        "round,global_acc,acc_class_0,acc_class_1,acc_class_2\n")
+    assert (plain / "metrics" / "forgetting.csv").read_text() == (
+        "round,client,class,role,acc_global,acc_local,tau\n")
+    assert not (plain / "anchors.csv").exists()
+    assert not (plain / "metrics" / "forgetting_epochs.csv").exists()
+
+    rec = metrics.ForgettingRecord(2, 1, 0, "missing", 0.5, 0.25, 0.5)
+    with metrics.MetricsWriter(tmp_path / "full", 3, anchor_selection="hard",
+                               epoch_forgetting=True) as writer:
+        writer.write_anchors(2, 1, [(0, "shared", 17)])
+        writer.write_epoch_forgetting(3, [rec])
+    full = tmp_path / "full"
+    assert (full / "anchors.csv").read_text() == (
+        "round,client,class,source,sample_id,strategy\n2,1,0,shared,17,hard\n")
+    assert (full / "metrics" / "forgetting_epochs.csv").read_text() == (
+        "round,epoch,client,class,role,acc_global,acc_local,tau\n2,3,1,0,missing,0.5,0.25,0.5\n")
 
 
 def test_summary_contains_speedup_table(tmp_path):

@@ -269,14 +269,6 @@ def test_conv_pool_gradient_matches_central_differences():
         assert abs(grad[c] - num) / max(abs(grad[c]), abs(num), 1e-12) < 1e-4
 
 
-def test_finite_diff_check_helper_agrees():
-    spec, state = small_mlp(seed=13)
-    batch = random_batch(spec, 5, seed=14)
-    err = nn.finite_diff_check(state, spec, batch, coord_sample=20, step=1e-5,
-                               rng=stream(15, "fd"))
-    assert err < 1e-4
-
-
 def test_activation_margin_detects_exact_kink():
     spec = nn.NetworkSpec((nn.Dense(2, 2), nn.Relu(), nn.Dense(2, 2)), (2,), 2)
     params = np.zeros(spec.param_count)
