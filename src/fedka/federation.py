@@ -161,8 +161,9 @@ def aggregate(updates: list[ClientUpdate]) -> nn.ModelState:
     if drift > 1e-12:
         raise ArithmeticError(f"aggregation weights sum off by {drift:.3e}")
     params = np.zeros_like(updates[0].state.params)
+    term = np.empty_like(params)
     for w, u in zip(weights, updates):
-        params += w * u.state.params
+        params += np.multiply(u.state.params, w, out=term)
     return nn.ModelState(params, np.zeros_like(params), spec_hash)
 
 

@@ -69,11 +69,11 @@ class Dense:
         w, b = self._split(params)
         return x @ w + b
 
-    def backward(self, params, x, grad_out):
+    def backward(self, params, x, grad_out, input_grad=True):
         w, _ = self._split(params)
         grad_w = x.T @ grad_out
         grad_b = grad_out.sum(axis=0)
-        grad_x = grad_out @ w.T
+        grad_x = grad_out @ w.T if input_grad else None
         return np.concatenate([grad_w.ravel(), grad_b]), grad_x
 
     def to_json(self) -> dict:
@@ -95,9 +95,9 @@ class Relu:
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
 
-    def backward(self, params, x, grad_out):
+    def backward(self, params, x, grad_out, input_grad=True):
         # subgradient at 0 is fixed to 0
-        return None, grad_out * (x > 0.0)
+        return None, grad_out * (x > 0.0) if input_grad else None
 
     def to_json(self) -> dict:
         return {"type": "relu"}
@@ -141,15 +141,18 @@ class Conv2d:
         y = np.einsum("bchwij,ocij->bohw", win, w, optimize=True)
         return y + b[None, :, None, None]
 
-    def backward(self, params, x, grad_out):
+    def backward(self, params, x, grad_out, input_grad=True):
         w, _ = self._split(params)
         k = self.kernel
         win = sliding_window_view(x, (k, k), axis=(2, 3))
         grad_w = np.einsum("bchwij,bohw->ocij", win, grad_out, optimize=True)
         grad_b = grad_out.sum(axis=(0, 2, 3))
-        padded = np.pad(grad_out, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-        gwin = sliding_window_view(padded, (k, k), axis=(2, 3))
-        grad_x = np.einsum("bohwij,ocij->bchw", gwin, w[:, :, ::-1, ::-1], optimize=True)
+        grad_x = None
+        if input_grad:
+            # full correlation of grad_out with the flipped kernel
+            padded = np.pad(grad_out, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+            gwin = sliding_window_view(padded, (k, k), axis=(2, 3))
+            grad_x = np.einsum("bohwij,ocij->bchw", gwin, w[:, :, ::-1, ::-1], optimize=True)
         return np.concatenate([grad_w.ravel(), grad_b]), grad_x
 
     def to_json(self) -> dict:
@@ -184,6 +187,13 @@ class MaxPool:
     def param_count(self) -> int:
         return 0
 
+    def _views(self, x: np.ndarray) -> list[np.ndarray]:
+        """The k*k strided (b, c, oh, ow) views, one per window offset, in
+        row-major offset order."""
+        k = self.kernel
+        oh, ow = x.shape[2] // k, x.shape[3] // k
+        return [x[:, :, i : oh * k : k, j : ow * k : k] for i in range(k) for j in range(k)]
+
     def _blocks(self, x: np.ndarray) -> np.ndarray:
         b, c, h, w = x.shape
         k = self.kernel
@@ -192,24 +202,30 @@ class MaxPool:
         blocks = cropped.reshape(b, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
         return blocks.reshape(b, c, oh, ow, k * k)
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._blocks(x).max(axis=-1)
+    @staticmethod
+    def _max(views: list[np.ndarray]) -> np.ndarray:
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        return out
 
-    def backward(self, params, x, grad_out):
-        b, c, h, w = x.shape
-        k = self.kernel
-        oh, ow = h // k, w // k
-        blocks = self._blocks(x)
-        winners = np.argmax(blocks, axis=-1)  # first max wins, row-major
-        grad_blocks = np.zeros_like(blocks)
-        np.put_along_axis(grad_blocks, winners[..., None], grad_out[..., None], axis=-1)
-        grad_cropped = (
-            grad_blocks.reshape(b, c, oh, ow, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, oh * k, ow * k)
-        )
+    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._max(self._views(x))
+
+    def backward(self, params, x, grad_out, input_grad=True):
+        if not input_grad:
+            return None, None
+        views = self._views(x)
+        best = self._max(views)
         grad_x = np.zeros_like(x)
-        grad_x[:, :, : oh * k, : ow * k] = grad_cropped
+        # walk the offsets in row-major order: the first one holding the
+        # window's maximum takes its gradient, so a tie goes to the first
+        unclaimed = np.ones(best.shape, dtype=bool)
+        for view, grad_view in zip(views, self._views(grad_x)):
+            wins = view == best
+            wins &= unclaimed
+            unclaimed ^= wins
+            grad_view[...] = np.where(wins, grad_out, 0.0)
         return None, grad_x
 
     def to_json(self) -> dict:
@@ -231,8 +247,8 @@ class Flatten:
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, params, x, grad_out):
-        return None, grad_out.reshape(x.shape)
+    def backward(self, params, x, grad_out, input_grad=True):
+        return None, grad_out.reshape(x.shape) if input_grad else None
 
     def to_json(self) -> dict:
         return {"type": "flatten"}
@@ -460,15 +476,18 @@ def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray
 def backward_from_logits(
     spec: NetworkSpec, params: np.ndarray, caches: list[np.ndarray], grad_logits: np.ndarray
 ) -> np.ndarray:
-    """Backpropagate an arbitrary dLoss/dlogits to a flat parameter gradient."""
-    grad = np.zeros_like(params)
+    """Backpropagate an arbitrary dLoss/dlogits to a flat parameter gradient.
+
+    Nothing reads the gradient with respect to the network inputs, so layer 0
+    is not asked for it."""
+    grads = []
     g = grad_logits
     for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        gp, g = layer.backward(params[spec.param_slices[i]], caches[i], g)
+        gp, g = spec.layers[i].backward(params[spec.param_slices[i]], caches[i], g, input_grad=i > 0)
         if gp is not None:
-            grad[spec.param_slices[i]] = gp
-    return grad
+            grads.append(gp)
+    # param_slices tile the flat vector from 0 in layer order
+    return np.concatenate(grads[::-1]) if grads else np.zeros_like(params)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +575,16 @@ def sgd_step(
         raise ShapeError(f"gradient length {grad.size} != parameter length {state.params.size}")
     if not np.isfinite(grad).all():
         raise NonFiniteError("non-finite entries in gradient")
-    velocity = momentum_coef * state.momentum + (grad + weight_decay * state.params)
-    params = state.params - lr * velocity
+    # Two full-size buffers. IEEE addition and multiplication commute, so this
+    # rounds exactly as the formula in the docstring. No shortcut for
+    # momentum_coef == 0: the formula's 0*m + x turns x = -0.0 into 0.0, and
+    # the momentum buffer is saved with the state.
+    velocity = state.params * weight_decay
+    velocity += grad
+    step = state.momentum * momentum_coef
+    velocity += step
+    np.multiply(velocity, lr, out=step)
+    params = np.subtract(state.params, step, out=step)
     if not np.isfinite(params).all():
         raise NonFiniteError("parameters became non-finite after SGD step")
     return ModelState(params, velocity, state.spec_hash)

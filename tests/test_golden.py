@@ -47,6 +47,10 @@ CASES = {
         "training": {"rounds": 2, "local_epochs": 1, "batch_size": 8, "lr": 0.05},
     },
 }
+# the fedka case sends the anchor rows through conv and pool backward too
+CASES["tcnn-fedka"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedka", "beta": 0.3}}
+CASES["tcnn-fedprox"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedprox", "mu": 0.5},
+                         "metrics": {"epoch_forgetting": True}}
 
 # fedavg, fedprox and t_cnn: pinned before the fused anchor step and unchanged by it.
 # fedka: final.bin re-pinned with the fused anchor step. The anchor rows share
@@ -66,6 +70,16 @@ FEDKA = {
         "d216e72116859e237acd6d5e1dd99e49b2449587c369a97d45fdd9f6349992c8",
     "checkpoints/final.bin":
         "92b45f3811a7d903385c90b4d674d0310c888d8b1ee26bd01a35333bbe6aac2b",
+}
+# at this size the t_cnn fedka and fedprox runs print the fedavg run's
+# rounds.csv and forgetting.csv; fedka prints its clients.csv too
+TCNN_CSVS = {
+    "metrics/clients.csv":
+        "4f5d0890076149fcac96010320f15b05845affc07fc15f996e6681a60a1afd57",
+    "metrics/forgetting.csv":
+        "2dd39fa68fcdb9cc7944f37f073366812f095ad82a171903e3280116313b5002",
+    "metrics/rounds.csv":
+        "b3e1e0b7b13f709b3402640a2b545c496d549da9bb841beb96830e900474ea9e",
 }
 DIGESTS = {
     "mlp-fedavg": {
@@ -108,15 +122,29 @@ DIGESTS = {
             "e06aa536ad836a997a6ec64d446aa0678ea4a7a7d3e13d4d9a11b282da01842c",
     },
     "tcnn-fedavg": {
-        "metrics/clients.csv":
-            "4f5d0890076149fcac96010320f15b05845affc07fc15f996e6681a60a1afd57",
-        "metrics/forgetting.csv":
-            "2dd39fa68fcdb9cc7944f37f073366812f095ad82a171903e3280116313b5002",
-        "metrics/rounds.csv":
-            "b3e1e0b7b13f709b3402640a2b545c496d549da9bb841beb96830e900474ea9e",
+        **TCNN_CSVS,
         "anchors.csv": "absent",
         "checkpoints/final.bin":
             "9df376671f66fed64be0168470ec392206d2fa8e3e2100828e668f3e9bf82c11",
+    },
+    # pinned before layer 0 stopped computing its input gradient and max-pool
+    # moved to strided views
+    "tcnn-fedka": {
+        **TCNN_CSVS,
+        "anchors.csv":
+            "ab35988fc594f61264f15b4eb91ee4ef75ad660c53101265eaa8883583ce93a2",
+        "checkpoints/final.bin":
+            "af5aad3e7596cc0fcd3ef38ad167b81f7de8e58b33315e2160a26ebcd71d8ebe",
+    },
+    "tcnn-fedprox": {
+        **TCNN_CSVS,
+        "metrics/clients.csv":
+            "e85e802eac31b6aa6dccf34c4f259468c79098aab3a85bc2b18b424164fcf6d0",
+        "metrics/forgetting_epochs.csv":
+            "395257d0c6f21e8a2e005ba0c454fc02d55fd1b8622283415a318849b3d5b7d8",
+        "anchors.csv": "absent",
+        "checkpoints/final.bin":
+            "a5ae3e11f3c2dc102e0aeaf809090a908ea7131053b4a46be6d654511122eef0",
     },
 }
 

@@ -140,6 +140,81 @@ def test_maxpool_drops_ragged_edge():
     assert grad_x[0, 0, 4, 4] == 0.0
 
 
+def maxpool_block_reference(layer, x, grad_out):
+    """Max-pool forward and input gradient over the (..., k*k) window blocks."""
+    b, c, h, w = x.shape
+    k = layer.kernel
+    oh, ow = h // k, w // k
+    blocks = layer._blocks(x)
+    winners = np.argmax(blocks, axis=-1)
+    grad_blocks = np.zeros_like(blocks)
+    np.put_along_axis(grad_blocks, winners[..., None], grad_out[..., None], axis=-1)
+    grad_x = np.zeros_like(x)
+    grad_x[:, :, : oh * k, : ow * k] = (
+        grad_blocks.reshape(b, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh * k, ow * k)
+    )
+    return blocks.max(axis=-1), grad_x
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("side", [(5, 5), (7, 9)])
+def test_strided_maxpool_matches_block_reference_bit_for_bit(side, k):
+    layer = nn.MaxPool(k)
+    rng = stream(4, "pool")
+    # post-ReLU integers: many all-zero windows and many tied maxima
+    x = np.maximum(np.round(rng.normal(size=(3, 2, *side)) * 2.0), 0.0)
+    out = layer.forward(None, x)
+    grad_out = rng.normal(size=out.shape)
+    gp, grad_x = layer.backward(None, x, grad_out)
+    ref_out, ref_grad_x = maxpool_block_reference(layer, x, grad_out)
+    assert gp is None
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+    assert grad_x.shape == x.shape and grad_x.tobytes() == ref_grad_x.tobytes()
+
+
+@pytest.mark.parametrize("layer, in_shape", [(nn.Dense(6, 4), (6,)), (nn.Conv2d(2, 3, 3), (2, 6, 5))])
+def test_backward_without_input_grad_keeps_param_grad(layer, in_shape):
+    rng = stream(5, "layer")
+    params = rng.normal(size=layer.param_count())
+    x = rng.normal(size=(4, *in_shape))
+    grad_out = rng.normal(size=layer.forward(params, x).shape)
+    gp, grad_x = layer.backward(params, x, grad_out)
+    gp_only, none = layer.backward(params, x, grad_out, input_grad=False)
+    assert grad_x.shape == x.shape and none is None
+    assert gp_only.tobytes() == gp.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["mlp", "t_cnn"])
+def test_backward_never_asks_layer_zero_for_input_grad(preset, monkeypatch):
+    if preset == "mlp":
+        spec = nn.mlp_spec(6, (8,), 4)
+    else:
+        spec = nn.tcnn_spec((1, 10, 10), 3, conv_kernel=3)
+    state = nn.init_state(spec, stream(6, "init"))
+    batch = random_batch(spec, 5)
+    _, caches = nn.forward_with_caches(state, spec, batch.inputs)
+    grad_logits = stream(7, "logits").normal(size=(5, spec.class_count))
+    # reference: every layer computes its input gradient, the parameter
+    # gradients are written into a zero-filled flat vector
+    ref = np.zeros_like(state.params)
+    g = grad_logits
+    for i in reversed(range(len(spec.layers))):
+        gp, g = spec.layers[i].backward(state.params[spec.param_slices[i]], caches[i], g)
+        if gp is not None:
+            ref[spec.param_slices[i]] = gp
+    asked = []
+    for cls in (nn.Dense, nn.Relu, nn.Conv2d, nn.MaxPool, nn.Flatten):
+        def recorder(self, params, x, grad_out, input_grad=True, backward=cls.backward):
+            asked.append(input_grad)
+            return backward(self, params, x, grad_out, input_grad=input_grad)
+
+        monkeypatch.setattr(cls, "backward", recorder)
+    grad = nn.backward_from_logits(spec, state.params, caches, grad_logits)
+    # layers run last to first: only the final call, layer 0's, skips it
+    assert asked == [True] * (len(spec.layers) - 1) + [False]
+    assert grad.tobytes() == ref.tobytes()
+
+
 def test_relu_subgradient_at_zero_is_zero():
     layer = nn.Relu()
     x = np.array([[-1.0, 0.0, 2.0]])
