@@ -314,8 +314,7 @@ def apply_reduction_schedule(
                 f"round {rnd}: cannot keep {keep} of {current} class-{klass} samples"
             )
         members = indices[labels == klass]
-        drop = set(members[keep:].tolist())  # indices ascending: keep lowest
-        mask = np.array([i not in drop for i in indices])
+        mask = np.isin(indices, members[keep:], invert=True)  # indices ascending: keep lowest
         indices = indices[mask]
         labels = labels[mask]
     if len(indices) == len(shard.indices):

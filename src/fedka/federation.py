@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, anchor, nn
-from .config import ExperimentConfig, StrategyConfig
+from .config import ExperimentConfig
 from .data import (ClientShard, LabeledDataset, PartitionSpec, apply_reduction_schedule,
                    dirichlet_partition, load_assignments, load_idx, synth_blobs)
 from .metrics import (MetricsWriter, RoundRecord, classwise_accuracy, global_accuracy,
@@ -34,23 +34,6 @@ from .rng import as_generator, stream
 
 class RunError(RuntimeError):
     """A round failed; the message names the round and client."""
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    round_index: int
-    participants: tuple[int, ...]
-    epochs: int
-    batch_size: int
-    lr: float
-    momentum: float
-    weight_decay: float
-    master_seed: int
-    keep_epoch_states: bool = False
-
-    def __post_init__(self):
-        if not self.participants:
-            raise ValueError("a round needs at least one participant")
 
 
 @dataclass
@@ -79,21 +62,23 @@ def sample_participants(client_ids, ratio: float, rng) -> tuple[int, ...]:
 
 
 def local_train(
+    cfg: ExperimentConfig,
+    round_index: int,
     shard: ClientShard,
     global_state: nn.ModelState,
-    plan: RoundPlan,
-    strategy: StrategyConfig,
     spec: nn.NetworkSpec,
     dataset: LabeledDataset,
     shared: anchor.SharedDataset | None = None,
 ) -> ClientUpdate:
-    """Train a fresh copy of the global model on one client's shard.
+    """Train a fresh copy of the global model on one client's shard, under
+    ``cfg.training`` and ``cfg.strategy``.
 
     The copy starts with zeroed momentum. Proximal and anchor terms are
     evaluated only when their weights are nonzero, so a zero-weight run is
     bit-identical to plain averaging; the anchor itself is still built (it
     has its own stream, and the audit trail stays meaningful).
     """
+    strategy, t = cfg.strategy, cfg.training
     if strategy.kind not in ("fedavg", "fedprox", "fedka"):
         raise ValueError(f"unknown strategy {strategy.kind!r}")
     if strategy.kind == "fedka" and shared is None:
@@ -103,11 +88,11 @@ def local_train(
     target = None
     anchor_log: tuple[tuple, ...] = ()
     if strategy.kind == "fedka":
-        arng = stream(plan.master_seed, "anchor", plan.round_index, shard.client_id)
+        arng = stream(cfg.master_seed, "anchor", round_index, shard.client_id)
         chooser = anchor.select_anchor_strategy(
             shard, strategy.selection, dataset, global_state, spec)
         built = anchor.build_anchor(
-            shard, shared, dataset, plan.round_index, arng,
+            shard, shared, dataset, round_index, arng,
             variant=strategy.variant, chooser=chooser)
         built = anchor.downsample_anchor(built, strategy.mu_anchor, arng)
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
@@ -116,27 +101,27 @@ def local_train(
 
     inputs, labels = dataset.take(shard.indices)
     n = len(shard)
-    brng = stream(plan.master_seed, "batch", plan.round_index, shard.client_id)
+    brng = stream(cfg.master_seed, "batch", round_index, shard.client_id)
     trace = []
     epoch_states = []
-    for _ in range(plan.epochs):
+    for _ in range(t.local_epochs):
         order = brng.permutation(n)
         step_losses = []
-        for start in range(0, n, plan.batch_size):
-            sel = order[start:start + plan.batch_size]
+        for start in range(0, n, t.batch_size):
+            sel = order[start:start + t.batch_size]
             batch = nn.Batch(inputs[sel], labels[sel])
             if target is not None:
                 loss, grad = anchor.anchored_loss_and_grad(state, spec, batch, target, strategy.beta)
             else:
                 loss, grad = nn.ce_loss_and_grad(state, spec, batch)
             if strategy.kind == "fedprox" and strategy.mu > 0.0:
-                diff = state.params - global_state.params
-                loss += 0.5 * strategy.mu * float(diff @ diff)
-                grad = grad + strategy.mu * diff
-            state = nn.sgd_step(state, grad, plan.lr, plan.momentum, plan.weight_decay)
+                p_loss, p_grad = nn.proximal_loss_and_grad(state.params, global_state.params, strategy.mu)
+                loss += p_loss
+                grad = grad + p_grad
+            state = nn.sgd_step(state, grad, t.lr, t.momentum, t.weight_decay)
             step_losses.append(loss)
         trace.append(float(np.mean(step_losses)))
-        if plan.keep_epoch_states:
+        if cfg.metrics.epoch_forgetting:
             epoch_states.append(state.copy())
     return ClientUpdate(shard.client_id, state, n, tuple(trace), anchor_log,
                         tuple(epoch_states))
@@ -200,11 +185,52 @@ def build_shards(cfg: ExperimentConfig, train: LabeledDataset) -> list[ClientSha
     return dirichlet_partition(train, spec, gamma=p.gamma)
 
 
-def _schedules_by_client(cfg: ExperimentConfig) -> dict[int, list[tuple[int, int, int]]]:
-    out: dict[int, list[tuple[int, int, int]]] = {}
+def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, dict[int, ClientShard]]:
+    """Each client's shard from the round it takes effect: key 0 holds the
+    partition, each later key the clients that a reduction row shrinks at
+    that round (a row at round 0 takes effect in round 1). Every row is
+    applied here, before round 1, including rows due after the last round.
+    """
+    base = {s.client_id: s for s in build_shards(cfg, train)}
+    rows: dict[int, list[tuple[int, int, int]]] = {}
     for client, rnd, klass, keep in cfg.reduction:
-        out.setdefault(client, []).append((rnd, klass, keep))
-    return out
+        rows.setdefault(client, []).append((rnd, klass, keep))
+    changes = {0: base}
+    for client, sched in rows.items():
+        if client not in base:
+            raise RunError(f"reduction schedule names unknown client {client}")
+        # latest round first: that call applies every row, so a bad schedule
+        # fails on the same row as when the whole schedule is applied
+        try:
+            for rnd in sorted({max(r, 1) for r, _, _ in sched}, reverse=True):
+                changes.setdefault(rnd, {})[client] = apply_reduction_schedule(
+                    base[client], sched, train, upto_round=rnd)
+        except ValueError as exc:
+            raise RunError(f"reduction schedule of client {client}: {exc}") from None
+    return changes
+
+
+def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
+              global_state: nn.ModelState, spec: nn.NetworkSpec, train: LabeledDataset,
+              shared: anchor.SharedDataset | None) -> list[ClientUpdate]:
+    """Round r's local stages: each sampled participant trains on its shard,
+    in threads when ``training.parallel_clients`` > 1. Returns the updates
+    in client order; a failure raises RunError naming the round and client.
+    """
+    t = cfg.training
+    participants = sample_participants(
+        shards, t.participation_ratio, stream(cfg.master_seed, "participants", r))
+
+    def train_one(cid: int) -> ClientUpdate:
+        try:
+            return local_train(cfg, r, shards[cid], global_state, spec, train, shared)
+        except Exception as exc:
+            raise RunError(f"round {r}, client {cid}: {exc}") from exc
+
+    if t.parallel_clients > 1 and len(participants) > 1:
+        with ThreadPoolExecutor(max_workers=t.parallel_clients) as pool:
+            return list(pool.map(train_one, participants))
+    return [train_one(cid) for cid in participants]
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) -> Path:
@@ -221,17 +247,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
 
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train.inputs.shape[1:], train.class_count)
-    base_shards = build_shards(cfg, train)
-    schedules = _schedules_by_client(cfg)
-    by_id = {s.client_id: s for s in base_shards}
-    for client, rows in schedules.items():
-        if client not in by_id:
-            raise RunError(f"reduction schedule names unknown client {client}")
-        # every row is checked before round 1, including rows after the last round
-        try:
-            apply_reduction_schedule(by_id[client], rows, train)
-        except ValueError as exc:
-            raise RunError(f"reduction schedule of client {client}: {exc}") from None
+    changes = shards_by_round(cfg, train)
+    shards = changes.pop(0)
 
     global_state = nn.init_state(spec, stream(cfg.master_seed, "init"))
     shared = None
@@ -254,37 +271,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
         raise RunError(f"cannot open metric files: {exc}") from None
     with writer:
         teacher_acc = classwise_accuracy(global_state, spec, test)
-        all_ids = [s.client_id for s in base_shards]
         for r in range(1, t.rounds + 1):
-            shards = {}
-            for s in base_shards:
-                sched = schedules.get(s.client_id)
-                shards[s.client_id] = (
-                    apply_reduction_schedule(s, sched, train, upto_round=r) if sched else s
-                )
-            participants = sample_participants(
-                all_ids, t.participation_ratio, stream(cfg.master_seed, "participants", r))
-            plan = RoundPlan(
-                round_index=r, participants=participants, epochs=t.local_epochs,
-                batch_size=t.batch_size, lr=t.lr, momentum=t.momentum,
-                weight_decay=t.weight_decay, master_seed=cfg.master_seed,
-                keep_epoch_states=cfg.metrics.epoch_forgetting,
-            )
-
-            def train_one(cid: int) -> ClientUpdate:
-                try:
-                    return local_train(shards[cid], global_state, plan,
-                                       cfg.strategy, spec, train, shared)
-                except Exception as exc:
-                    raise RunError(f"round {r}, client {cid}: {exc}") from exc
-
-            if t.parallel_clients > 1 and len(participants) > 1:
-                with ThreadPoolExecutor(max_workers=t.parallel_clients) as pool:
-                    results = list(pool.map(train_one, participants))
-            else:
-                results = [train_one(cid) for cid in participants]
-            updates = sorted(results, key=lambda u: u.client_id)
-
+            shards.update(changes.get(r, {}))
+            updates = run_round(cfg, r, shards, global_state, spec, train, shared)
             global_state = aggregate(updates)
             post_acc = classwise_accuracy(global_state, spec, test)
             acc = global_accuracy(post_acc, test)
@@ -304,11 +293,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
 
             record = RoundRecord(
                 round=r, global_acc=acc, class_acc=tuple(post_acc),
-                participants=participants,
+                participants=tuple(u.client_id for u in updates),
                 client_losses={u.client_id: float(np.mean(u.loss_trace)) for u in updates
                                if u.loss_trace},
             )
-            writer.write_round(record, [(cid, len(shards[cid])) for cid in all_ids])
+            writer.write_round(record, [(cid, len(s)) for cid, s in shards.items()])
             history.append(record)
             if cfg.metrics.checkpoint_interval and r % cfg.metrics.checkpoint_interval == 0:
                 nn.save_state(global_state, checkpoints / f"round_{r:05d}.bin")

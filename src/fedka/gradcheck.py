@@ -118,12 +118,11 @@ def check_preset(
 
         def prox(s):
             loss, grad = nn.ce_loss_and_grad(s, spec, batch)
-            diff = s.params - teacher.params
-            return loss + 0.5 * mu * float(diff @ diff), grad + mu * diff
+            p_loss, p_grad = nn.proximal_loss_and_grad(s.params, teacher.params, mu)
+            return loss + p_loss, grad + p_grad
 
         def prox_only(s):
-            diff = s.params - teacher.params
-            return nn.ce_loss(s, spec, batch) + 0.5 * mu * float(diff @ diff)
+            return nn.ce_loss(s, spec, batch) + nn.proximal_loss_and_grad(s.params, teacher.params, mu)[0]
 
         def anchored(s):
             return anchor_mod.anchored_loss_and_grad(s, spec, batch, target, beta)

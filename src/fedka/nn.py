@@ -561,6 +561,12 @@ def ce_loss(state: ModelState, spec: NetworkSpec, batch: Batch) -> float:
     return loss
 
 
+def proximal_loss_and_grad(params: np.ndarray, center: np.ndarray, mu: float):
+    """FedProx's term (mu/2)*||params - center||^2 and its gradient."""
+    diff = params - center
+    return 0.5 * mu * float(diff @ diff), mu * diff
+
+
 def sgd_step(
     state: ModelState,
     grad: np.ndarray,

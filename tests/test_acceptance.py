@@ -32,11 +32,11 @@ from conftest import ACCEPTANCE_CHECKLIST
 from fedka import nn
 from fedka.anchor import (AnchorEntry, KnowledgeAnchor, build_anchor,
                           build_shared_dataset, downsample_anchor)
-from fedka.config import StrategyConfig, resolve
+from fedka.config import resolve
 from fedka.data import (PartitionSpec, classify_roles, dirichlet_partition,
                         make_shard, synth_blobs)
-from fedka.federation import (RoundPlan, aggregate, build_datasets, build_shards,
-                              local_train, run_experiment)
+from fedka.federation import (aggregate, build_datasets, build_shards, local_train,
+                              run_experiment)
 from fedka.gradcheck import run_gradcheck
 from fedka.metrics import forgetting_degree, read_forgetting, read_rounds
 from fedka.rng import stream
@@ -257,15 +257,13 @@ def test_criterion_04_aggregation_equality_and_convexity():
     shards = dirichlet_partition(train, PartitionSpec(3, 0.5, 1234, 8))
     spec = nn.mlp_spec(4, (6,), 3)
     state = nn.init_state(spec, stream(99, "init"))
-    strategy = StrategyConfig(kind="fedavg")
+    cfg = resolve(blob_raw("aggregation", 99, {"kind": "fedavg"},
+                           {"local_epochs": 2, "batch_size": 16, "lr": 0.1, "weight_decay": 1e-4}))
 
     worst = 0.0
     convex_ok = True
     for r in range(1, 21):
-        plan = RoundPlan(round_index=r, participants=tuple(s.client_id for s in shards),
-                         epochs=2, batch_size=16, lr=0.1, momentum=0.9,
-                         weight_decay=1e-4, master_seed=99)
-        updates = [local_train(s, state, plan, strategy, spec, train) for s in shards]
+        updates = [local_train(cfg, r, s, state, spec, train) for s in shards]
         state = aggregate(updates)
 
         stacked = np.stack([u.state.params for u in updates])

@@ -18,16 +18,18 @@ def small_setup(seed=0, k=3, per_class=40):
     return ds, spec, state, shard
 
 
-def plan_for(round_index=1, epochs=2, master_seed=7, batch_size=16):
-    return federation.RoundPlan(
-        round_index=round_index, participants=(0,), epochs=epochs,
-        batch_size=batch_size, lr=0.05, momentum=0.9, weight_decay=1e-5,
-        master_seed=master_seed,
-    )
-
-
-def strat(kind, **kw):
-    return config.StrategyConfig(kind=kind, **kw)
+def cfg_for(kind, epochs=2, **strategy):
+    """A resolved config describing small_setup's data, for local_train."""
+    return config.resolve({
+        "master_seed": 7,
+        "dataset": {"kind": "synth", "classes": 3, "per_class": 40, "dims": 2,
+                    "separation": 5.0, "seed": 0},
+        "partition": {"clients": 1, "alpha": 1.0},
+        "model": {"preset": "mlp", "hidden": [8]},
+        "strategy": {"kind": kind, **strategy},
+        "training": {"local_epochs": epochs, "batch_size": 16, "lr": 0.05,
+                     "weight_decay": 1e-5},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +73,7 @@ def test_sampling_rejects_bad_ratio():
 
 def test_zero_epochs_returns_global_exactly():
     ds, spec, state, shard = small_setup()
-    update = federation.local_train(shard, state, plan_for(epochs=0),
-                                    strat("fedavg"), spec, ds)
+    update = federation.local_train(cfg_for("fedavg", epochs=0), 1, shard, state, spec, ds)
     assert np.array_equal(update.state.params, state.params)
     assert not update.state.momentum.any()
     assert update.loss_trace == ()
@@ -81,8 +82,7 @@ def test_zero_epochs_returns_global_exactly():
 
 def test_training_changes_parameters_and_logs_loss():
     ds, spec, state, shard = small_setup()
-    update = federation.local_train(shard, state, plan_for(epochs=3),
-                                    strat("fedavg"), spec, ds)
+    update = federation.local_train(cfg_for("fedavg", epochs=3), 1, shard, state, spec, ds)
     assert not np.array_equal(update.state.params, state.params)
     assert len(update.loss_trace) == 3
     assert update.loss_trace[-1] < update.loss_trace[0]
@@ -92,8 +92,8 @@ def test_training_changes_parameters_and_logs_loss():
 
 def test_fedprox_zero_mu_is_bitwise_fedavg():
     ds, spec, state, shard = small_setup()
-    avg = federation.local_train(shard, state, plan_for(), strat("fedavg"), spec, ds)
-    prox = federation.local_train(shard, state, plan_for(), strat("fedprox", mu=0.0), spec, ds)
+    avg = federation.local_train(cfg_for("fedavg"), 1, shard, state, spec, ds)
+    prox = federation.local_train(cfg_for("fedprox", mu=0.0), 1, shard, state, spec, ds)
     assert np.array_equal(avg.state.params, prox.state.params)
     assert avg.loss_trace == prox.loss_trace
 
@@ -101,9 +101,8 @@ def test_fedprox_zero_mu_is_bitwise_fedavg():
 def test_fedka_zero_beta_is_bitwise_fedavg_with_anchor_audit():
     ds, spec, state, shard = small_setup()
     shared = anchor.build_shared_dataset(ds, seed=7)
-    avg = federation.local_train(shard, state, plan_for(), strat("fedavg"), spec, ds)
-    ka = federation.local_train(shard, state, plan_for(), strat("fedka", beta=0.0),
-                                spec, ds, shared)
+    avg = federation.local_train(cfg_for("fedavg"), 1, shard, state, spec, ds)
+    ka = federation.local_train(cfg_for("fedka", beta=0.0), 1, shard, state, spec, ds, shared)
     assert np.array_equal(avg.state.params, ka.state.params)
     assert avg.loss_trace == ka.loss_trace
 
@@ -114,8 +113,8 @@ def test_fedka_audit_log_when_client_has_vulnerable_classes():
         0, np.concatenate([ds.class_indices[0][:1], ds.class_indices[2][:39]]), ds, 0.05)
     assert lopsided.missing == {1} and lopsided.non_dominant == {0}
     shared = anchor.build_shared_dataset(ds, seed=7)
-    update = federation.local_train(lopsided, state, plan_for(),
-                                    strat("fedka", beta=0.1), spec, ds, shared)
+    update = federation.local_train(cfg_for("fedka", beta=0.1), 1, lopsided, state,
+                                    spec, ds, shared)
     assert len(update.anchor_log) == 2
     by_class = {row[0]: row for row in update.anchor_log}
     assert by_class[1][1] == "shared"
@@ -127,9 +126,8 @@ def test_fedka_positive_beta_changes_training():
     lopsided = data.make_shard(
         0, np.concatenate([ds.class_indices[0][:1], ds.class_indices[2][:39]]), ds, 0.05)
     shared = anchor.build_shared_dataset(ds, seed=7)
-    plain = federation.local_train(lopsided, state, plan_for(), strat("fedavg"), spec, ds)
-    ka = federation.local_train(lopsided, state, plan_for(),
-                                strat("fedka", beta=0.5), spec, ds, shared)
+    plain = federation.local_train(cfg_for("fedavg"), 1, lopsided, state, spec, ds)
+    ka = federation.local_train(cfg_for("fedka", beta=0.5), 1, lopsided, state, spec, ds, shared)
     assert not np.array_equal(plain.state.params, ka.state.params)
 
 
@@ -141,27 +139,28 @@ def test_fedka_local_train_matches_two_pass_reference():
     lopsided = data.make_shard(
         0, np.concatenate([ds.class_indices[0][:1], ds.class_indices[2][:39]]), ds, 0.05)
     shared = anchor.build_shared_dataset(ds, seed=7)
-    plan, strategy = plan_for(), strat("fedka", beta=0.3)
-    fused = federation.local_train(lopsided, state, plan, strategy, spec, ds, shared)
+    cfg = cfg_for("fedka", beta=0.3)
+    t, strategy = cfg.training, cfg.strategy
+    fused = federation.local_train(cfg, 1, lopsided, state, spec, ds, shared)
 
-    arng = stream(plan.master_seed, "anchor", plan.round_index, lopsided.client_id)
+    arng = stream(cfg.master_seed, "anchor", 1, lopsided.client_id)
     built = anchor.downsample_anchor(
-        anchor.build_anchor(lopsided, shared, ds, plan.round_index, arng), strategy.mu_anchor, arng)
+        anchor.build_anchor(lopsided, shared, ds, 1, arng), strategy.mu_anchor, arng)
     assert fused.anchor_log == tuple((e.label, e.source, e.sample_id) for e in built.entries)
     assert {e.source for e in built.entries} == {"shared", "local"} and built.dominant
     ref = state.fresh_local()
     inputs, labels = ds.take(lopsided.indices)
-    brng = stream(plan.master_seed, "batch", plan.round_index, lopsided.client_id)
+    brng = stream(cfg.master_seed, "batch", 1, lopsided.client_id)
     trace = []
-    for _ in range(plan.epochs):
+    for _ in range(t.local_epochs):
         order = brng.permutation(len(lopsided))
         losses = []
-        for start in range(0, len(lopsided), plan.batch_size):
-            sel = order[start:start + plan.batch_size]
+        for start in range(0, len(lopsided), t.batch_size):
+            sel = order[start:start + t.batch_size]
             loss, grad = nn.ce_loss_and_grad(ref, spec, nn.Batch(inputs[sel], labels[sel]))
             ka_loss, ka_grad = anchor.ka_loss_and_grad(built, state, ref, spec)
             ref = nn.sgd_step(ref, grad + strategy.beta * ka_grad,
-                              plan.lr, plan.momentum, plan.weight_decay)
+                              t.lr, t.momentum, t.weight_decay)
             losses.append(loss + strategy.beta * ka_loss)
         trace.append(float(np.mean(losses)))
     np.testing.assert_allclose(fused.state.params, ref.params, rtol=1e-10, atol=1e-13)
@@ -170,9 +169,8 @@ def test_fedka_local_train_matches_two_pass_reference():
 
 def test_large_prox_mu_tethers_to_global():
     ds, spec, state, shard = small_setup()
-    free = federation.local_train(shard, state, plan_for(), strat("fedavg"), spec, ds)
-    tight = federation.local_train(shard, state, plan_for(),
-                                   strat("fedprox", mu=50.0), spec, ds)
+    free = federation.local_train(cfg_for("fedavg"), 1, shard, state, spec, ds)
+    tight = federation.local_train(cfg_for("fedprox", mu=50.0), 1, shard, state, spec, ds)
     d_free = np.linalg.norm(free.state.params - state.params)
     d_tight = np.linalg.norm(tight.state.params - state.params)
     assert d_tight < d_free
@@ -181,7 +179,7 @@ def test_large_prox_mu_tethers_to_global():
 def test_fedka_requires_shared_dataset():
     ds, spec, state, shard = small_setup()
     with pytest.raises(ValueError, match="shared"):
-        federation.local_train(shard, state, plan_for(), strat("fedka"), spec, ds)
+        federation.local_train(cfg_for("fedka"), 1, shard, state, spec, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +365,45 @@ def test_reduction_schedule_changes_client_sizes(tmp_path):
     assert sizes[("2", "0")] < sizes[("1", "0")]
     assert sizes[("2", "1")] == sizes[("1", "1")]
     assert sizes[("3", "0")] == sizes[("2", "0")]
+
+
+BALANCED_PAIR = {"clients": 2, "alpha": 100.0, "seed": 9}
+
+
+def test_shard_timeline_matches_per_round_schedule(tmp_path):
+    probe = config.resolve(raw_config(tmp_path, partition=BALANCED_PAIR))
+    train, _ = federation.build_datasets(probe)
+    c0, c1 = (s.counts.tolist() for s in federation.build_shards(probe, train))
+    # rows at round 0, two classes at round 2, and one after the last round (3)
+    rows = [[0, 0, 0, c0[0] - 2], [0, 2, 1, c0[1] // 2], [1, 2, 2, c1[2] // 3],
+            [1, 2, 0, c1[0] - 1], [0, 5, 0, 1], [1, 3, 2, 0]]
+    cfg = config.resolve(raw_config(tmp_path, partition=BALANCED_PAIR,
+                                    schedules={"reduction": rows}))
+    changes = federation.shards_by_round(cfg, train)
+    assert sorted(changes) == [0, 1, 2, 3, 5]
+    base = changes[0]
+    for r in range(1, cfg.training.rounds + 2):
+        shards = dict(base)
+        for k in sorted(k for k in changes if 0 < k <= r):
+            shards.update(changes[k])
+        for cid, shard in shards.items():
+            sched = [tuple(row[1:]) for row in rows if row[0] == cid]
+            want = data.apply_reduction_schedule(base[cid], sched, train, upto_round=r)
+            assert np.array_equal(shard.indices, want.indices), (r, cid)
+            assert (shard.dominant, shard.non_dominant, shard.missing) == (
+                want.dominant, want.non_dominant, want.missing), (r, cid)
+
+
+def test_round_zero_row_shrinks_round_one(tmp_path):
+    probe = config.resolve(raw_config(tmp_path / "probe", partition=BALANCED_PAIR))
+    train, _ = federation.build_datasets(probe)
+    base = federation.build_shards(probe, train)
+    out, _ = run_cfg(tmp_path, schedules={"reduction": [[0, 0, 1, 2]]}, partition=BALANCED_PAIR)
+    lines = (out / "metrics" / "clients.csv").read_text().splitlines()[1:]
+    sizes = {(c[0], c[1]): int(c[3]) for c in (l.split(",") for l in lines)}
+    assert sizes[("1", "0")] == len(base[0]) - int(base[0].counts[1] - 2)
+    assert sizes[("1", "1")] == len(base[1])
+    assert sizes[("3", "0")] == sizes[("1", "0")]
 
 
 def test_schedule_for_unknown_client_fails_fast(tmp_path):
