@@ -182,33 +182,45 @@ def kept_classes(dominant: Sequence[int] | frozenset[int], class_count: int) -> 
     return kept
 
 
-def ka_logit_loss_and_grad(
-    student_logits: np.ndarray, teacher_kept: np.ndarray, kept: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The anchor term on logits: the squared teacher-student gap over the
-    kept columns, summed per row and averaged over rows, and its gradient
-    with respect to the student logits (zero in the discarded columns).
+def ka_losses(student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.ndarray,
+              counts: Sequence[int], entries: Sequence[int]) -> np.ndarray:
+    """The anchor term of each client: the squared teacher-student gap over
+    the ``kept`` entries (a boolean mask of the anchor rows' logits), summed
+    per row and averaged over the client's counts[p] rows. The rows are the
+    anchors of the clients one after another, entries[p] kept entries for
+    client p; leading axes of ``student_logits`` (steps) are kept."""
+    gap = (student_logits - teacher_logits)[..., kept]
+    return nn.segment_sums(gap * gap, entries) / counts
 
-    ``teacher_kept`` holds the teacher's logits in the ``kept`` columns only.
-    """
+
+def ka_grad(student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.ndarray,
+            scale: np.ndarray) -> np.ndarray:
+    """Its gradient w.r.t. the student logits: ``scale`` (2 / the client's
+    anchor rows, per row) times the gap in the kept entries, 0 elsewhere."""
+    return np.where(kept, scale * (student_logits - teacher_logits), 0.0)
+
+
+def ka_logit_loss_and_grad(
+    student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The anchor term of one client on logits, and its gradient: ``kept``
+    is the boolean mask of the compared columns."""
     rows = len(student_logits)
-    diff = student_logits[:, kept] - teacher_kept
-    loss = float(np.sum(diff * diff) / rows)
-    grad_logits = np.zeros_like(student_logits)
-    grad_logits[:, kept] = (2.0 / rows) * diff
-    return loss, grad_logits
+    row_kept = np.broadcast_to(kept, student_logits.shape)
+    loss = ka_losses(student_logits, teacher_logits, row_kept, (rows,), (int(row_kept.sum()),))
+    return float(loss[0]), ka_grad(student_logits, teacher_logits, row_kept, 2.0 / rows)
 
 
 @dataclass(frozen=True)
 class AnchorTarget:
     """What the anchor term needs at every step of a round: the stacked
-    anchor inputs, the kept logit columns, and the frozen teacher's logits
-    in those columns. The teacher does not move within a round, so all
-    three are computed once per round."""
+    anchor inputs, the mask of kept logit columns, and the frozen teacher's
+    logits. The teacher does not move within a round, so all three are
+    computed once per round."""
 
     inputs: np.ndarray
     kept: np.ndarray
-    teacher_kept: np.ndarray
+    teacher: np.ndarray
 
 
 def anchor_target(
@@ -216,8 +228,75 @@ def anchor_target(
 ) -> AnchorTarget:
     """The round's anchor target, with the global model as the teacher."""
     inputs = anchor.inputs()
-    kept = kept_classes(anchor.dominant, spec.class_count)
-    return AnchorTarget(inputs, kept, nn.forward_logits(global_state, spec, inputs)[:, kept])
+    kept = np.zeros(spec.class_count, dtype=bool)
+    kept[kept_classes(anchor.dominant, spec.class_count)] = True
+    return AnchorTarget(inputs, kept, nn.forward_logits(global_state, spec, inputs))
+
+
+@dataclass(frozen=True)
+class FusedRows:
+    """Where the rows of one forward pass over several clients sit: each
+    client's batch rows, then its anchor rows, one client after another.
+    Client p owns rows ``offsets[p]:offsets[p + 1]``."""
+
+    offsets: tuple[int, ...]
+    batch: np.ndarray                  # the batch rows, client after client
+    batch_counts: tuple[int, ...]      # batch rows per client
+    divisor: np.ndarray                # per row: its client's batch size (1 on anchor rows)
+    anchor: np.ndarray | None          # the anchor rows; None when no client has any
+    anchored: list[int]                # the clients with anchor rows
+    anchor_counts: tuple[int, ...]     # anchor rows per anchored client
+    entries: tuple[int, ...]           # kept logit entries per anchored client
+    kept: np.ndarray | None            # per anchor row: the mask of kept columns
+    scale: np.ndarray | None           # per anchor row: 2 / its client's anchor rows
+    teacher: np.ndarray | None         # per anchor row: the teacher's logits
+
+
+def fused_rows(batch_counts: tuple[int, ...], targets) -> FusedRows:
+    """The layout of a pass in which client p takes a batch of
+    batch_counts[p] rows, followed by the rows of targets[p] (an
+    AnchorTarget, or None for no anchor term)."""
+    offsets, batch, divisor, anchor, anchored = [0], [], [], [], []
+    for p, (m, target) in enumerate(zip(batch_counts, targets)):
+        start = offsets[-1]
+        a = 0 if target is None else len(target.inputs)
+        batch += range(start, start + m)
+        divisor += [m] * m + [1] * a
+        anchor += range(start + m, start + m + a)
+        if a:
+            anchored.append(p)
+        offsets.append(start + m + a)
+    batch_rows, divisor = np.array(batch), np.array(divisor, dtype=np.float64)[:, None]
+    if not anchored:
+        return FusedRows(tuple(offsets), batch_rows, batch_counts, divisor,
+                         None, [], (), (), None, None, None)
+    used = [targets[p] for p in anchored]
+    counts = tuple(len(t.inputs) for t in used)
+    return FusedRows(
+        tuple(offsets), batch_rows, batch_counts, divisor, np.array(anchor), anchored, counts,
+        tuple(a * int(t.kept.sum()) for a, t in zip(counts, used)),
+        np.repeat(np.stack([t.kept for t in used]), counts, axis=0),
+        np.array([2.0 / a for a in counts for _ in range(a)])[:, None],
+        np.concatenate([t.teacher for t in used]))
+
+
+def fused_grad_logits(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, beta: float) -> np.ndarray:
+    """The gradient w.r.t. (N, C) logits of each client's cross-entropy on
+    its batch rows plus ``beta`` times the anchor term on its anchor rows."""
+    grad = nn.ce_grad(logits, labels, rows.batch, rows.divisor)
+    if rows.anchor is not None:
+        grad[rows.anchor] = beta * ka_grad(logits[rows.anchor], rows.teacher, rows.kept, rows.scale)
+    return grad
+
+
+def fused_losses(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, beta: float) -> np.ndarray:
+    """Those objectives per client, for logits (..., N, C) and labels
+    (..., batch rows); leading axes (steps) are kept."""
+    losses = nn.ce_losses(logits, labels, rows.batch, rows.batch_counts)
+    if rows.anchor is not None:
+        losses[..., rows.anchored] += beta * ka_losses(
+            logits[..., rows.anchor, :], rows.teacher, rows.kept, rows.anchor_counts, rows.entries)
+    return losses
 
 
 def anchored_loss_and_grad(
@@ -231,13 +310,12 @@ def anchored_loss_and_grad(
     the exact gradient, from one forward and one backward pass over the
     batch rows followed by the anchor rows."""
     labels = nn.batch_labels(spec, batch)
-    m = len(labels)
     logits, caches = nn.forward_with_caches(
         state, spec, np.concatenate([batch.inputs, target.inputs]))
-    ce, grad_ce = nn.softmax_cross_entropy(logits[:m], labels)
-    ka, grad_ka = ka_logit_loss_and_grad(logits[m:], target.teacher_kept, target.kept)
-    grad_logits = np.concatenate([grad_ce, beta * grad_ka])
-    return ce + beta * ka, nn.backward_from_logits(spec, state.params, caches, grad_logits)
+    rows = fused_rows((len(labels),), [target])
+    loss = float(fused_losses(logits, labels, rows, beta)[0])
+    grad_logits = fused_grad_logits(logits, labels, rows, beta)
+    return loss, nn.backward_from_logits(spec, state.params, caches, grad_logits)
 
 
 def ka_loss_and_grad(
@@ -261,7 +339,8 @@ def ka_loss_and_grad(
     inputs = anchor.inputs()
     if teacher_logits is None:
         teacher_logits = nn.forward_logits(global_state, spec, inputs)
-    kept = kept_classes(anchor.dominant, spec.class_count)
+    kept = np.zeros(spec.class_count, dtype=bool)
+    kept[kept_classes(anchor.dominant, spec.class_count)] = True
     student_logits, caches = nn.forward_with_caches(local_state, spec, inputs)
-    loss, grad_logits = ka_logit_loss_and_grad(student_logits, teacher_logits[:, kept], kept)
+    loss, grad_logits = ka_logit_loss_and_grad(student_logits, teacher_logits, kept)
     return loss, nn.backward_from_logits(spec, local_state.params, caches, grad_logits)

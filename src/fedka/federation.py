@@ -61,30 +61,24 @@ def sample_participants(client_ids, ratio: float, rng) -> tuple[int, ...]:
     return tuple(sorted(ids[i] for i in picked))
 
 
-def local_train(
-    cfg: ExperimentConfig,
-    round_index: int,
-    shard: ClientShard,
-    global_state: nn.ModelState,
-    spec: nn.NetworkSpec,
-    dataset: LabeledDataset,
-    shared: anchor.SharedDataset | None = None,
-) -> ClientUpdate:
-    """Train a fresh copy of the global model on one client's shard, under
-    ``cfg.training`` and ``cfg.strategy``.
+@dataclass
+class _Client:
+    """One client's round, planned before the first step."""
 
-    The copy starts with zeroed momentum. Proximal and anchor terms are
-    evaluated only when their weights are nonzero, so a zero-weight run is
-    bit-identical to plain averaging; the anchor itself is still built (it
-    has its own stream, and the audit trail stays meaningful).
-    """
+    shard: ClientShard
+    steps: list[np.ndarray]            # dataset rows of each batch, in step order
+    per_epoch: int                     # steps an epoch
+    anchor_log: tuple[tuple, ...]
+    target: anchor.AnchorTarget | None
+
+
+def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
+                 global_state: nn.ModelState, spec: nn.NetworkSpec, dataset: LabeledDataset,
+                 shared: anchor.SharedDataset | None) -> _Client:
+    """The client's anchor target and every batch of its round, drawn from
+    its own ``anchor`` and ``batch`` streams; its labels and inputs are
+    checked here, once, rather than at every step."""
     strategy, t = cfg.strategy, cfg.training
-    if strategy.kind not in ("fedavg", "fedprox", "fedka"):
-        raise ValueError(f"unknown strategy {strategy.kind!r}")
-    if strategy.kind == "fedka" and shared is None:
-        raise ValueError("fedka training needs the shared one-per-class dataset")
-    state = global_state.fresh_local()
-
     target = None
     anchor_log: tuple[tuple, ...] = ()
     if strategy.kind == "fedka":
@@ -99,32 +93,150 @@ def local_train(
         if strategy.beta > 0.0 and len(built) > 0:
             target = anchor.anchor_target(built, global_state, spec)
 
-    inputs, labels = dataset.take(shard.indices)
     n = len(shard)
     brng = stream(cfg.master_seed, "batch", round_index, shard.client_id)
-    trace = []
-    epoch_states = []
+    steps = []
     for _ in range(t.local_epochs):
-        order = brng.permutation(n)
-        step_losses = []
-        for start in range(0, n, t.batch_size):
-            sel = order[start:start + t.batch_size]
-            batch = nn.Batch(inputs[sel], labels[sel])
-            if target is not None:
-                loss, grad = anchor.anchored_loss_and_grad(state, spec, batch, target, strategy.beta)
-            else:
-                loss, grad = nn.ce_loss_and_grad(state, spec, batch)
-            if strategy.kind == "fedprox" and strategy.mu > 0.0:
-                p_loss, p_grad = nn.proximal_loss_and_grad(state.params, global_state.params, strategy.mu)
-                loss += p_loss
-                grad = grad + p_grad
-            state = nn.sgd_step(state, grad, t.lr, t.momentum, t.weight_decay)
-            step_losses.append(loss)
-        trace.append(float(np.mean(step_losses)))
+        rows = shard.indices[brng.permutation(n)]
+        steps += [rows[start:start + t.batch_size] for start in range(0, n, t.batch_size)]
+    if steps:
+        inputs, labels = dataset.take(shard.indices)
+        nn.batch_labels(spec, nn.Batch(inputs, labels))
+        nn.check_inputs(spec, inputs)
+    return _Client(shard, steps, -(-n // t.batch_size), anchor_log, target)
+
+
+# logit entries that lockstep training keeps for the loss trace before it
+# computes their losses
+_PENDING_LOSS_ENTRIES = 1 << 22
+
+
+def local_train(
+    cfg: ExperimentConfig,
+    round_index: int,
+    shards: list[ClientShard],
+    global_state: nn.ModelState,
+    spec: nn.NetworkSpec,
+    dataset: LabeledDataset,
+    shared: anchor.SharedDataset | None = None,
+) -> list[ClientUpdate]:
+    """Train a fresh copy of the global model on each client's shard, under
+    ``cfg.training`` and ``cfg.strategy``, all clients in lockstep; returns
+    the updates in the order of ``shards``.
+
+    Each copy starts with zeroed momentum. Proximal and anchor terms are
+    evaluated only when their weights are nonzero, so a zero-weight run is
+    bit-identical to plain averaging; the anchor itself is still built (it
+    has its own stream, and the audit trail stays meaningful).
+
+    The copies' parameters and momentum are one (P, n) stack. Each step makes
+    one forward pass, one loss gradient and one SGD update for every client
+    that still has batches, and a client leaves the stack when they run out.
+    Every client draws from its own streams and every GEMM runs on its own
+    rows, so each update is the one the client would get training alone.
+    The losses of the trace are computed from the kept logits in bulk, not
+    at every step. A failure in a client raises RunError naming the round
+    and the client.
+    """
+    strategy, t = cfg.strategy, cfg.training
+    if strategy.kind not in ("fedavg", "fedprox", "fedka"):
+        raise ValueError(f"unknown strategy {strategy.kind!r}")
+    if strategy.kind == "fedka" and shared is None:
+        raise ValueError("fedka training needs the shared one-per-class dataset")
+    nn.check_state(global_state, spec)
+
+    def failed(cid: int, exc: Exception) -> RunError:
+        return RunError(f"round {round_index}, client {cid}: {exc}")
+
+    planned = []
+    for shard in shards:
+        try:
+            planned.append(_plan_client(cfg, round_index, shard, global_state, spec, dataset, shared))
+        except Exception as exc:
+            raise failed(shard.client_id, exc) from exc
+    # longest first, so that the clients still training are always a prefix
+    order = sorted(range(len(planned)), key=lambda i: -len(planned[i].steps))
+    clients = [planned[i] for i in order]
+    targets = [c.target for c in clients]
+    prox = strategy.kind == "fedprox" and strategy.mu > 0.0
+
+    params = np.repeat(global_state.params[None], len(clients), axis=0)
+    momentum = np.zeros_like(params)
+    grad = np.empty_like(params)
+    losses = [np.empty(len(c.steps)) for c in clients]
+    epoch_states: list[list[nn.ModelState]] = [[] for _ in clients]
+    layouts: dict[tuple[int, ...], tuple[anchor.FusedRows, np.ndarray | None]] = {}
+    pending: dict[tuple[int, ...], tuple[anchor.FusedRows, list]] = {}
+
+    def settle_losses() -> None:
+        for rows, records in pending.values():
+            steps, logits, labels, prox_losses = zip(*records)
+            step_losses = anchor.fused_losses(np.stack(logits), np.stack(labels), rows, strategy.beta)
+            if prox:
+                step_losses += np.stack(prox_losses)
+            for p in range(step_losses.shape[1]):
+                losses[p][list(steps)] = step_losses[:, p]
+        pending.clear()
+
+    active = sum(1 for c in clients if c.steps)
+    s = pending_entries = 0
+    while active:
+        stack = clients[:active]
+        sizes = tuple([len(c.steps[s]) for c in stack])
+        layout = layouts.get(sizes)
+        if layout is None:
+            rows = anchor.fused_rows(sizes, targets[:active])
+            buffer = None
+            if rows.anchor is not None:
+                # the anchor rows stay put; each step fills in the batch rows
+                buffer = np.empty((rows.offsets[-1], *spec.input_shape))
+                buffer[rows.anchor] = np.concatenate(
+                    [tg.inputs for tg in targets[:active] if tg is not None])
+            layout = layouts[sizes] = (rows, buffer)
+        rows, inputs = layout
+        batch = np.concatenate([c.steps[s] for c in stack])
+        if inputs is None:
+            inputs = dataset.inputs[batch]
+        else:
+            inputs[rows.batch] = dataset.inputs[batch]
+        labels = dataset.labels[batch]
+        stack_params, stack_grad = params[:active], grad[:active]
+        prox_loss = None
+        try:
+            logits, caches = nn.forward_stack(spec, stack_params, inputs, rows.offsets)
+            grad_logits = anchor.fused_grad_logits(logits, labels, rows, strategy.beta)
+            nn.backward_from_logits(spec, stack_params, caches, grad_logits, out=stack_grad,
+                                    offsets=rows.offsets)
+            if prox:
+                prox_loss, prox_grad = nn.proximal_loss_and_grad(
+                    stack_params, global_state.params, strategy.mu)
+                stack_grad += prox_grad
+            nn.sgd_update(stack_params, momentum[:active], stack_grad, t.lr, t.momentum, t.weight_decay)
+        except nn.NonFiniteError as exc:
+            raise failed(stack[exc.client].shard.client_id, exc) from exc
+        pending.setdefault(sizes, (rows, []))[1].append((s, logits, labels, prox_loss))
+        pending_entries += logits.size
+        s += 1
         if cfg.metrics.epoch_forgetting:
-            epoch_states.append(state.copy())
-    return ClientUpdate(shard.client_id, state, n, tuple(trace), anchor_log,
-                        tuple(epoch_states))
+            for p, c in enumerate(stack):
+                if s % c.per_epoch == 0:
+                    epoch_states[p].append(nn.ModelState(
+                        params[p].copy(), momentum[p].copy(), global_state.spec_hash))
+        while active and len(clients[active - 1].steps) == s:
+            active -= 1
+        if pending_entries > _PENDING_LOSS_ENTRIES:
+            settle_losses()
+            pending_entries = 0
+    settle_losses()
+
+    updates = {}
+    for p, c in enumerate(clients):
+        # an epoch's trace entry is the mean of its step losses
+        trace = np.mean(losses[p].reshape(-1, c.per_epoch), axis=1).tolist() if c.steps else []
+        state = nn.ModelState(params[p], momentum[p], global_state.spec_hash)
+        updates[order[p]] = ClientUpdate(c.shard.client_id, state, len(c.shard), tuple(trace),
+                                         c.anchor_log, tuple(epoch_states[p]))
+    return [updates[i] for i in range(len(clients))]
 
 
 def aggregate(updates: list[ClientUpdate]) -> nn.ModelState:
@@ -213,24 +325,31 @@ def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, d
 def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
               global_state: nn.ModelState, spec: nn.NetworkSpec, train: LabeledDataset,
               shared: anchor.SharedDataset | None) -> list[ClientUpdate]:
-    """Round r's local stages: each sampled participant trains on its shard,
-    in threads when ``training.parallel_clients`` > 1. Returns the updates
-    in client order; a failure raises RunError naming the round and client.
+    """Round r's local stages: the sampled participants train on their
+    shards in lockstep, split into ``training.parallel_clients`` contiguous
+    stacks that run in threads. Returns the updates in client order; a
+    failure raises RunError naming the round (and the client, when one is
+    at fault).
     """
     t = cfg.training
     participants = sample_participants(
         shards, t.participation_ratio, stream(cfg.master_seed, "participants", r))
+    k = min(t.parallel_clients, len(participants))
+    stacks = [participants[len(participants) * i // k:len(participants) * (i + 1) // k]
+              for i in range(k)]
 
-    def train_one(cid: int) -> ClientUpdate:
+    def train_stack(ids: tuple[int, ...]) -> list[ClientUpdate]:
         try:
-            return local_train(cfg, r, shards[cid], global_state, spec, train, shared)
+            return local_train(cfg, r, [shards[cid] for cid in ids], global_state, spec, train, shared)
+        except RunError:
+            raise
         except Exception as exc:
-            raise RunError(f"round {r}, client {cid}: {exc}") from exc
+            raise RunError(f"round {r}: {exc}") from exc
 
-    if t.parallel_clients > 1 and len(participants) > 1:
-        with ThreadPoolExecutor(max_workers=t.parallel_clients) as pool:
-            return list(pool.map(train_one, participants))
-    return [train_one(cid) for cid in participants]
+    if k > 1:
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            return [u for updates in pool.map(train_stack, stacks) for u in updates]
+    return train_stack(participants)
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) -> Path:
@@ -302,6 +421,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             if cfg.metrics.checkpoint_interval and r % cfg.metrics.checkpoint_interval == 0:
                 nn.save_state(global_state, checkpoints / f"round_{r:05d}.bin")
             teacher_acc = post_acc
+            # the updates are views of the round's parameter stack: free it
+            # before the next round allocates its own
+            del updates, u
             if progress is not None:
                 progress(r, t.rounds, acc)
 

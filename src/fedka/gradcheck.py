@@ -130,7 +130,7 @@ def check_preset(
         def anchored_only(s):
             student_logits = nn.forward_logits(s, spec, target.inputs)
             a_loss, _ = anchor_mod.ka_logit_loss_and_grad(
-                student_logits, target.teacher_kept, target.kept)
+                student_logits, target.teacher, target.kept)
             return nn.ce_loss(s, spec, batch) + beta * a_loss
 
         worst["ce"] = max(worst["ce"], check_objective(ce, ce_only, state, coords, step))

@@ -8,11 +8,23 @@ All parameters of a model live in one flat vector (deterministic layer
 order, weights before biases within a layer) so states can be averaged
 elementwise, serialized and compared bit-for-bit. Models emit raw logits;
 no softmax layer exists in the layer vocabulary. Every function here is a
-pure, deterministic map of its inputs: no global RNG, no hidden state.
+deterministic map of its inputs: no global RNG, no hidden state.
+
+The layers, the loss and SGD also run a stack of P models at once, for
+training a round's clients in lockstep: the parameters are a (P, n) array,
+and the activations hold the clients' rows one client after another, with
+``offsets[p]:offsets[p + 1]`` the rows of client p. Every GEMM and parameter
+gradient is computed per client on its own rows, with the shapes a single
+model would use: OpenBLAS rounds a product's rows differently depending on
+how many rows it has, so padding clients to a common row count would move
+bits. Row-wise work (ReLU, pooling, the loss) and SGD run once for the whole
+stack. A flat parameter vector with no offsets is the single-model case.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import json
 import math
@@ -33,7 +45,31 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """NaN or Inf met in inputs, activations, gradients or parameters."""
+    """NaN or Inf met in inputs, activations, gradients or parameters.
+
+    ``client`` is the stack position of the first client affected, or None
+    for a single model."""
+
+    def __init__(self, message: str, client: int | None = None):
+        super().__init__(message)
+        self.client = client
+
+
+@functools.lru_cache(maxsize=4096)
+def _row_slices(offsets: tuple[int, ...]) -> tuple[slice, ...]:
+    return tuple(slice(offsets[p], offsets[p + 1]) for p in range(len(offsets) - 1))
+
+
+def _clients(offsets, n_rows: int, *arrays) -> tuple:
+    """Each client's row slice, then ``arrays`` as (P, ...) stacks: a single
+    model (``offsets`` None) is a stack of one that owns all ``n_rows`` rows."""
+    if offsets is None:
+        return ((slice(0, n_rows),), *(a[None] for a in arrays))
+    return (_row_slices(offsets), *arrays)
+
+
+def _first_bad_row(values: np.ndarray) -> int:
+    return int(np.argmin(np.isfinite(values.reshape(len(values), -1)).all(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +98,37 @@ class Dense:
         return self.in_features, self.out_features
 
     def _split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weight and bias views of a flat vector or of a (P, n) stack."""
         n = self.in_features * self.out_features
-        return params[:n].reshape(self.in_features, self.out_features), params[n:]
+        w = params[..., :n].reshape(*params.shape[:-1], self.in_features, self.out_features)
+        return w, params[..., n:]
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
+        slices, params = _clients(offsets, len(x), params)
         w, b = self._split(params)
-        return x @ w + b
+        y = np.empty((len(x), self.out_features))
+        for p, rows in enumerate(slices):
+            yp = y[rows]
+            np.matmul(x[rows], w[p], out=yp)
+            yp += b[p]
+        return y
 
-    def backward(self, params, x, grad_out, input_grad=True):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
+        """The parameter gradient, written into ``out`` (allocated when None),
+        and the input gradient when asked for."""
+        if out is None:
+            out = np.empty(params.shape)
+        slices, params, stack_out = _clients(offsets, len(x), params, out)
         w, _ = self._split(params)
-        grad_w = x.T @ grad_out
-        grad_b = grad_out.sum(axis=0)
-        grad_x = grad_out @ w.T if input_grad else None
-        return np.concatenate([grad_w.ravel(), grad_b]), grad_x
+        grad_w, grad_b = self._split(stack_out)
+        grad_x = np.empty_like(x) if input_grad else None
+        for p, rows in enumerate(slices):
+            g = grad_out[rows]
+            np.matmul(x[rows].T, g, out=grad_w[p])
+            np.add.reduce(g, axis=0, out=grad_b[p])
+            if input_grad:
+                np.matmul(g, w[p].T, out=grad_x[rows])
+        return out, grad_x
 
     def to_json(self) -> dict:
         return {"type": "dense", "in": self.in_features, "out": self.out_features}
@@ -92,10 +146,10 @@ class Relu:
     def param_count(self) -> int:
         return 0
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
         return np.maximum(x, 0.0)
 
-    def backward(self, params, x, grad_out, input_grad=True):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
         # subgradient at 0 is fixed to 0
         return None, grad_out * (x > 0.0) if input_grad else None
 
@@ -131,29 +185,43 @@ class Conv2d:
         return self.in_channels * k2, self.out_channels * k2
 
     def _split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel and bias views of a flat vector or of a (P, n) stack."""
         n = self.out_channels * self.in_channels * self.kernel**2
-        w = params[:n].reshape(self.out_channels, self.in_channels, self.kernel, self.kernel)
-        return w, params[n:]
+        w = params[..., :n].reshape(*params.shape[:-1], self.out_channels, self.in_channels,
+                                    self.kernel, self.kernel)
+        return w, params[..., n:]
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
+        slices, params = _clients(offsets, len(x), params)
         w, b = self._split(params)
-        win = sliding_window_view(x, (self.kernel, self.kernel), axis=(2, 3))
-        y = np.einsum("bchwij,ocij->bohw", win, w, optimize=True)
-        return y + b[None, :, None, None]
-
-    def backward(self, params, x, grad_out, input_grad=True):
-        w, _ = self._split(params)
         k = self.kernel
-        win = sliding_window_view(x, (k, k), axis=(2, 3))
-        grad_w = np.einsum("bchwij,bohw->ocij", win, grad_out, optimize=True)
-        grad_b = grad_out.sum(axis=(0, 2, 3))
+        parts = [np.einsum("bchwij,ocij->bohw", sliding_window_view(x[rows], (k, k), axis=(2, 3)),
+                           w[p], optimize=True) + b[p][None, :, None, None]
+                 for p, rows in enumerate(slices)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
+        """As Dense.backward."""
+        if out is None:
+            out = np.empty(params.shape)
+        slices, params, stack_out = _clients(offsets, len(x), params, out)
+        w, _ = self._split(params)
+        grad_w, grad_b = self._split(stack_out)
+        k = self.kernel
+        parts = []
+        for p, rows in enumerate(slices):
+            win = sliding_window_view(x[rows], (k, k), axis=(2, 3))
+            grad_w[p] = np.einsum("bchwij,bohw->ocij", win, grad_out[rows], optimize=True)
+            np.add.reduce(grad_out[rows], axis=(0, 2, 3), out=grad_b[p])
+            if input_grad:
+                # full correlation of grad_out with the flipped kernel
+                padded = np.pad(grad_out[rows], ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+                gwin = sliding_window_view(padded, (k, k), axis=(2, 3))
+                parts.append(np.einsum("bohwij,ocij->bchw", gwin, w[p][:, :, ::-1, ::-1], optimize=True))
         grad_x = None
         if input_grad:
-            # full correlation of grad_out with the flipped kernel
-            padded = np.pad(grad_out, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            gwin = sliding_window_view(padded, (k, k), axis=(2, 3))
-            grad_x = np.einsum("bohwij,ocij->bchw", gwin, w[:, :, ::-1, ::-1], optimize=True)
-        return np.concatenate([grad_w.ravel(), grad_b]), grad_x
+            grad_x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return out, grad_x
 
     def to_json(self) -> dict:
         return {
@@ -188,19 +256,11 @@ class MaxPool:
         return 0
 
     def _views(self, x: np.ndarray) -> list[np.ndarray]:
-        """The k*k strided (b, c, oh, ow) views, one per window offset, in
-        row-major offset order."""
+        """The k*k strided (..., oh, ow) views over the last two axes, one per
+        window offset, in row-major offset order."""
         k = self.kernel
-        oh, ow = x.shape[2] // k, x.shape[3] // k
-        return [x[:, :, i : oh * k : k, j : ow * k : k] for i in range(k) for j in range(k)]
-
-    def _blocks(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        k = self.kernel
-        oh, ow = h // k, w // k
-        cropped = x[:, :, : oh * k, : ow * k]
-        blocks = cropped.reshape(b, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-        return blocks.reshape(b, c, oh, ow, k * k)
+        oh, ow = x.shape[-2] // k, x.shape[-1] // k
+        return [x[..., i : oh * k : k, j : ow * k : k] for i in range(k) for j in range(k)]
 
     @staticmethod
     def _max(views: list[np.ndarray]) -> np.ndarray:
@@ -209,10 +269,10 @@ class MaxPool:
             np.maximum(out, view, out=out)
         return out
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
         return self._max(self._views(x))
 
-    def backward(self, params, x, grad_out, input_grad=True):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
         if not input_grad:
             return None, None
         views = self._views(x)
@@ -244,10 +304,10 @@ class Flatten:
     def param_count(self) -> int:
         return 0
 
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, params, x, grad_out, input_grad=True):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
         return None, grad_out.reshape(x.shape) if input_grad else None
 
     def to_json(self) -> dict:
@@ -418,7 +478,7 @@ def init_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelState:
     return ModelState(params, np.zeros_like(params), spec.spec_hash)
 
 
-def _check_state(state: ModelState, spec: NetworkSpec) -> None:
+def check_state(state: ModelState, spec: NetworkSpec) -> None:
     if state.spec_hash != spec.spec_hash:
         raise ShapeError(
             f"model state was built for spec {state.spec_hash[:12]}..., "
@@ -435,19 +495,20 @@ def _check_state(state: ModelState, spec: NetworkSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool):
+def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None):
     caches: list[np.ndarray] | None = [] if keep_caches else None
     h = x
     for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
         if caches is not None:
             caches.append(h)
-        h = layer.forward(params[sl], h)
+        h = layer.forward(params[..., sl], h, offsets)
         if not np.isfinite(h).all():
-            raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})")
+            client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(h)) - 1
+            raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})", client)
     return h, caches
 
 
-def _check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
+def check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[1:] != spec.input_shape:
         raise ShapeError(
@@ -460,34 +521,45 @@ def _check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
 
 def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     """Raw (batch, class_count) logits. No softmax is ever applied."""
-    _check_state(state, spec)
-    inputs = _check_inputs(spec, inputs)
+    check_state(state, spec)
+    inputs = check_inputs(spec, inputs)
     logits, _ = _forward(spec, state.params, inputs, keep_caches=False)
     return logits
 
 
 def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray):
     """Logits plus per-layer input caches for a subsequent backward pass."""
-    _check_state(state, spec)
-    inputs = _check_inputs(spec, inputs)
+    check_state(state, spec)
+    inputs = check_inputs(spec, inputs)
     return _forward(spec, state.params, inputs, keep_caches=True)
 
 
+def forward_stack(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, offsets):
+    """Logits and caches of a (P, n) stack of models, client p on the input
+    rows ``offsets[p]:offsets[p + 1]``. The inputs are not checked here: the
+    caller checks each client's data once, not at every step."""
+    return _forward(spec, params, inputs, True, offsets)
+
+
 def backward_from_logits(
-    spec: NetworkSpec, params: np.ndarray, caches: list[np.ndarray], grad_logits: np.ndarray
+    spec: NetworkSpec, params: np.ndarray, caches: list[np.ndarray], grad_logits: np.ndarray,
+    out: np.ndarray | None = None, offsets=None,
 ) -> np.ndarray:
-    """Backpropagate an arbitrary dLoss/dlogits to a flat parameter gradient.
+    """Backpropagate an arbitrary dLoss/dlogits to the parameter gradient of
+    a flat vector, or of a (P, n) stack with its row ``offsets``. Each layer
+    writes its part straight into ``out`` (allocated when None).
 
     Nothing reads the gradient with respect to the network inputs, so layer 0
     is not asked for it."""
-    grads = []
+    if out is None:
+        # param_slices tile the vector, so every entry gets written
+        out = np.empty_like(params)
     g = grad_logits
     for i in range(len(spec.layers) - 1, -1, -1):
-        gp, g = spec.layers[i].backward(params[spec.param_slices[i]], caches[i], g, input_grad=i > 0)
-        if gp is not None:
-            grads.append(gp)
-    # param_slices tile the flat vector from 0 in layer order
-    return np.concatenate(grads[::-1]) if grads else np.zeros_like(params)
+        sl = spec.param_slices[i]
+        _, g = spec.layers[i].backward(params[..., sl], caches[i], g, input_grad=i > 0,
+                                       out=out[..., sl], offsets=offsets)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +584,52 @@ class Batch:
         return len(self.labels)
 
 
+def segment_sums(values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Along the last axis, the sum of each run of ``counts[i]`` consecutive
+    entries, each run reduced on its own exactly as np.sum reduces a vector.
+    (np.add.reduceat adds in another order, and rounds differently.)"""
+    # in C order the last axis is the inner loop of the reduction, which
+    # numpy sums pairwise as it sums a vector; along another axis it adds
+    # one entry after another
+    values = np.ascontiguousarray(values)
+    if len(counts) and min(counts) == max(counts) > 0:
+        return np.add.reduce(values.reshape(*values.shape[:-1], len(counts), counts[0]), axis=-1)
+    sums = np.empty((*values.shape[:-1], len(counts)))
+    start = 0
+    for i, c in enumerate(counts):
+        sums[..., i] = np.add.reduce(values[..., start:start + c], axis=-1)
+        start += c
+    return sums
+
+
+def ce_losses(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Mean softmax CE of each client's batch: ``rows`` are the positions of
+    the labelled rows of ``logits`` (..., N, C), client after client,
+    counts[p] rows for client p. Leading axes (steps) are kept."""
+    z = logits[..., rows, :]
+    shifted = z - z.max(axis=-1, keepdims=True)
+    log_total = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0] - log_total
+    return -(segment_sums(picked, counts) / counts)
+
+
+def ce_grad(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, divisor) -> np.ndarray:
+    """The gradient of those means w.r.t. (N, C) logits. Each row is divided
+    by its ``divisor`` entry, its client's batch size; rows outside ``rows``
+    come back as softmax / divisor, for the caller to overwrite."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted, out=shifted)
+    grad = exp / np.add.reduce(exp, axis=-1, keepdims=True)
+    grad[rows, labels] -= 1.0
+    grad /= divisor
+    return grad
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax CE over the batch and its gradient w.r.t. the logits."""
     m = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(total)
-    idx = np.arange(m)
-    loss = -log_probs[idx, labels].mean()
-    grad = exp / total
-    grad[idx, labels] -= 1.0
-    grad /= m
-    return float(loss), grad
+    rows = np.arange(m)
+    return float(ce_losses(logits, labels, rows, (m,))[0]), ce_grad(logits, labels, rows, m)
 
 
 def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -557,14 +662,61 @@ def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, batch: Batch):
 def ce_loss(state: ModelState, spec: NetworkSpec, batch: Batch) -> float:
     """The loss of ce_loss_and_grad without the backward pass."""
     logits = forward_logits(state, spec, batch.inputs)
-    loss, _ = softmax_cross_entropy(logits, np.asarray(batch.labels))
-    return loss
+    m = len(logits)
+    return float(ce_losses(logits, np.asarray(batch.labels), np.arange(m), (m,))[0])
 
 
 def proximal_loss_and_grad(params: np.ndarray, center: np.ndarray, mu: float):
-    """FedProx's term (mu/2)*||params - center||^2 and its gradient."""
+    """FedProx's term (mu/2)*||params - center||^2 and its gradient, for a
+    flat vector or per client of a (P, n) stack."""
     diff = params - center
-    return 0.5 * mu * float(diff @ diff), mu * diff
+    # a (1, n) @ (n, 1) product is the dot product a flat vector's diff @ diff takes
+    loss = 0.5 * mu * np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0]
+    return (float(loss) if diff.ndim == 1 else loss), mu * diff
+
+
+# sgd_update walks its arrays in blocks of this many entries, so that the
+# five arrays of a block stay in cache
+_SGD_BLOCK = 1 << 15
+
+
+def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: float,
+               momentum_coef: float = 0.0, weight_decay: float = 0.0) -> None:
+    """sgd_step in place, on a flat vector or a (P, n) stack: ``params`` and
+    ``momentum`` take their new values, and ``grad`` is used up as scratch.
+    The arrays must be C-contiguous. The finiteness checks run block by
+    block, so a NonFiniteError leaves the arrays partly updated.
+
+    IEEE addition and multiplication commute, so this rounds exactly as the
+    formula in sgd_step's docstring. No shortcut for momentum_coef == 0: the
+    formula's 0*m + x turns x = -0.0 into 0.0, and the momentum buffer is
+    saved with the state."""
+    if lr <= 0:
+        raise ValueError("learning rate must be > 0")
+    if not all(a.flags.c_contiguous for a in (params, momentum, grad)):
+        raise ValueError("sgd_update works in place on C-contiguous arrays")
+    width = params.shape[-1] if params.ndim == 2 else None
+    flat = params.reshape(-1), momentum.reshape(-1), grad.reshape(-1)
+    scratch = np.empty(min(_SGD_BLOCK, params.size))
+    for lo in range(0, params.size, _SGD_BLOCK):
+        w, m, g = (a[lo:lo + _SGD_BLOCK] for a in flat)
+        if not np.isfinite(g).all():
+            raise NonFiniteError("non-finite entries in gradient", _bad_client(g, lo, width))
+        decay = scratch[:len(w)]
+        np.multiply(w, weight_decay, out=decay)
+        g += decay                              # grad + wd*params
+        m *= momentum_coef
+        np.add(g, m, out=m)                     # the velocity
+        np.multiply(m, lr, out=g)               # the step
+        w -= g
+        if not np.isfinite(w).all():
+            raise NonFiniteError("parameters became non-finite after SGD step", _bad_client(w, lo, width))
+
+
+def _bad_client(block: np.ndarray, lo: int, width: int | None) -> int | None:
+    """The stack row of a block's first non-finite entry: the block starts
+    at flat index ``lo`` of a (P, width) stack; a flat vector has no rows."""
+    return None if width is None else (lo + _first_bad_row(block)) // width
 
 
 def sgd_step(
@@ -575,25 +727,11 @@ def sgd_step(
     weight_decay: float = 0.0,
 ) -> ModelState:
     """v <- momentum*v + (grad + wd*params); params <- params - lr*v."""
-    if lr <= 0:
-        raise ValueError("learning rate must be > 0")
     if grad.shape != state.params.shape:
         raise ShapeError(f"gradient length {grad.size} != parameter length {state.params.size}")
-    if not np.isfinite(grad).all():
-        raise NonFiniteError("non-finite entries in gradient")
-    # Two full-size buffers. IEEE addition and multiplication commute, so this
-    # rounds exactly as the formula in the docstring. No shortcut for
-    # momentum_coef == 0: the formula's 0*m + x turns x = -0.0 into 0.0, and
-    # the momentum buffer is saved with the state.
-    velocity = state.params * weight_decay
-    velocity += grad
-    step = state.momentum * momentum_coef
-    velocity += step
-    np.multiply(velocity, lr, out=step)
-    params = np.subtract(state.params, step, out=step)
-    if not np.isfinite(params).all():
-        raise NonFiniteError("parameters became non-finite after SGD step")
-    return ModelState(params, velocity, state.spec_hash)
+    params, momentum = state.params.copy(), state.momentum.copy()
+    sgd_update(params, momentum, np.array(grad, dtype=np.float64), lr, momentum_coef, weight_decay)
+    return ModelState(params, momentum, state.spec_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +774,7 @@ def activation_margin(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) 
         if isinstance(layer, Relu):
             margin = min(margin, float(np.min(np.abs(cache))))
         elif isinstance(layer, MaxPool):
-            blocks = layer._blocks(cache)
+            blocks = np.stack(layer._views(cache), axis=-1)
             if blocks.shape[-1] < 2:
                 continue
             top2 = np.sort(blocks, axis=-1)[..., -2:]

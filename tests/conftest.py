@@ -1,9 +1,18 @@
 """Shared pytest plumbing.
 
+BLAS runs one thread, set before NumPy loads: the suite's wall-clock budgets
+and golden digests hold for one thread, and an unpinned BLAS oversubscribes
+the cores whenever another process runs beside the tests.
+
 The acceptance tests append one line per criterion to ACCEPTANCE_CHECKLIST;
 echoing them in the terminal summary keeps the checklist visible even when
 every test passes and pytest swallows per-test stdout.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ACCEPTANCE_CHECKLIST: list[str] = []
 

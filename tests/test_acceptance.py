@@ -263,7 +263,7 @@ def test_criterion_04_aggregation_equality_and_convexity():
     worst = 0.0
     convex_ok = True
     for r in range(1, 21):
-        updates = [local_train(cfg, r, s, state, spec, train) for s in shards]
+        updates = local_train(cfg, r, shards, state, spec, train)
         state = aggregate(updates)
 
         stacked = np.stack([u.state.params for u in updates])

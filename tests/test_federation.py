@@ -73,7 +73,7 @@ def test_sampling_rejects_bad_ratio():
 
 def test_zero_epochs_returns_global_exactly():
     ds, spec, state, shard = small_setup()
-    update = federation.local_train(cfg_for("fedavg", epochs=0), 1, shard, state, spec, ds)
+    [update] = federation.local_train(cfg_for("fedavg", epochs=0), 1, [shard], state, spec, ds)
     assert np.array_equal(update.state.params, state.params)
     assert not update.state.momentum.any()
     assert update.loss_trace == ()
@@ -82,7 +82,7 @@ def test_zero_epochs_returns_global_exactly():
 
 def test_training_changes_parameters_and_logs_loss():
     ds, spec, state, shard = small_setup()
-    update = federation.local_train(cfg_for("fedavg", epochs=3), 1, shard, state, spec, ds)
+    [update] = federation.local_train(cfg_for("fedavg", epochs=3), 1, [shard], state, spec, ds)
     assert not np.array_equal(update.state.params, state.params)
     assert len(update.loss_trace) == 3
     assert update.loss_trace[-1] < update.loss_trace[0]
@@ -92,8 +92,8 @@ def test_training_changes_parameters_and_logs_loss():
 
 def test_fedprox_zero_mu_is_bitwise_fedavg():
     ds, spec, state, shard = small_setup()
-    avg = federation.local_train(cfg_for("fedavg"), 1, shard, state, spec, ds)
-    prox = federation.local_train(cfg_for("fedprox", mu=0.0), 1, shard, state, spec, ds)
+    [avg] = federation.local_train(cfg_for("fedavg"), 1, [shard], state, spec, ds)
+    [prox] = federation.local_train(cfg_for("fedprox", mu=0.0), 1, [shard], state, spec, ds)
     assert np.array_equal(avg.state.params, prox.state.params)
     assert avg.loss_trace == prox.loss_trace
 
@@ -101,8 +101,8 @@ def test_fedprox_zero_mu_is_bitwise_fedavg():
 def test_fedka_zero_beta_is_bitwise_fedavg_with_anchor_audit():
     ds, spec, state, shard = small_setup()
     shared = anchor.build_shared_dataset(ds, seed=7)
-    avg = federation.local_train(cfg_for("fedavg"), 1, shard, state, spec, ds)
-    ka = federation.local_train(cfg_for("fedka", beta=0.0), 1, shard, state, spec, ds, shared)
+    [avg] = federation.local_train(cfg_for("fedavg"), 1, [shard], state, spec, ds)
+    [ka] = federation.local_train(cfg_for("fedka", beta=0.0), 1, [shard], state, spec, ds, shared)
     assert np.array_equal(avg.state.params, ka.state.params)
     assert avg.loss_trace == ka.loss_trace
 
@@ -113,7 +113,7 @@ def test_fedka_audit_log_when_client_has_vulnerable_classes():
         0, np.concatenate([ds.class_indices[0][:1], ds.class_indices[2][:39]]), ds, 0.05)
     assert lopsided.missing == {1} and lopsided.non_dominant == {0}
     shared = anchor.build_shared_dataset(ds, seed=7)
-    update = federation.local_train(cfg_for("fedka", beta=0.1), 1, lopsided, state,
+    [update] = federation.local_train(cfg_for("fedka", beta=0.1), 1, [lopsided], state,
                                     spec, ds, shared)
     assert len(update.anchor_log) == 2
     by_class = {row[0]: row for row in update.anchor_log}
@@ -126,8 +126,8 @@ def test_fedka_positive_beta_changes_training():
     lopsided = data.make_shard(
         0, np.concatenate([ds.class_indices[0][:1], ds.class_indices[2][:39]]), ds, 0.05)
     shared = anchor.build_shared_dataset(ds, seed=7)
-    plain = federation.local_train(cfg_for("fedavg"), 1, lopsided, state, spec, ds)
-    ka = federation.local_train(cfg_for("fedka", beta=0.5), 1, lopsided, state, spec, ds, shared)
+    [plain] = federation.local_train(cfg_for("fedavg"), 1, [lopsided], state, spec, ds)
+    [ka] = federation.local_train(cfg_for("fedka", beta=0.5), 1, [lopsided], state, spec, ds, shared)
     assert not np.array_equal(plain.state.params, ka.state.params)
 
 
@@ -141,7 +141,7 @@ def test_fedka_local_train_matches_two_pass_reference():
     shared = anchor.build_shared_dataset(ds, seed=7)
     cfg = cfg_for("fedka", beta=0.3)
     t, strategy = cfg.training, cfg.strategy
-    fused = federation.local_train(cfg, 1, lopsided, state, spec, ds, shared)
+    [fused] = federation.local_train(cfg, 1, [lopsided], state, spec, ds, shared)
 
     arng = stream(cfg.master_seed, "anchor", 1, lopsided.client_id)
     built = anchor.downsample_anchor(
@@ -169,8 +169,8 @@ def test_fedka_local_train_matches_two_pass_reference():
 
 def test_large_prox_mu_tethers_to_global():
     ds, spec, state, shard = small_setup()
-    free = federation.local_train(cfg_for("fedavg"), 1, shard, state, spec, ds)
-    tight = federation.local_train(cfg_for("fedprox", mu=50.0), 1, shard, state, spec, ds)
+    [free] = federation.local_train(cfg_for("fedavg"), 1, [shard], state, spec, ds)
+    [tight] = federation.local_train(cfg_for("fedprox", mu=50.0), 1, [shard], state, spec, ds)
     d_free = np.linalg.norm(free.state.params - state.params)
     d_tight = np.linalg.norm(tight.state.params - state.params)
     assert d_tight < d_free
@@ -179,7 +179,172 @@ def test_large_prox_mu_tethers_to_global():
 def test_fedka_requires_shared_dataset():
     ds, spec, state, shard = small_setup()
     with pytest.raises(ValueError, match="shared"):
-        federation.local_train(cfg_for("fedka"), 1, shard, state, spec, ds)
+        federation.local_train(cfg_for("fedka"), 1, [shard], state, spec, ds)
+
+
+# ---------------------------------------------------------------------------
+# lockstep training against a serial reference
+# ---------------------------------------------------------------------------
+
+# class counts of five clients at gamma 0.05: anchors of 0 rows (every class
+# dominant), 3 (two missing classes and a non-dominant one), 1, 2 and 1 rows.
+# At batch 8: partial last batches of 7, 4 and a single row; client 3 takes
+# one step an epoch and leaves the stack after three, client 2 takes 24.
+LOCKSTEP_COUNTS = [[10, 10, 10, 10], [1, 0, 0, 30], [0, 20, 20, 20], [0, 0, 2, 1], [4, 0, 3, 2]]
+
+
+def lockstep_setup(preset):
+    flat = data.synth_blobs(4, 80, 36, 4.0, seed=3)
+    if preset == "mlp":
+        ds, spec = flat, nn.mlp_spec(36, (8,), 4)
+    else:
+        ds = data.LabeledDataset(flat.inputs.reshape(-1, 1, 6, 6), flat.labels, 4, "images")
+        spec = nn.NetworkSpec((nn.Conv2d(1, 2, 3), nn.Relu(), nn.MaxPool(2), nn.Flatten(),
+                               nn.Dense(8, 6), nn.Relu(), nn.Dense(6, 4)), (1, 6, 6), 4)
+    used = np.zeros(4, dtype=int)
+    shards = []
+    for cid, counts in enumerate(LOCKSTEP_COUNTS):
+        idx = [ds.class_indices[k][used[k]:used[k] + c] for k, c in enumerate(counts)]
+        used += counts
+        shards.append(data.make_shard(cid, np.concatenate(idx), ds, gamma=0.05))
+    state = nn.init_state(spec, stream(5, "init"))
+    return ds, spec, state, shards
+
+
+def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
+    """One client alone, step by step through the single-model entry points,
+    as local training ran before clients trained in lockstep."""
+    strategy, t = cfg.strategy, cfg.training
+    state = global_state.fresh_local()
+    target, anchor_log = None, ()
+    if strategy.kind == "fedka":
+        arng = stream(cfg.master_seed, "anchor", r, shard.client_id)
+        chooser = anchor.select_anchor_strategy(shard, strategy.selection, ds, global_state, spec)
+        built = anchor.downsample_anchor(
+            anchor.build_anchor(shard, shared, ds, r, arng, variant=strategy.variant, chooser=chooser),
+            strategy.mu_anchor, arng)
+        anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
+        if strategy.beta > 0.0 and len(built) > 0:
+            target = anchor.anchor_target(built, global_state, spec)
+    inputs, labels = ds.take(shard.indices)
+    brng = stream(cfg.master_seed, "batch", r, shard.client_id)
+    trace, epoch_states = [], []
+    for _ in range(t.local_epochs):
+        order = brng.permutation(len(shard))
+        losses = []
+        for start in range(0, len(shard), t.batch_size):
+            sel = order[start:start + t.batch_size]
+            batch = nn.Batch(inputs[sel], labels[sel])
+            if target is not None:
+                loss, grad = anchor.anchored_loss_and_grad(state, spec, batch, target, strategy.beta)
+            else:
+                loss, grad = nn.ce_loss_and_grad(state, spec, batch)
+            if strategy.kind == "fedprox" and strategy.mu > 0.0:
+                p_loss, p_grad = nn.proximal_loss_and_grad(state.params, global_state.params, strategy.mu)
+                loss += p_loss
+                grad = grad + p_grad
+            state = nn.sgd_step(state, grad, t.lr, t.momentum, t.weight_decay)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+        if cfg.metrics.epoch_forgetting:
+            epoch_states.append(state.copy())
+    return state, tuple(trace), anchor_log, epoch_states
+
+
+def lockstep_cfg(kind, **strategy):
+    return config.resolve({
+        "master_seed": 9,
+        "dataset": {"kind": "synth", "classes": 4, "per_class": 80, "dims": 36,
+                    "separation": 4.0, "seed": 3},
+        "partition": {"clients": 5, "alpha": 1.0},
+        "model": {"preset": "mlp", "hidden": [8]},
+        "strategy": {"kind": kind, **strategy},
+        "training": {"local_epochs": 3, "batch_size": 8, "lr": 0.05, "weight_decay": 1e-3},
+        "metrics": {"epoch_forgetting": True},
+    })
+
+
+@pytest.mark.parametrize("preset, kind, strategy", [
+    ("mlp", "fedavg", {}),
+    ("mlp", "fedprox", {"mu": 0.2}),
+    ("mlp", "fedka", {"beta": 0.3}),
+    ("mlp", "fedka", {"beta": 0.0}),
+    ("t_cnn", "fedka", {"beta": 0.3}),
+])
+def test_lockstep_matches_serial_reference_byte_for_byte(preset, kind, strategy):
+    ds, spec, state, shards = lockstep_setup(preset)
+    shared = anchor.build_shared_dataset(ds, seed=9)
+    cfg = lockstep_cfg(kind, **strategy)
+    if kind == "fedka":
+        sizes = [len(anchor.build_anchor(s, shared, ds, 2, stream(0, "a"))) for s in shards]
+        assert sizes == [0, 3, 1, 2, 1]
+    updates = federation.local_train(cfg, 2, shards, state, spec, ds, shared)
+    assert [u.client_id for u in updates] == [s.client_id for s in shards]
+    for shard, update in zip(shards, updates):
+        ref, trace, anchor_log, epoch_states = serial_reference(cfg, 2, shard, state, spec, ds, shared)
+        assert update.sample_count == len(shard)
+        assert update.state.params.tobytes() == ref.params.tobytes()
+        assert update.state.momentum.tobytes() == ref.momentum.tobytes()
+        assert np.array(update.loss_trace).tobytes() == np.array(trace).tobytes()
+        assert update.anchor_log == anchor_log
+        assert len(update.epoch_states) == len(epoch_states) == 3
+        for got, want in zip(update.epoch_states, epoch_states):
+            assert got.params.tobytes() == want.params.tobytes()
+            assert got.momentum.tobytes() == want.momentum.tobytes()
+    # a different grouping of the same clients gives the same updates
+    halves = (federation.local_train(cfg, 2, shards[:2], state, spec, ds, shared)
+              + federation.local_train(cfg, 2, shards[2:], state, spec, ds, shared))
+    for a, b in zip(updates, halves):
+        assert a.state.params.tobytes() == b.state.params.tobytes()
+        assert a.loss_trace == b.loss_trace
+
+
+def recording_steps(monkeypatch):
+    """Count the SGD updates and stacked forward passes local_train makes."""
+    calls = []
+    for name in ("sgd_update", "forward_stack"):
+        original = getattr(nn, name)
+
+        def recorder(*args, original=original, name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nn, name, recorder)
+    return calls
+
+
+@pytest.mark.parametrize("preset", ["mlp", "t_cnn"])
+def test_bad_label_or_nan_in_a_shard_raises_before_the_first_step(preset, monkeypatch):
+    ds, spec, state, shards = lockstep_setup(preset)
+    cfg = lockstep_cfg("fedavg")
+    calls = recording_steps(monkeypatch)
+    # a spec with three classes cannot take client 1's class-3 labels
+    narrow = nn.NetworkSpec(spec.layers[:-1] + (nn.Dense(spec.layers[-1].in_features, 3),),
+                            spec.input_shape, 3)
+    narrow_state = nn.init_state(narrow, stream(5, "init"))
+    with pytest.raises(federation.RunError, match=r"round 1, client 0: labels must lie in \[0, 3\)") as info:
+        federation.local_train(cfg, 1, shards, narrow_state, narrow, ds)
+    assert isinstance(info.value.__cause__, nn.ShapeError)
+    inputs = ds.inputs.copy()
+    inputs[shards[2].indices[-1]] = np.nan
+    poisoned = data.LabeledDataset(inputs, ds.labels, ds.class_count, "poisoned")
+    with pytest.raises(federation.RunError,
+                       match="round 1, client 2: non-finite values in network inputs") as info:
+        federation.local_train(cfg, 1, shards, state, spec, poisoned)
+    assert isinstance(info.value.__cause__, nn.NonFiniteError)
+    assert calls == []
+
+
+@pytest.mark.parametrize("preset", ["mlp", "t_cnn"])
+def test_overflow_in_one_client_names_round_client_and_layer(preset):
+    ds, spec, state, shards = lockstep_setup(preset)
+    inputs = ds.inputs.copy()
+    inputs[shards[4].indices] = 1e300
+    huge = data.LabeledDataset(inputs, ds.labels, ds.class_count, "huge")
+    layer = spec.layers[0].name.replace("(", r"\(").replace(")", r"\)")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            federation.RunError, match=rf"round 3, client 4: non-finite values after layer 0 \({layer}\)"):
+        federation.local_train(lockstep_cfg("fedavg"), 3, shards[2:], state, spec, huge)
 
 
 # ---------------------------------------------------------------------------

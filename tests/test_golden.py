@@ -51,6 +51,12 @@ CASES = {
 CASES["tcnn-fedka"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedka", "beta": 0.3}}
 CASES["tcnn-fedprox"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedprox", "mu": 0.5},
                          "metrics": {"epoch_forgetting": True}}
+# three clients of 2, 14 and 2 samples at batch 3: client 1 (no anchor) takes
+# five steps an epoch, the last of two rows, and outlasts the others, whose
+# two batch rows are followed by two anchor rows
+CASES["tcnn-fedka-steps"] = {**CASES["tcnn-fedka"], "partition": {"clients": 3, "alpha": 0.5},
+                             "training": {"rounds": 2, "local_epochs": 2, "batch_size": 3,
+                                          "lr": 0.05}}
 
 # fedavg, fedprox and t_cnn: pinned before the fused anchor step and unchanged by it.
 # fedka: final.bin re-pinned with the fused anchor step. The anchor rows share
@@ -135,6 +141,19 @@ DIGESTS = {
             "ab35988fc594f61264f15b4eb91ee4ef75ad660c53101265eaa8883583ce93a2",
         "checkpoints/final.bin":
             "af5aad3e7596cc0fcd3ef38ad167b81f7de8e58b33315e2160a26ebcd71d8ebe",
+    },
+    # pinned before a round's clients trained in lockstep
+    "tcnn-fedka-steps": {
+        "metrics/clients.csv":
+            "c6b42d58662469390c782ff2fb24202fc5a6f9a3b9f44130429338bc90e71a46",
+        "metrics/forgetting.csv":
+            "285a576adc19f449eb5f757d82afee9b0292579ce712c2cb230e270010c8dae1",
+        "metrics/rounds.csv":
+            "929f16a0aa8f855f15c0cfeca6d31c1acb9292ecb7748bd5be95c86f7cca85f5",
+        "anchors.csv":
+            "cb51b5514f7a3ff7ec542db178f27e4dae05941036703c8419fd7c2f08ea1a1e",
+        "checkpoints/final.bin":
+            "b8479c8ef4e7b5f74d4f3f22d37ef7046e41c8d7733f096c043ec7d432191803",
     },
     "tcnn-fedprox": {
         **TCNN_CSVS,

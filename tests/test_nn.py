@@ -140,12 +140,21 @@ def test_maxpool_drops_ragged_edge():
     assert grad_x[0, 0, 4, 4] == 0.0
 
 
+def pool_blocks(x, k):
+    """The (b, c, oh, ow, k*k) window blocks of a kxk pool, by reshaping."""
+    b, c, h, w = x.shape
+    oh, ow = h // k, w // k
+    cropped = x[:, :, : oh * k, : ow * k]
+    blocks = cropped.reshape(b, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
+    return blocks.reshape(b, c, oh, ow, k * k)
+
+
 def maxpool_block_reference(layer, x, grad_out):
     """Max-pool forward and input gradient over the (..., k*k) window blocks."""
     b, c, h, w = x.shape
     k = layer.kernel
     oh, ow = h // k, w // k
-    blocks = layer._blocks(x)
+    blocks = pool_blocks(x, k)
     winners = np.argmax(blocks, axis=-1)
     grad_blocks = np.zeros_like(blocks)
     np.put_along_axis(grad_blocks, winners[..., None], grad_out[..., None], axis=-1)
@@ -204,9 +213,9 @@ def test_backward_never_asks_layer_zero_for_input_grad(preset, monkeypatch):
             ref[spec.param_slices[i]] = gp
     asked = []
     for cls in (nn.Dense, nn.Relu, nn.Conv2d, nn.MaxPool, nn.Flatten):
-        def recorder(self, params, x, grad_out, input_grad=True, backward=cls.backward):
+        def recorder(self, params, x, grad_out, input_grad=True, backward=cls.backward, **where):
             asked.append(input_grad)
-            return backward(self, params, x, grad_out, input_grad=input_grad)
+            return backward(self, params, x, grad_out, input_grad=input_grad, **where)
 
         monkeypatch.setattr(cls, "backward", recorder)
     grad = nn.backward_from_logits(spec, state.params, caches, grad_logits)
@@ -451,7 +460,7 @@ def test_margin_ignores_fully_clamped_pool_windows():
     for seed in range(200):
         x = stream(51, "x", seed).normal(size=(4, 1, 6, 6))
         _, caches = nn.forward_with_caches(state, spec, x)
-        blocks = nn.MaxPool(2)._blocks(caches[2])
+        blocks = pool_blocks(caches[2], 2)
         if np.any(blocks.max(axis=-1) == 0.0):
             assert nn.activation_margin(state, spec, x) > 0.0
             return
