@@ -228,3 +228,248 @@ def test_load_config_file(tmp_path):
         load_config_file(bad)
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(tmp_path / "nope.yaml")
+
+
+# ---------------------------------------------------------------------------
+# Pins: the resolved config's bytes and the messages of bad configs
+# ---------------------------------------------------------------------------
+# config.json, `run --dry-run` and the manifest all print cfg.to_dict(), and
+# no golden digests config.json, so these strings pin its bytes. Error order
+# is free; the set of messages is pinned.
+
+IDX_PATHS = {"train_images": "tr-img.idx", "train_labels": "tr-lab.idx",
+             "test_images": "te-img.idx", "test_labels": "te-lab.idx"}
+
+TO_DICT_CASES = {
+    "synth-defaults": minimal_raw(),
+    "idx-classes-0": minimal_raw(dataset={"kind": "idx", **IDX_PATHS}),
+    "idx-classes-7": minimal_raw(dataset={"kind": "idx", "classes": 7, **IDX_PATHS}),
+    "partition-file": minimal_raw(partition={"file": "assignments.csv", "gamma": 0.1}),
+    "fedprox": minimal_raw(strategy={"kind": "fedprox", "mu": 0.25}),
+    "fedka-all-keys": minimal_raw(strategy={"kind": "fedka", "beta": 0.3, "mu_anchor": 4,
+                                            "selection": "proficient", "variant": "ka_m"}),
+    "t_cnn": minimal_raw(model={"preset": "t_cnn", "conv_kernel": 3},
+                         dataset={"kind": "idx", **IDX_PATHS}),
+    "training-metrics": minimal_raw(
+        name="sweep", master_seed=2**40 + 3, output_dir="out/x",
+        dataset={"kind": "synth", "classes": 4, "per_class": 30, "test_per_class": 9,
+                 "dims": 3, "separation": 2, "seed": 77, "test_seed": 78},
+        partition={"clients": 5, "alpha": 2, "seed": 9, "min_samples_per_client": 0,
+                   "gamma": "0.25"},
+        training={"rounds": 7, "local_epochs": 0, "batch_size": 3, "lr": "1e-3",
+                  "momentum": 0, "weight_decay": 0, "participation_ratio": 0.5,
+                  "parallel_clients": 2},
+        metrics={"xi": 1e-6, "checkpoint_interval": 2, "epoch_forgetting": True},
+        schedules={"reduction": [[0, 2, 1, 5], [1, 0, 0, 0]]}),
+}
+
+ERROR_CASES = {
+    "mixed": minimal_raw(bogus=1, training={"rounds": -1, "lr": 0},
+                         strategy={"kind": "fedavg", "mu": 0.1},
+                         dataset={"kind": "synth", "classes": 0, "per_class": 20,
+                                  "dims": 2, "separation": 4.0}),
+    "missing": {"dataset": {"kind": "synth"}, "partition": {}, "model": {},
+                "strategy": {}},
+    "types": minimal_raw(name=5, master_seed="seven",
+                         training={"rounds": True, "lr": "fast", "batch_size": 1.5,
+                                   "momentum": 1.5, "participation_ratio": 0},
+                         metrics={"epoch_forgetting": 1, "xi": 0}),
+    "choices": minimal_raw(dataset={"kind": "csv", "classes": 3},
+                           model={"preset": "resnet", "conv_kernel": 0},
+                           strategy={"kind": "fedka", "selection": "best",
+                                     "variant": "x", "mu_anchor": 0, "beta": -1}),
+    "partition-and-rows": minimal_raw(
+        partition={"clients": 0, "alpha": 0, "gamma": 1.0, "min_samples_per_client": -1},
+        model={"preset": "mlp", "hidden": [8, 0]},
+        schedules={"reduction": [[0, 2, 1], [0, 1, True, 3], "x"]}),
+    "idx-unknown": minimal_raw(dataset={"kind": "idx", "classes": -1,
+                                        "train_images": 3, "colour": "red"},
+                               model={"preset": "t_cnn", "hidden": [8], "width": 2},
+                               strategy={"kind": "fedprox", "beta": 0.1},
+                               metrics={"epsilon": 1},
+                               schedules={"reduction": 5, "forget": []}),
+}
+
+TO_DICT_PINS = {
+    'synth-defaults': (
+        '{"dataset": {"classes": 3, "dims": 2, "kind": "synth", "per_class": 20, '
+        '"seed": 7661223976665057243, "separation": 4.0, "test_per_class": 20, '
+        '"test_seed": 4248908799279674886}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 5, "hidden": [8], "preset": "mlp"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"alpha": 0.5, "clients": 2, '
+        '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
+        '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    'idx-classes-0': (
+        '{"dataset": {"kind": "idx", "test_images": "te-img.idx", "test_labels": "te-lab.idx", '
+        '"train_images": "tr-img.idx", "train_labels": "tr-lab.idx"}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 5, "hidden": [8], "preset": "mlp"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"alpha": 0.5, "clients": 2, '
+        '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
+        '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    'idx-classes-7': (
+        '{"dataset": {"classes": 7, "kind": "idx", "test_images": "te-img.idx", '
+        '"test_labels": "te-lab.idx", "train_images": "tr-img.idx", '
+        '"train_labels": "tr-lab.idx"}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 5, "hidden": [8], "preset": "mlp"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"alpha": 0.5, "clients": 2, '
+        '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
+        '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    'partition-file': (
+        '{"dataset": {"classes": 3, "dims": 2, "kind": "synth", "per_class": 20, '
+        '"seed": 7661223976665057243, "separation": 4.0, "test_per_class": 20, '
+        '"test_seed": 4248908799279674886}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 5, "hidden": [8], "preset": "mlp"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"file": "assignments.csv", "gamma": 0.1}, '
+        '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    'fedprox': (
+        '{"dataset": {"classes": 3, "dims": 2, "kind": "synth", "per_class": 20, '
+        '"seed": 7661223976665057243, "separation": 4.0, "test_per_class": 20, '
+        '"test_seed": 4248908799279674886}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 5, "hidden": [8], "preset": "mlp"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"alpha": 0.5, "clients": 2, '
+        '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
+        '"schedules": {"reduction": []}, "strategy": {"kind": "fedprox", "mu": 0.25}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    'fedka-all-keys': (
+        '{"dataset": {"classes": 3, "dims": 2, "kind": "synth", "per_class": 20, '
+        '"seed": 7661223976665057243, "separation": 4.0, "test_per_class": 20, '
+        '"test_seed": 4248908799279674886}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 5, "hidden": [8], "preset": "mlp"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"alpha": 0.5, "clients": 2, '
+        '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
+        '"schedules": {"reduction": []}, "strategy": {"beta": 0.3, "kind": "fedka", '
+        '"mu_anchor": 4, "selection": "proficient", "variant": "ka_m"}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    't_cnn': (
+        '{"dataset": {"kind": "idx", "test_images": "te-img.idx", "test_labels": "te-lab.idx", '
+        '"train_images": "tr-img.idx", "train_labels": "tr-lab.idx"}, "master_seed": 5, '
+        '"metrics": {"checkpoint_interval": 0, "epoch_forgetting": false, "xi": 1e-08}, '
+        '"model": {"conv_kernel": 3, "preset": "t_cnn"}, "name": "t", '
+        '"output_dir": "runs/t-seed5", "partition": {"alpha": 0.5, "clients": 2, '
+        '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
+        '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
+        '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
+        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"weight_decay": 1e-05}}'
+    ),
+    'training-metrics': (
+        '{"dataset": {"classes": 4, "dims": 3, "kind": "synth", "per_class": 30, "seed": 77, '
+        '"separation": 2.0, "test_per_class": 9, "test_seed": 78}, '
+        '"master_seed": 1099511627779, "metrics": {"checkpoint_interval": 2, '
+        '"epoch_forgetting": true, "xi": 1e-06}, "model": {"conv_kernel": 5, "hidden": [8], '
+        '"preset": "mlp"}, "name": "sweep", "output_dir": "out/x", "partition": {"alpha": 2.0, '
+        '"clients": 5, "gamma": 0.25, "min_samples_per_client": 0, "seed": 9}, '
+        '"schedules": {"reduction": [[0, 2, 1, 5], [1, 0, 0, 0]]}, '
+        '"strategy": {"kind": "fedavg"}, "training": {"batch_size": 3, "local_epochs": 0, '
+        '"lr": 0.001, "momentum": 0.0, "parallel_clients": 2, "participation_ratio": 0.5, '
+        '"rounds": 7, "weight_decay": 0.0}}'
+    ),
+}
+
+ERROR_PINS = {
+    'mixed': [
+        'bogus: unknown key (known: dataset, master_seed, metrics, model, name, output_dir, partition, schedules, strategy, training)',
+        'dataset.classes: must be >= 1, got 0',
+        'strategy.mu: only applies to fedprox',
+        'training.lr: must be > 0.0, got 0.0',
+        'training.rounds: must be >= 0, got -1',
+    ],
+    'missing': [
+        'dataset.classes: required field is missing',
+        'dataset.dims: required field is missing',
+        'dataset.per_class: required field is missing',
+        'dataset.separation: required field is missing',
+        'master_seed: required field is missing',
+        'model.preset: required field is missing',
+        'partition.alpha: required field is missing',
+        'partition.clients: required field is missing',
+        'strategy.kind: required field is missing',
+    ],
+    'types': [
+        "master_seed: expected int, got str ('seven')",
+        'metrics.epoch_forgetting: expected bool, got int (1)',
+        'metrics.xi: must be > 0.0, got 0.0',
+        'name: expected str, got int (5)',
+        'training.batch_size: expected int, got float (1.5)',
+        "training.lr: expected float, got str ('fast')",
+        'training.momentum: must be <= 1.0, got 1.5',
+        'training.participation_ratio: must be > 0.0, got 0.0',
+        'training.rounds: expected an integer, got a boolean',
+    ],
+    'choices': [
+        "dataset.kind: must be one of synth, idx, got 'csv'",
+        'model.conv_kernel: must be >= 1, got 0',
+        "model.preset: must be one of mlp, t_cnn, got 'resnet'",
+        'strategy.beta: must be >= 0.0, got -1.0',
+        'strategy.mu_anchor: must be >= 1, got 0',
+        "strategy.selection: must be one of random, hard, proficient, got 'best'",
+        "strategy.variant: must be one of full, ka_n, ka_m, none, got 'x'",
+    ],
+    'partition-and-rows': [
+        'model.hidden: must be a list of positive integers, got [8, 0]',
+        'partition.alpha: must be > 0.0, got 0.0',
+        'partition.clients: must be >= 1, got 0',
+        'partition.gamma: must be < 1, got 1.0',
+        'partition.min_samples_per_client: must be >= 0, got -1',
+        'schedules.reduction[0]: must be [client, round, class, keep] of non-negative ints, got [0, 2, 1]',
+        'schedules.reduction[1]: must be [client, round, class, keep] of non-negative ints, got [0, 1, True, 3]',
+        "schedules.reduction[2]: must be [client, round, class, keep] of non-negative ints, got 'x'",
+    ],
+    'idx-unknown': [
+        'dataset.classes: must be >= 0, got -1',
+        'dataset.colour: unknown key (known: classes, dims, kind, per_class, seed, separation, test_images, test_labels, test_per_class, test_seed, train_images, train_labels)',
+        'dataset.test_images: required field is missing',
+        'dataset.test_labels: required field is missing',
+        'dataset.train_images: expected str, got int (3)',
+        'dataset.train_labels: required field is missing',
+        'metrics.epsilon: unknown key (known: checkpoint_interval, epoch_forgetting, xi)',
+        'model.hidden: only applies to the mlp preset',
+        'model.width: unknown key (known: conv_kernel, hidden, preset)',
+        'schedules.forget: unknown key (known: reduction)',
+        'schedules.reduction: must be a list of [client, round, class, keep] rows',
+        'strategy.beta: only applies to fedka',
+        'strategy.mu: required field is missing',
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TO_DICT_CASES))
+def test_to_dict_bytes_pinned(case):
+    cfg = resolve(TO_DICT_CASES[case])
+    assert json.dumps(cfg.to_dict(), sort_keys=True) == TO_DICT_PINS[case]
+    assert resolve(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_messages_pinned(case):
+    with pytest.raises(ConfigError) as err:
+        resolve(ERROR_CASES[case])
+    assert sorted(err.value.errors) == ERROR_PINS[case]
