@@ -4,14 +4,17 @@ Configs are JSON or YAML dictionaries validated in full before any work:
 every violation is collected and reported with its field path, unknown
 keys are rejected, and all defaults are materialized so the resolved
 config written into a run's manifest re-runs the experiment verbatim.
+
+Each section is a dataclass whose fields are its keys. A field declares its
+key's type, default and checks once; `resolve` reads and `to_dict` writes
+every section from those declarations. (No ``from __future__ import
+annotations``: the readers take each key's type from ``Field.type``.)
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
 
 from .anchor import ANCHOR_CAP_DEFAULT, SELECTIONS, VARIANTS
 from .data import DEFAULT_GAMMA
@@ -74,76 +77,96 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Typed sections
+# Typed sections: each field is one config key
 # ---------------------------------------------------------------------------
+
+# A key that applies for one value of its section's discriminating key only:
+# (that key, that value, how a rejection reads).
+_SYNTH = ("kind", "synth", "to synth")
+_IDX = ("kind", "idx", "to idx")
+_DIRICHLET = ("file", "", "without a partition file")
+_MLP = ("preset", "mlp", "to the mlp preset")
+_FEDPROX = ("kind", "fedprox", "to fedprox")
+_FEDKA = ("kind", "fedka", "to fedka")
+# rng masks seeds to 64 bits, so a seed outside this range aliases one inside
+_SEED = {"minimum": 0, "maximum": 2**64 - 1}
+
+
+def _key(default=MISSING, *, only=None, derived=False, by_hand=False, **checks):
+    """A config key with `_Check.value`'s ``checks``. With ``required=True``
+    the default only fills a key that does not apply. ``only`` names the
+    condition under which the key applies, ``derived`` leaves an absent key
+    for `resolve` to derive, and ``by_hand`` leaves all its reading there."""
+    return field(default=default, metadata={
+        "only": only, "derived": derived, "by_hand": by_hand, "checks": checks})
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    kind: str
-    classes: int = 0
-    per_class: int = 0
-    test_per_class: int = 0
-    dims: int = 0
-    separation: float = 0.0
-    seed: int = 0
-    test_seed: int = 0
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
+    kind: str = _key(required=True, choices=DATASET_KINDS)
+    classes: int = _key(0, by_hand=True)
+    per_class: int = _key(0, only=_SYNTH, required=True, minimum=1)
+    test_per_class: int = _key(0, only=_SYNTH, derived=True, minimum=1)
+    dims: int = _key(0, only=_SYNTH, required=True, minimum=1)
+    separation: float = _key(0.0, only=_SYNTH, required=True, minimum=0.0)
+    seed: int = _key(0, only=_SYNTH, derived=True, **_SEED)
+    test_seed: int = _key(0, only=_SYNTH, derived=True, **_SEED)
+    train_images: str = _key("", only=_IDX, required=True)
+    train_labels: str = _key("", only=_IDX, required=True)
+    test_images: str = _key("", only=_IDX, required=True)
+    test_labels: str = _key("", only=_IDX, required=True)
 
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    clients: int
-    alpha: float
-    seed: int
-    min_samples_per_client: int
-    gamma: float
-    file: str = ""
+    file: str = _key("")
+    clients: int = _key(0, only=_DIRICHLET, required=True, minimum=1)
+    alpha: float = _key(0.0, only=_DIRICHLET, required=True, exclusive_min=0.0)
+    seed: int = _key(0, only=_DIRICHLET, derived=True, **_SEED)
+    min_samples_per_client: int = _key(1, only=_DIRICHLET, minimum=0)
+    gamma: float = _key(DEFAULT_GAMMA, exclusive_min=0.0)  # and < 1, checked in resolve
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    preset: str
-    hidden: tuple[int, ...] = ()
-    conv_kernel: int = 5
+    preset: str = _key(required=True, choices=MODEL_PRESETS)
+    hidden: tuple[int, ...] = _key((), only=_MLP, by_hand=True)
+    conv_kernel: int = _key(5, minimum=1)
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    kind: str
-    mu: float = 0.0
-    beta: float = 0.1
-    mu_anchor: int = ANCHOR_CAP_DEFAULT
-    selection: str = "random"
-    variant: str = "full"
+    kind: str = _key(required=True, choices=STRATEGY_KINDS)
+    mu: float = _key(0.0, only=_FEDPROX, required=True, minimum=0.0)
+    beta: float = _key(0.1, only=_FEDKA, minimum=0.0)
+    mu_anchor: int = _key(ANCHOR_CAP_DEFAULT, only=_FEDKA, minimum=1)
+    selection: str = _key("random", only=_FEDKA, choices=SELECTIONS)
+    variant: str = _key("full", only=_FEDKA, choices=VARIANTS)
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    rounds: int = 100
-    local_epochs: int = 10
-    batch_size: int = 128
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    participation_ratio: float = 1.0
-    parallel_clients: int = 1
+    rounds: int = _key(100, minimum=0)
+    local_epochs: int = _key(10, minimum=0)
+    batch_size: int = _key(128, minimum=1)
+    lr: float = _key(0.01, exclusive_min=0.0)
+    momentum: float = _key(0.9, minimum=0.0, maximum=1.0)
+    weight_decay: float = _key(1e-5, minimum=0.0)
+    participation_ratio: float = _key(1.0, exclusive_min=0.0, maximum=1.0)
+    parallel_clients: int = _key(1, minimum=1)
 
 
 @dataclass(frozen=True)
 class MetricsConfig:
-    xi: float = DEFAULT_XI
-    checkpoint_interval: int = 0  # 0: final checkpoint only
-    epoch_forgetting: bool = False
+    xi: float = _key(DEFAULT_XI, exclusive_min=0.0)
+    checkpoint_interval: int = _key(0, minimum=0)  # 0: final checkpoint only
+    epoch_forgetting: bool = _key(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    name: str
-    master_seed: int
+    name: str = _key("run")
+    master_seed: int = _key(required=True, **_SEED)
     dataset: DatasetConfig
     partition: PartitionConfig
     model: ModelConfig
@@ -151,50 +174,54 @@ class ExperimentConfig:
     training: TrainingConfig
     metrics: MetricsConfig
     reduction: tuple[tuple[int, int, int, int], ...]  # (client, round, class, keep)
-    output_dir: str
+    output_dir: str = _key("", derived=True)
 
     def to_dict(self) -> dict:
         """Fully resolved config; feeding this back reproduces the run."""
-        if self.dataset.kind == "synth":
-            dataset = {k: vars(self.dataset)[k] for k in (
-                "kind", "classes", "per_class", "test_per_class", "dims",
-                "separation", "seed", "test_seed")}
-        else:
-            dataset = {k: vars(self.dataset)[k] for k in (
-                "kind", "train_images", "train_labels", "test_images", "test_labels")}
-            if self.dataset.classes:
-                dataset["classes"] = self.dataset.classes
-        d: dict[str, Any] = {
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "dataset": dataset,
-            "partition": (
-                {"file": self.partition.file, "gamma": self.partition.gamma}
-                if self.partition.file
-                else {k: v for k, v in vars(self.partition).items() if v != ""}
-            ),
-            "model": {"preset": self.model.preset, "conv_kernel": self.model.conv_kernel},
-            "strategy": dict(vars(self.strategy)),
-            "training": dict(vars(self.training)),
-            "metrics": dict(vars(self.metrics)),
-            "schedules": {
-                "reduction": [list(entry) for entry in self.reduction],
-            },
-        }
-        if self.model.preset == "mlp":
-            d["model"]["hidden"] = list(self.model.hidden)
-        if self.strategy.kind != "fedka":
-            for key in ("beta", "mu_anchor", "selection", "variant"):
-                d["strategy"].pop(key)
-        if self.strategy.kind != "fedprox":
-            d["strategy"].pop("mu", None)
+        d = _emit(self)
+        for name in SECTIONS:
+            d[name] = _emit(getattr(self, name))
+        if not self.dataset.classes:  # idx: the labels give the class count
+            del d["dataset"]["classes"]
+        if not self.partition.file:
+            del d["partition"]["file"]
+        d["schedules"] = {"reduction": [list(entry) for entry in self.reduction]}
         return d
 
 
+SECTIONS = {f.name: f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)}
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig) if f.name != "reduction"} | {"schedules"}
+_KNOWN = {cls: {f.name for f in fields(cls)} for cls in SECTIONS.values()}
+# per class, each declared key as (name, type, default for `_Check.value`,
+# only, derived, by_hand, checks); built once, as resolve runs in every setup
+_SCHEMA = {
+    cls: [(f.name, f.type, None if f.metadata["checks"].get("required") else f.default,
+           *(f.metadata[m] for m in ("only", "derived", "by_hand", "checks")))
+          for f in fields(cls) if f.metadata]
+    for cls in (ExperimentConfig, *SECTIONS.values())
+}
+# a section with a required key must be given
+_REQUIRED_SECTIONS = {name for name, cls in SECTIONS.items()
+                      if any(key[2] is None for key in _SCHEMA[cls])}
+
+
+def _emit(section) -> dict:
+    """The keys of a resolved section that apply to it."""
+    out = {}
+    for name, _, _, only, _, _, _ in _SCHEMA[type(section)]:
+        if only is None or getattr(section, only[0]) == only[1]:
+            value = getattr(section, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Validation helpers
+# Validation
 # ---------------------------------------------------------------------------
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
 class _Check:
@@ -206,6 +233,11 @@ class _Check:
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
+    def keys(self, section: dict, path: str, known: set[str]):
+        for key in section:
+            if key not in known:
+                self.fail(_join(path, key), f"unknown key (known: {', '.join(sorted(known))})")
+
     def section(self, raw: dict, name: str, known: set[str], required: bool = True) -> dict:
         value = raw.get(name)
         if value is None:
@@ -215,31 +247,31 @@ class _Check:
         if not isinstance(value, dict):
             self.fail(name, f"must be a mapping, got {type(value).__name__}")
             return {}
-        for key in value:
-            if key not in known:
-                self.fail(f"{name}.{key}", f"unknown key (known: {', '.join(sorted(known))})")
+        self.keys(value, name, known)
         return value
 
     def value(self, section: dict, path: str, key: str, kind, default=None, required=False,
               minimum=None, maximum=None, choices=None, exclusive_min=None):
         v = section.get(key, default)
-        full = f"{path}.{key}" if path else key
+        full = _join(path, key)
         if v is None:
             if required:
                 self.fail(full, "required field is missing")
             return default
-        if kind is float and isinstance(v, str):
+        if kind is float and isinstance(v, (str, int)) and not isinstance(v, bool):
             try:
                 v = float(v)  # YAML 1.1 reads "1e-8" as a string
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
-        if kind is float and isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
         if kind is int and isinstance(v, bool):
             self.fail(full, "expected an integer, got a boolean")
             return default
         if not isinstance(v, kind):
             self.fail(full, f"expected {kind.__name__}, got {type(v).__name__} ({v!r})")
+            return default
+        if kind is float and not math.isfinite(v):
+            # NaN would pass every bound below: each comparison with it is false
+            self.fail(full, f"must be finite, got {v}")
             return default
         if choices is not None and v not in choices:
             self.fail(full, f"must be one of {', '.join(map(str, choices))}, got {v!r}")
@@ -251,6 +283,23 @@ class _Check:
         if maximum is not None and v > maximum:
             self.fail(full, f"must be <= {maximum}, got {v}")
         return v
+
+    def read(self, section: dict, path: str, cls) -> dict:
+        """The keys of ``cls`` read out of ``section``, leaving out keys that
+        do not apply (rejected when given), absent derived keys and keys read
+        by hand. While the discriminating key is invalid, its keys go unread."""
+        out = {}
+        for name, kind, default, only, derived, by_hand, checks in _SCHEMA[cls]:
+            if only is not None and out[only[0]] != only[1]:
+                if name in section and out[only[0]] is not None:
+                    self.fail(_join(path, name), f"only applies {only[2]}")
+            elif by_hand or (derived and name not in section):
+                continue
+            elif name in section or default is None:
+                out[name] = self.value(section, path, name, kind, default, **checks)
+            else:
+                out[name] = default
+        return out
 
 
 def resolve_partition(raw: dict, output_root: str | None = None) -> ExperimentConfig:
@@ -268,160 +317,54 @@ def resolve_partition(raw: dict, output_root: str | None = None) -> ExperimentCo
 def resolve(raw: dict, output_root: str | None = None) -> ExperimentConfig:
     """Validate a raw mapping and materialize every default."""
     chk = _Check()
-    known_top = {"name", "master_seed", "output_dir", "dataset", "partition", "model",
-                 "strategy", "training", "metrics", "schedules"}
-    for key in raw:
-        if key not in known_top:
-            chk.fail(key, f"unknown key (known: {', '.join(sorted(known_top))})")
+    chk.keys(raw, "", _TOP_KEYS)
+    top = chk.read(raw, "", ExperimentConfig)
+    given, values = {}, {}
+    for name, cls in SECTIONS.items():
+        given[name] = chk.section(raw, name, _KNOWN[cls], name in _REQUIRED_SECTIONS)
+        values[name] = chk.read(given[name], name, cls)
+    dataset, partition, model = values["dataset"], values["partition"], values["model"]
 
-    master_seed = chk.value(raw, "", "master_seed", int, required=True, minimum=0)
-    name = chk.value(raw, "", "name", str, default="run")
-
-    # dataset
-    dsec = chk.section(raw, "dataset", {"kind", "classes", "per_class", "test_per_class",
-                                        "dims", "separation", "seed", "test_seed",
-                                        "train_images", "train_labels", "test_images",
-                                        "test_labels"})
-    kind = chk.value(dsec, "dataset", "kind", str, required=True, choices=DATASET_KINDS)
-    dataset = DatasetConfig(kind=kind or "synth")
-    if kind == "synth":
-        classes = chk.value(dsec, "dataset", "classes", int, required=True, minimum=1)
-        per_class = chk.value(dsec, "dataset", "per_class", int, required=True, minimum=1)
-        test_per_class = chk.value(dsec, "dataset", "test_per_class", int,
-                                   default=per_class, minimum=1)
-        dims = chk.value(dsec, "dataset", "dims", int, required=True, minimum=1)
-        separation = chk.value(dsec, "dataset", "separation", float, required=True, minimum=0.0)
-        seed = chk.value(dsec, "dataset", "seed", int,
-                         default=None if master_seed is None else derive_seed(master_seed, "dataset"))
-        if seed is not None:
-            test_seed = chk.value(dsec, "dataset", "test_seed", int,
-                                  default=derive_seed(seed, "test"))
-            dataset = DatasetConfig(
-                kind="synth", classes=classes or 1, per_class=per_class or 1,
-                test_per_class=test_per_class or 1, dims=dims or 1,
-                separation=separation if separation is not None else 1.0,
-                seed=seed, test_seed=test_seed,
-            )
-    elif kind == "idx":
-        paths = {}
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            paths[key] = chk.value(dsec, "dataset", key, str, required=True) or ""
-        classes = chk.value(dsec, "dataset", "classes", int, default=0, minimum=0)
-        dataset = DatasetConfig(kind="idx", classes=classes, **paths)
-
-    # partition
-    psec = chk.section(raw, "partition", {"clients", "alpha", "seed",
-                                          "min_samples_per_client", "gamma", "file"})
-    pfile = chk.value(psec, "partition", "file", str, default="")
-    clients = chk.value(psec, "partition", "clients", int, required=not pfile, minimum=1)
-    alpha = chk.value(psec, "partition", "alpha", float, required=not pfile, exclusive_min=0.0)
-    pseed = chk.value(psec, "partition", "seed", int,
-                      default=None if master_seed is None else derive_seed(master_seed, "partition"))
-    min_samples = chk.value(psec, "partition", "min_samples_per_client", int, default=1, minimum=0)
-    gamma = chk.value(psec, "partition", "gamma", float, default=DEFAULT_GAMMA,
-                      exclusive_min=0.0)
-    if gamma is not None and gamma >= 1.0:
-        chk.fail("partition.gamma", f"must be < 1, got {gamma}")
-    partition = PartitionConfig(
-        clients=clients or 1, alpha=alpha or 1.0, seed=pseed or 0,
-        min_samples_per_client=min_samples if min_samples is not None else 1,
-        gamma=gamma or DEFAULT_GAMMA, file=pfile or "",
-    )
-
-    # model
-    msec = chk.section(raw, "model", {"preset", "hidden", "conv_kernel"})
-    preset = chk.value(msec, "model", "preset", str, required=True, choices=MODEL_PRESETS)
-    hidden: tuple[int, ...] = ()
-    conv_kernel = chk.value(msec, "model", "conv_kernel", int, default=5, minimum=1)
-    if preset == "mlp":
-        raw_hidden = msec.get("hidden", [])
-        if not isinstance(raw_hidden, list) or not all(
-            isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in raw_hidden
-        ):
-            chk.fail("model.hidden", f"must be a list of positive integers, got {raw_hidden!r}")
+    if dataset["kind"] == "synth":
+        dataset["classes"] = chk.value(given["dataset"], "dataset", "classes", int,
+                                       required=True, minimum=1)
+    elif dataset["kind"] == "idx":
+        dataset["classes"] = chk.value(given["dataset"], "dataset", "classes", int,
+                                       default=0, minimum=0)
+    if partition["gamma"] >= 1.0:
+        chk.fail("partition.gamma", f"must be < 1, got {partition['gamma']}")
+    if model["preset"] == "mlp":
+        hidden = given["model"].get("hidden", [])
+        if isinstance(hidden, list) and all(type(h) is int and h >= 1 for h in hidden):
+            model["hidden"] = tuple(hidden)
         else:
-            hidden = tuple(raw_hidden)
-    elif preset == "t_cnn" and "hidden" in msec:
-        chk.fail("model.hidden", "only applies to the mlp preset")
-    model = ModelConfig(preset=preset or "mlp", hidden=hidden, conv_kernel=conv_kernel or 5)
+            chk.fail("model.hidden", f"must be a list of positive integers, got {hidden!r}")
 
-    # strategy
-    ssec = chk.section(raw, "strategy", {"kind", "mu", "beta", "mu_anchor", "selection",
-                                         "variant"})
-    skind = chk.value(ssec, "strategy", "kind", str, required=True, choices=STRATEGY_KINDS)
-    mu = beta = 0.0
-    mu_anchor = ANCHOR_CAP_DEFAULT
-    selection, variant = "random", "full"
-    if skind == "fedprox":
-        mu = chk.value(ssec, "strategy", "mu", float, required=True, minimum=0.0)
-    elif "mu" in ssec:
-        chk.fail("strategy.mu", "only applies to fedprox")
-    if skind == "fedka":
-        beta = chk.value(ssec, "strategy", "beta", float, default=0.1, minimum=0.0)
-        mu_anchor = chk.value(ssec, "strategy", "mu_anchor", int, default=ANCHOR_CAP_DEFAULT, minimum=1)
-        selection = chk.value(ssec, "strategy", "selection", str, default="random", choices=SELECTIONS)
-        variant = chk.value(ssec, "strategy", "variant", str, default="full", choices=VARIANTS)
-    else:
-        for key in ("beta", "mu_anchor", "selection", "variant"):
-            if key in ssec:
-                chk.fail(f"strategy.{key}", "only applies to fedka")
-    strategy = StrategyConfig(
-        kind=skind or "fedavg", mu=mu if mu is not None else 0.0,
-        beta=beta if beta is not None else 0.1,
-        mu_anchor=mu_anchor or ANCHOR_CAP_DEFAULT,
-        selection=selection or "random", variant=variant or "full",
-    )
-
-    # training
-    tsec = chk.section(raw, "training", {"rounds", "local_epochs", "batch_size", "lr",
-                                         "momentum", "weight_decay", "participation_ratio",
-                                         "parallel_clients"}, required=False)
-    training = TrainingConfig(
-        rounds=chk.value(tsec, "training", "rounds", int, default=100, minimum=0),
-        local_epochs=chk.value(tsec, "training", "local_epochs", int, default=10, minimum=0),
-        batch_size=chk.value(tsec, "training", "batch_size", int, default=128, minimum=1),
-        lr=chk.value(tsec, "training", "lr", float, default=0.01, exclusive_min=0.0),
-        momentum=chk.value(tsec, "training", "momentum", float, default=0.9, minimum=0.0, maximum=1.0),
-        weight_decay=chk.value(tsec, "training", "weight_decay", float, default=1e-5, minimum=0.0),
-        participation_ratio=chk.value(tsec, "training", "participation_ratio", float,
-                                      default=1.0, exclusive_min=0.0, maximum=1.0),
-        parallel_clients=chk.value(tsec, "training", "parallel_clients", int, default=1, minimum=1),
-    )
-
-    # metrics
-    xsec = chk.section(raw, "metrics", {"xi", "checkpoint_interval", "epoch_forgetting"},
-                       required=False)
-    metrics = MetricsConfig(
-        xi=chk.value(xsec, "metrics", "xi", float, default=DEFAULT_XI, exclusive_min=0.0),
-        checkpoint_interval=chk.value(xsec, "metrics", "checkpoint_interval", int, default=0, minimum=0),
-        epoch_forgetting=chk.value(xsec, "metrics", "epoch_forgetting", bool, default=False),
-    )
-
-    # schedules
-    csec = chk.section(raw, "schedules", {"reduction"}, required=False)
-    reduction: list[tuple[int, int, int, int]] = []
-    raw_sched = csec.get("reduction", [])
-    if not isinstance(raw_sched, list):
+    rows = chk.section(raw, "schedules", {"reduction"}, required=False).get("reduction", [])
+    if not isinstance(rows, list):
         chk.fail("schedules.reduction", "must be a list of [client, round, class, keep] rows")
-    else:
-        for i, row in enumerate(raw_sched):
-            ok = (isinstance(row, (list, tuple)) and len(row) == 4
-                  and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in row))
-            if not ok:
-                chk.fail(f"schedules.reduction[{i}]",
-                         f"must be [client, round, class, keep] of non-negative ints, got {row!r}")
-            else:
-                reduction.append(tuple(row))
-
-    output_dir = chk.value(raw, "", "output_dir", str, default="")
-    if not output_dir:
-        root = output_root or "runs"
-        output_dir = str(Path(root) / f"{name}-seed{master_seed}")
+        rows = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == 4
+                and all(type(v) is int and v >= 0 for v in row)):
+            chk.fail(f"schedules.reduction[{i}]",
+                     f"must be [client, round, class, keep] of non-negative ints, got {row!r}")
 
     if chk.errors:
         raise ConfigError(chk.errors)
+    # derived defaults, each computed only when its key is absent
+    master_seed = top["master_seed"]
+    if dataset["kind"] == "synth":
+        dataset.setdefault("test_per_class", dataset["per_class"])
+        if "seed" not in dataset:
+            dataset["seed"] = derive_seed(master_seed, "dataset")
+        if "test_seed" not in dataset:
+            dataset["test_seed"] = derive_seed(dataset["seed"], "test")
+    if not partition["file"] and "seed" not in partition:
+        partition["seed"] = derive_seed(master_seed, "partition")
+    if not top.get("output_dir"):
+        top["output_dir"] = str(Path(output_root or "runs") / f"{top['name']}-seed{master_seed}")
     return ExperimentConfig(
-        name=name, master_seed=master_seed, dataset=dataset, partition=partition,
-        model=model, strategy=strategy, training=training, metrics=metrics,
-        reduction=tuple(reduction), output_dir=output_dir,
+        **top, **{name: cls(**values[name]) for name, cls in SECTIONS.items()},
+        reduction=tuple(tuple(row) for row in rows),
     )

@@ -1,17 +1,25 @@
 """Config loading, validation, overrides, and the resolved round trip."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from fedka import config
 from fedka.config import (
+    SECTIONS,
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     load_config_file,
     resolve,
     resolve_partition,
 )
 from fedka.rng import derive_seed
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def minimal_raw(**over):
@@ -174,6 +182,16 @@ def test_resolved_config_round_trips():
         cfg = resolve(minimal_raw(strategy=strategy))
         again = resolve(cfg.to_dict())
         assert again == cfg
+    # every key a config gives comes back out of to_dict: none is dropped
+    raw = minimal_raw(dataset={"kind": "idx", "classes": 4, **IDX_PATHS},
+                      partition={"file": "assignments.csv", "gamma": 0.2},
+                      model={"preset": "t_cnn", "conv_kernel": 3},
+                      strategy={"kind": "fedka", "beta": 0.3, "mu_anchor": 4,
+                                "selection": "proficient", "variant": "ka_m"})
+    cfg = resolve(raw)
+    assert resolve(cfg.to_dict()) == cfg
+    for name in SECTIONS:
+        assert set(raw.get(name, {})) <= set(cfg.to_dict()[name]), name
 
 
 def test_output_root_applies_only_without_explicit_dir():
@@ -473,3 +491,113 @@ def test_error_messages_pinned(case):
     with pytest.raises(ConfigError) as err:
         resolve(ERROR_CASES[case])
     assert sorted(err.value.errors) == ERROR_PINS[case]
+
+
+FLOAT_KEYS = ("dataset.separation", "partition.alpha", "partition.gamma", "strategy.mu",
+              "strategy.beta", "training.lr", "training.momentum", "training.weight_decay",
+              "training.participation_ratio", "metrics.xi")
+STRATEGY_OF = {"strategy.mu": "fedprox", "strategy.beta": "fedka"}
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])
+def test_non_finite_float_override_rejected(text):
+    value = float(json.loads(text))
+    for key in FLOAT_KEYS:
+        sets = [f"{key}={text}"]
+        if key in STRATEGY_OF:
+            sets.append(f"strategy.kind={STRATEGY_OF[key]}")
+        with pytest.raises(ConfigError) as err:
+            resolve(apply_overrides(minimal_raw(), sets))
+        assert err.value.errors == [f"{key}: must be finite, got {value}"]
+
+
+def test_non_finite_float_in_yaml_rejected(tmp_path):
+    path = tmp_path / "c.yaml"  # flow-style YAML: a JSON mapping plus YAML's float literals
+    path.write_text(json.dumps(minimal_raw())[:-1]
+                    + ', "training": {"lr": .nan, "momentum": .inf, "weight_decay": nan},'
+                    ' "metrics": {"xi": -.inf}}\n')
+    with pytest.raises(ConfigError) as err:
+        resolve(load_config_file(path))
+    assert sorted(err.value.errors) == [
+        "metrics.xi: must be finite, got -inf",
+        "training.lr: must be finite, got nan",
+        "training.momentum: must be finite, got inf",
+        "training.weight_decay: must be finite, got nan",
+    ]
+
+
+def test_seeds_bounded_to_64_bits():
+    top = 2**64 - 1
+    raw = minimal_raw(master_seed=top)
+    raw["dataset"].update(seed=top, test_seed=0)
+    raw["partition"]["seed"] = top
+    cfg = resolve(raw)
+    assert (cfg.master_seed, cfg.dataset.seed, cfg.partition.seed) == (top, top, top)
+    # rng masks to 64 bits, so 2**64 + 5 would run as 5 and -1 as 2**64 - 1
+    raw = minimal_raw(master_seed=2**64 + 5)
+    raw["dataset"].update(seed=2**64, test_seed=-1)
+    raw["partition"]["seed"] = -1
+    with pytest.raises(ConfigError) as err:
+        resolve(raw)
+    assert sorted(err.value.errors) == [
+        f"dataset.seed: must be <= {top}, got {2**64}",
+        "dataset.test_seed: must be >= 0, got -1",
+        f"master_seed: must be <= {top}, got {2**64 + 5}",
+        "partition.seed: must be >= 0, got -1",
+    ]
+
+
+def test_keys_that_do_not_apply_rejected():
+    raw = minimal_raw(partition={"file": "assignments.csv", "clients": 4, "alpha": 0.5,
+                                 "seed": 3, "min_samples_per_client": 2})
+    with pytest.raises(ConfigError) as err:
+        resolve(raw)
+    assert sorted(err.value.errors) == [
+        f"partition.{key}: only applies without a partition file"
+        for key in ("alpha", "clients", "min_samples_per_client", "seed")]
+    raw = minimal_raw()
+    raw["dataset"]["train_images"] = "tr-img.idx"
+    with pytest.raises(ConfigError) as err:
+        resolve(raw)
+    assert err.value.errors == ["dataset.train_images: only applies to idx"]
+    synth_only = {"per_class": 20, "test_per_class": 5, "dims": 2, "separation": 4.0,
+                  "seed": 1, "test_seed": 2}
+    with pytest.raises(ConfigError) as err:
+        resolve(minimal_raw(dataset={"kind": "idx", **IDX_PATHS, **synth_only}))
+    assert sorted(err.value.errors) == [
+        f"dataset.{key}: only applies to synth" for key in sorted(synth_only)]
+
+
+def test_derived_seeds_computed_only_when_absent(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive_seed(*args)
+
+    monkeypatch.setattr(config, "derive_seed", counting)
+    raw = minimal_raw()
+    raw["dataset"].update(seed=1, test_seed=2)
+    raw["partition"]["seed"] = 3
+    resolve(raw)
+    assert calls == []
+    resolve(minimal_raw())
+    assert calls == [(5, "dataset"), (derive_seed(5, "dataset"), "test"), (5, "partition")]
+
+
+def test_readme_config_table_names_every_key():
+    text = README.read_text()
+    table = text[text.index("## Config reference"):]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        if line.startswith("|"):
+            cells = line.split("|")
+            rows[cells[1].strip().strip("`")] = cells[2]
+        elif rows:
+            break
+    schema = {"top level": [f.name for f in fields(ExperimentConfig) if f.metadata]}
+    schema.update({name: [f.name for f in fields(cls)] for name, cls in SECTIONS.items()})
+    for section, keys in schema.items():
+        named = set(re.findall(r"`(\w+)`", rows[section]))
+        missing = [key for key in keys if key not in named]
+        assert not missing, f"README config table, row {section}: {missing} not named"
