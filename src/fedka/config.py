@@ -202,7 +202,7 @@ _SCHEMA = {
 }
 # a section with a required key must be given
 _REQUIRED_SECTIONS = {name for name, cls in SECTIONS.items()
-                      if any(key[2] is None for key in _SCHEMA[cls])}
+                      if any(default is None for _, _, default, *_ in _SCHEMA[cls])}
 
 
 def _emit(section) -> dict:
