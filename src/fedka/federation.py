@@ -388,24 +388,26 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             epoch_forgetting=cfg.metrics.epoch_forgetting)
     except OSError as exc:
         raise RunError(f"cannot open metric files: {exc}") from None
+    # every state of the run is evaluated through one set of buffers
+    workspace = nn.Workspace()
     with writer:
-        teacher_acc = classwise_accuracy(global_state, spec, test)
+        teacher_acc = classwise_accuracy(global_state, spec, test, workspace)
         for r in range(1, t.rounds + 1):
             shards.update(changes.get(r, {}))
             updates = run_round(cfg, r, shards, global_state, spec, train, shared)
             global_state = aggregate(updates)
-            post_acc = classwise_accuracy(global_state, spec, test)
+            post_acc = classwise_accuracy(global_state, spec, test, workspace)
             acc = global_accuracy(post_acc, test)
 
             for u in updates:
                 shard = shards[u.client_id]
                 records = measure_local_forgetting(
-                    shard, teacher_acc, u.state, spec, test, r, cfg.metrics.xi)
+                    shard, teacher_acc, u.state, spec, test, r, cfg.metrics.xi, workspace)
                 writer.write_forgetting(records)
                 writer.write_anchors(r, u.client_id, u.anchor_log)
                 for e, st in enumerate(u.epoch_states[:-1], start=1):
                     writer.write_epoch_forgetting(e, measure_local_forgetting(
-                        shard, teacher_acc, st, spec, test, r, cfg.metrics.xi))
+                        shard, teacher_acc, st, spec, test, r, cfg.metrics.xi, workspace))
                 if u.epoch_states:
                     # the last epoch ends in the final state, whose records are above
                     writer.write_epoch_forgetting(len(u.epoch_states), records)

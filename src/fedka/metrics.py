@@ -46,23 +46,22 @@ def accuracy_from_logits(logits: np.ndarray, test_set: LabeledDataset) -> np.nda
 
     Argmax ties resolve to the lowest class id.
     """
-    predicted = logits.argmax(axis=1)
-    correct = predicted == test_set.labels
-    acc = np.full(test_set.class_count, np.nan)
-    for k in range(test_set.class_count):
-        members = test_set.class_indices[k]
-        if len(members):
-            acc[k] = correct[members].mean()
-    return acc
+    correct = logits.argmax(axis=1) == test_set.labels
+    # a sum of 0/1 values is exact, so this divides as the mean over the class would
+    hits = np.bincount(test_set.labels, weights=correct, minlength=test_set.class_count)
+    counts = test_set.class_counts
+    return np.divide(hits, counts, out=np.full(test_set.class_count, np.nan), where=counts > 0)
 
 
-def classwise_accuracy(state: nn.ModelState, spec: nn.NetworkSpec, test_set: LabeledDataset) -> np.ndarray:
-    """Per-class accuracy of a model on the test set."""
+def classwise_accuracy(state: nn.ModelState, spec: nn.NetworkSpec, test_set: LabeledDataset,
+                       workspace: nn.Workspace | None = None) -> np.ndarray:
+    """Per-class accuracy of a model on the test set; the forward pass runs
+    through ``workspace`` when one is given (see nn.Workspace)."""
     if spec.class_count != test_set.class_count:
         raise ValueError(
             f"model emits {spec.class_count} classes, test set has {test_set.class_count}"
         )
-    return accuracy_from_logits(nn.forward_logits(state, spec, test_set.inputs), test_set)
+    return accuracy_from_logits(nn.forward_logits(state, spec, test_set.inputs, workspace), test_set)
 
 
 def global_accuracy(per_class: np.ndarray, test_set: LabeledDataset) -> float:
@@ -100,14 +99,16 @@ def measure_local_forgetting(
     test_set: LabeledDataset,
     round_index: int,
     xi: float = DEFAULT_XI,
+    workspace: nn.Workspace | None = None,
 ) -> list[ForgettingRecord]:
     """One record per class with defined test accuracy, roles from the shard.
 
     ``global_acc_by_class`` is the accuracy vector of the round's received
     global model; passing it in lets the orchestrator evaluate the teacher
-    once per round instead of once per client.
+    once per round instead of once per client. The local model is evaluated
+    through ``workspace`` when one is given.
     """
-    local_acc = classwise_accuracy(local_state, spec, test_set)
+    local_acc = classwise_accuracy(local_state, spec, test_set, workspace)
     records = []
     for k in range(spec.class_count):
         g, l = global_acc_by_class[k], local_acc[k]

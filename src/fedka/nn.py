@@ -103,10 +103,11 @@ class Dense:
         w = params[..., :n].reshape(*params.shape[:-1], self.in_features, self.out_features)
         return w, params[..., n:]
 
-    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, out=None) -> np.ndarray:
+        """``x @ W + b``, written into ``out`` (allocated when None)."""
         slices, params = _clients(offsets, len(x), params)
         w, b = self._split(params)
-        y = np.empty((len(x), self.out_features))
+        y = np.empty((len(x), self.out_features)) if out is None else out
         for p, rows in enumerate(slices):
             yp = y[rows]
             np.matmul(x[rows], w[p], out=yp)
@@ -146,8 +147,8 @@ class Relu:
     def param_count(self) -> int:
         return 0
 
-    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
-        return np.maximum(x, 0.0)
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, out=None) -> np.ndarray:
+        return np.maximum(x, 0.0, out=out)
 
     def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
         # subgradient at 0 is fixed to 0
@@ -495,13 +496,61 @@ def check_state(state: ModelState, spec: NetworkSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None):
+class Workspace:
+    """Buffers that forward-only passes reuse, for evaluating many states
+    of one model on the same inputs.
+
+    A fresh pass over a large batch allocates every activation anew, and the
+    kernel faults its pages in each time. Through a workspace, each Dense
+    layer writes into its own buffer and a ReLU works in place on an array
+    the pass allocated, never on the caller's inputs or a view of them; conv
+    and pooling layers allocate as usual. The logits of a pass live in a
+    buffer until the next pass overwrites it. A workspace belongs to one
+    thread.
+
+    It also remembers the last read-only inputs it checked: their values
+    cannot change, so check_inputs runs once for them, not at every pass."""
+
+    def __init__(self):
+        self._buffers: dict[int, np.ndarray] = {}
+        self._checked: np.ndarray | None = None
+
+    def buffer(self, layer: int, shape: Shape) -> np.ndarray:
+        """Layer ``layer``'s output buffer, reallocated when its shape changes."""
+        buf = self._buffers.get(layer)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[layer] = np.empty(shape)
+        return buf
+
+    def checked_inputs(self, spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
+        """check_inputs, skipped for the read-only array checked last."""
+        if inputs is not self._checked or inputs.shape[1:] != spec.input_shape:
+            inputs = check_inputs(spec, inputs)
+            if not inputs.flags.writeable:
+                self._checked = inputs
+        return inputs
+
+
+def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
+             workspace: Workspace | None = None):
+    """Logits and, with ``keep_caches``, every layer's input. A ``workspace``
+    serves single-model passes that keep no caches."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
     h = x
+    owned = False   # h was allocated by this pass: not x, nor a view of it
     for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
         if caches is not None:
             caches.append(h)
-        h = layer.forward(params[..., sl], h, offsets)
+        if workspace is None:
+            h = layer.forward(params[..., sl], h, offsets)
+        elif isinstance(layer, Dense):
+            h = layer.forward(params[..., sl], h, out=workspace.buffer(i, (len(h), layer.out_features)))
+        elif isinstance(layer, Relu) and owned:
+            h = layer.forward(params[..., sl], h, out=h)
+        else:
+            h = layer.forward(params[..., sl], h)
+        # of all layers only Flatten returns a view of its input
+        owned = owned or not isinstance(layer, Flatten)
         if not np.isfinite(h).all():
             client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(h)) - 1
             raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})", client)
@@ -519,11 +568,18 @@ def check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
-    """Raw (batch, class_count) logits. No softmax is ever applied."""
+def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray,
+                   workspace: Workspace | None = None) -> np.ndarray:
+    """Raw (batch, class_count) logits. No softmax is ever applied.
+
+    Through a ``workspace`` the logits are bit-for-bit the same, but they
+    live in one of its buffers, which the workspace's next pass overwrites."""
     check_state(state, spec)
-    inputs = check_inputs(spec, inputs)
-    logits, _ = _forward(spec, state.params, inputs, keep_caches=False)
+    if workspace is None:
+        inputs = check_inputs(spec, inputs)
+    else:
+        inputs = workspace.checked_inputs(spec, inputs)
+    logits, _ = _forward(spec, state.params, inputs, keep_caches=False, workspace=workspace)
     return logits
 
 

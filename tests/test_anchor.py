@@ -260,6 +260,24 @@ def test_teacher_is_frozen_data():
     assert np.array_equal(grad_cached, grad_direct)
 
 
+def test_teacher_logits_unchanged_by_workspace_evaluation():
+    ds = blob_ds()
+    spec = nn.mlp_spec(2, (16,), 3)
+    g_state = nn.init_state(spec, stream(15, "init"))
+    built = anchor.KnowledgeAnchor(
+        tuple(anchor.AnchorEntry(ds.inputs[i], int(ds.labels[i]), "local", int(i)) for i in range(6)),
+        owner=0, round=1, dominant=frozenset({0}))
+    before = anchor.anchor_target(built, g_state, spec)
+    teacher = before.teacher.copy()
+    workspace = nn.Workspace()
+    for seed in (16, 17):
+        state = nn.init_state(spec, stream(seed, "init"))
+        nn.forward_logits(state, spec, before.inputs, workspace)
+        nn.forward_logits(state, spec, ds.inputs, workspace)
+    assert before.teacher.tobytes() == teacher.tobytes()
+    assert anchor.anchor_target(built, g_state, spec).teacher.tobytes() == teacher.tobytes()
+
+
 def test_ka_loss_rejects_mismatched_specs():
     spec_a = nn.mlp_spec(2, (4,), 3)
     spec_b = nn.mlp_spec(2, (5,), 3)

@@ -1,6 +1,7 @@
 """Forgetting-degree and accuracy tests with hand-checked expectations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,72 @@ def test_forgetting_records_satisfy_their_own_equation():
     for r in records:
         assert r.tau == metrics.forgetting_degree(r.acc_global, r.acc_local)
         assert r.round == 9 and r.client == 1
+
+
+def test_accuracy_from_logits_matches_per_class_means():
+    # class 2 has no test samples
+    labels = stream(8, "labels").choice([0, 1, 3], size=200)
+    ds = data.LabeledDataset(np.zeros((200, 1)), labels, 4, "gap")
+    logits = stream(9, "logits").normal(size=(200, 4))
+    correct = logits.argmax(axis=1) == labels
+    expected = np.array([correct[labels == k].mean() if (labels == k).any() else np.nan
+                         for k in range(4)])
+    assert metrics.accuracy_from_logits(logits, ds).tobytes() == expected.tobytes()
+
+
+def eval_case(preset):
+    """A spec and a test set with an absent class (class 2 of 4)."""
+    if preset == "mlp":
+        spec, shape = nn.mlp_spec(16, (128,), 4), (16,)
+    else:
+        spec, shape = nn.tcnn_spec((3, 12, 12), 4, conv_kernel=3), (3, 12, 12)
+    rng = stream(10, "test", preset)
+    labels = rng.choice([0, 1, 3], size=300 if preset == "mlp" else 12)
+    inputs = rng.normal(size=(len(labels), *shape)) + labels.reshape(-1, *[1] * len(shape))
+    return spec, data.LabeledDataset(inputs, labels, 4, "gap")
+
+
+@pytest.mark.parametrize("preset", ["mlp", "t_cnn"])
+def test_workspace_evaluation_matches_fresh_passes(preset):
+    spec, ds = eval_case(preset)
+    states = [nn.init_state(spec, stream(s, "init")) for s in (11, 12, 13)]
+    workspace = nn.Workspace()
+    # back to the first state last: each pass must overwrite what the one before left
+    for state in states + states[:1]:
+        logits = nn.forward_logits(state, spec, ds.inputs, workspace).tobytes()
+        acc = metrics.classwise_accuracy(state, spec, ds, workspace)
+        fresh = nn.forward_logits(state, spec, ds.inputs)
+        assert logits == fresh.tobytes()
+        assert acc.tobytes() == metrics.accuracy_from_logits(fresh, ds).tobytes()
+        assert math.isnan(acc[2])
+        records = metrics.measure_local_forgetting(
+            data.make_shard(0, np.arange(10), ds, gamma=0.05), acc, state, spec, ds, 1,
+            workspace=workspace)
+        assert sorted(r.klass for r in records) == [0, 1, 3]
+
+
+def test_workspace_evaluation_allocates_no_activations():
+    ds = data.synth_blobs(10, 500, 64, 4.0, seed=14)  # 5000 test rows
+    spec = nn.mlp_spec(64, (128,), 10)
+    states = [nn.init_state(spec, stream(s, "init")) for s in (15, 16, 17)]
+    workspace = nn.Workspace()
+
+    def peak(state, ws):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        metrics.classwise_accuracy(state, spec, ds, ws)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    metrics.classwise_accuracy(states[0], spec, ds, workspace)
+    tracemalloc.start()
+    try:
+        reused = [peak(state, workspace) for state in states]
+        fresh = peak(states[0], None)
+    finally:
+        tracemalloc.stop()
+    # a fresh pass holds a 5000x128 float64 activation (5.12 MB) at least
+    assert fresh >= 5000 * 128 * 8
+    assert max(reused) < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,48 @@ def test_forward_reports_layer_of_overflow():
 
 
 # ---------------------------------------------------------------------------
+# forward passes through a reused workspace
+# ---------------------------------------------------------------------------
+
+
+def test_workspace_reports_layer_of_overflow():
+    spec = nn.NetworkSpec((nn.Dense(2, 2),), (2,), 2)
+    params = np.array([1e308, 0.0, 0.0, 1e308, 0.0, 0.0])
+    state = nn.ModelState(params, np.zeros(6), spec.spec_hash)
+    with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match="layer 0"):
+        nn.forward_logits(state, spec, np.full((1, 2), 1e30), nn.Workspace())
+
+
+@pytest.mark.parametrize("spec", [
+    # the ReLU reads the network inputs directly, or through Flatten's view of them
+    nn.NetworkSpec((nn.Relu(), nn.Dense(6, 3)), (6,), 3),
+    nn.NetworkSpec((nn.Flatten(), nn.Relu(), nn.Dense(6, 3)), (2, 3), 3),
+], ids=["relu-first", "flatten-relu"])
+def test_workspace_never_writes_the_inputs(spec):
+    state = nn.init_state(spec, stream(60, "init"))
+    x = stream(61, "x").normal(size=(9, *spec.input_shape))
+    assert (x < 0).any()
+    before = x.copy()
+    workspace = nn.Workspace()
+    for _ in range(2):
+        logits = nn.forward_logits(state, spec, x, workspace)
+        assert x.tobytes() == before.tobytes()
+        assert logits.tobytes() == nn.forward_logits(state, spec, before).tobytes()
+
+
+def test_workspace_checks_every_new_input_array():
+    spec, state = small_mlp()
+    workspace = nn.Workspace()
+    good = np.zeros((2, 6))
+    good.setflags(write=False)
+    nn.forward_logits(state, spec, good, workspace)
+    with pytest.raises(nn.NonFiniteError, match="inputs"):
+        nn.forward_logits(state, spec, np.full((2, 6), np.nan), workspace)
+    with pytest.raises(nn.ShapeError):
+        nn.forward_logits(state, spec, np.zeros((2, 5)), workspace)
+
+
+# ---------------------------------------------------------------------------
 # gradients against central differences (independent loop in the test)
 # ---------------------------------------------------------------------------
 
