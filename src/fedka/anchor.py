@@ -200,17 +200,6 @@ def ka_grad(student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.nda
     return np.where(kept, scale * (student_logits - teacher_logits), 0.0)
 
 
-def ka_logit_loss_and_grad(
-    student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The anchor term of one client on logits, and its gradient: ``kept``
-    is the boolean mask of the compared columns."""
-    rows = len(student_logits)
-    row_kept = np.broadcast_to(kept, student_logits.shape)
-    loss = ka_losses(student_logits, teacher_logits, row_kept, (rows,), (int(row_kept.sum()),))
-    return float(loss[0]), ka_grad(student_logits, teacher_logits, row_kept, 2.0 / rows)
-
-
 @dataclass(frozen=True)
 class AnchorTarget:
     """What the anchor term needs at every step of a round: the stacked
@@ -339,8 +328,9 @@ def ka_loss_and_grad(
     inputs = anchor.inputs()
     if teacher_logits is None:
         teacher_logits = nn.forward_logits(global_state, spec, inputs)
-    kept = np.zeros(spec.class_count, dtype=bool)
-    kept[kept_classes(anchor.dominant, spec.class_count)] = True
+    kept = np.zeros((len(inputs), spec.class_count), dtype=bool)
+    kept[:, kept_classes(anchor.dominant, spec.class_count)] = True
     student_logits, caches = nn.forward_with_caches(local_state, spec, inputs)
-    loss, grad_logits = ka_logit_loss_and_grad(student_logits, teacher_logits, kept)
-    return loss, nn.backward_from_logits(spec, local_state.params, caches, grad_logits)
+    loss = ka_losses(student_logits, teacher_logits, kept, (len(inputs),), (int(kept.sum()),))
+    grad_logits = ka_grad(student_logits, teacher_logits, kept, 2.0 / len(inputs))
+    return float(loss[0]), nn.backward_from_logits(spec, local_state.params, caches, grad_logits)

@@ -140,6 +140,8 @@ def load_idx(images_path, labels_path, class_count: int | None = None) -> Labele
     (n_lbl,), lbl_off = _read_header(lbl_blob, labels_path, 0x00000801, 1)
     if n != n_lbl:
         raise IdxFormatError(labels_path, 4, f"{n_lbl} labels for {n} images")
+    if n == 0:
+        raise IdxFormatError(images_path, 4, "the file holds no images")
     expected = img_off + n * rows * cols
     if len(img_blob) != expected:
         raise IdxFormatError(images_path, len(img_blob),

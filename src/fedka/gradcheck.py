@@ -3,6 +3,8 @@
 Checks the analytic gradients of plain cross-entropy, the proximal
 objective and the anchored objective against central differences on
 randomly sampled coordinates, over several seeds and both model presets.
+The differences are taken of each objective's loss as training computes
+it for its loss trace (anchor.fused_losses, nn.proximal_loss_and_grad).
 Draws whose forward pass runs too close to a ReLU or pooling kink for the
 probe step are resampled (the analytic subgradient is still valid there,
 but central differences straddle the kink and disagree).
@@ -54,15 +56,55 @@ def check_objective(
     coords: np.ndarray,
     step: float,
 ) -> float:
-    """Worst relative error of the objective's gradient on given coords.
+    """Worst |analytic - central difference| / max(|analytic|, |central|,
+    1e-12) of the objective's gradient on given coords.
 
     ``loss_only`` must compute the same scalar as ``objective`` without the
     backward pass; central differences call it two times per coordinate.
     """
+    if step <= 0:
+        raise ValueError("finite-difference step must be > 0")
     _, grad = objective(state)
-    def loss_at(params: np.ndarray) -> float:
-        return loss_only(nn.ModelState(params, state.momentum, state.spec_hash))
-    return nn.max_rel_grad_error(loss_at, grad, state.params, coords, step)
+    probe = state.params.copy()
+    moved = nn.ModelState(probe, state.momentum, state.spec_hash)
+    worst = 0.0
+    for c in coords:
+        base = probe[c]
+        probe[c] = base + step
+        plus = loss_only(moved)
+        probe[c] = base - step
+        minus = loss_only(moved)
+        probe[c] = base
+        numeric = (plus - minus) / (2.0 * step)
+        analytic = grad[c]
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12))
+    return worst
+
+
+def objective_loss(
+    spec: nn.NetworkSpec,
+    batch: nn.Batch,
+    target: anchor_mod.AnchorTarget | None = None,
+    beta: float = 0.0,
+    center: np.ndarray | None = None,
+    mu: float = 0.0,
+) -> LossOnly:
+    """The forward-only loss of a client's objective: cross-entropy on the
+    batch, plus ``beta`` times the anchor term on ``target``'s rows, plus
+    the proximal term around ``center``. Like training's loss trace, it
+    takes one forward pass over the batch rows followed by the anchor rows,
+    anchor.fused_losses and nn.proximal_loss_and_grad."""
+    labels = nn.batch_labels(spec, batch)
+    rows = anchor_mod.fused_rows((len(labels),), [target])
+    inputs = batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+
+    def loss(state: nn.ModelState) -> float:
+        value = float(anchor_mod.fused_losses(
+            nn.forward_logits(state, spec, inputs), labels, rows, beta)[0])
+        if center is not None:
+            value += nn.proximal_loss_and_grad(state.params, center, mu)[0]
+        return value
+    return loss
 
 
 def _sample_away_from_kinks(spec, seed, batch_size, attempt_tokens, margin=KINK_MARGIN):
@@ -100,48 +142,30 @@ def check_preset(
     beta: float = 0.3,
 ) -> list[CheckResult]:
     """CE, proximal and anchored objectives on one architecture."""
-    worst = {"ce": 0.0, "prox": 0.0, "anchored": 0.0}
+    names = (f"{label} cross-entropy", f"{label} proximal (mu={mu:g})",
+             f"{label} anchored (beta={beta:g})")
+    worst = [0.0] * len(names)
     for seed in range(seeds):
         state, batch = _sample_away_from_kinks(spec, seed, batch_size, ())
         teacher = nn.init_state(spec, stream(seed, "gc-teacher"))
-        built = _anchor_for(spec, seed)
+        target = anchor_mod.anchor_target(_anchor_for(spec, seed), teacher, spec)
         coords = stream(seed, "gc-coords").choice(
             spec.param_count, size=min(coords_per_seed, spec.param_count), replace=False)
-
-        target = anchor_mod.anchor_target(built, teacher, spec)
-
-        def ce(s):
-            return nn.ce_loss_and_grad(s, spec, batch)
-
-        def ce_only(s):
-            return nn.ce_loss(s, spec, batch)
 
         def prox(s):
             loss, grad = nn.ce_loss_and_grad(s, spec, batch)
             p_loss, p_grad = nn.proximal_loss_and_grad(s.params, teacher.params, mu)
             return loss + p_loss, grad + p_grad
 
-        def prox_only(s):
-            return nn.ce_loss(s, spec, batch) + nn.proximal_loss_and_grad(s.params, teacher.params, mu)[0]
-
-        def anchored(s):
-            return anchor_mod.anchored_loss_and_grad(s, spec, batch, target, beta)
-
-        def anchored_only(s):
-            student_logits = nn.forward_logits(s, spec, target.inputs)
-            a_loss, _ = anchor_mod.ka_logit_loss_and_grad(
-                student_logits, target.teacher, target.kept)
-            return nn.ce_loss(s, spec, batch) + beta * a_loss
-
-        worst["ce"] = max(worst["ce"], check_objective(ce, ce_only, state, coords, step))
-        worst["prox"] = max(worst["prox"], check_objective(prox, prox_only, state, coords, step))
-        worst["anchored"] = max(
-            worst["anchored"], check_objective(anchored, anchored_only, state, coords, step))
-    return [
-        CheckResult(f"{label} cross-entropy", seeds, coords_per_seed, worst["ce"], tol),
-        CheckResult(f"{label} proximal (mu={mu:g})", seeds, coords_per_seed, worst["prox"], tol),
-        CheckResult(f"{label} anchored (beta={beta:g})", seeds, coords_per_seed, worst["anchored"], tol),
-    ]
+        checks = [
+            (lambda s: nn.ce_loss_and_grad(s, spec, batch), objective_loss(spec, batch)),
+            (prox, objective_loss(spec, batch, center=teacher.params, mu=mu)),
+            (lambda s: anchor_mod.anchored_loss_and_grad(s, spec, batch, target, beta),
+             objective_loss(spec, batch, target, beta)),
+        ]
+        for i, (objective, loss_only) in enumerate(checks):
+            worst[i] = max(worst[i], check_objective(objective, loss_only, state, coords, step))
+    return [CheckResult(name, seeds, coords_per_seed, w, tol) for name, w in zip(names, worst)]
 
 
 def run_gradcheck(

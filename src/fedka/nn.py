@@ -691,9 +691,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Individual CE losses, used for hard / proficient sample mining."""
     logits = forward_logits(state, spec, inputs)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -log_probs[np.arange(len(labels)), np.asarray(labels)]
+    n = len(logits)
+    return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)
 
 
 def batch_labels(spec: NetworkSpec, batch: Batch) -> np.ndarray:
@@ -713,13 +712,6 @@ def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, batch: Batch):
     loss, grad_logits = softmax_cross_entropy(logits, labels)
     grad = backward_from_logits(spec, state.params, caches, grad_logits)
     return loss, grad
-
-
-def ce_loss(state: ModelState, spec: NetworkSpec, batch: Batch) -> float:
-    """The loss of ce_loss_and_grad without the backward pass."""
-    logits = forward_logits(state, spec, batch.inputs)
-    m = len(logits)
-    return float(ce_losses(logits, np.asarray(batch.labels), np.arange(m), (m,))[0])
 
 
 def proximal_loss_and_grad(params: np.ndarray, center: np.ndarray, mu: float):
@@ -795,26 +787,6 @@ def sgd_step(
 # ---------------------------------------------------------------------------
 
 
-def max_rel_grad_error(loss_fn, grad: np.ndarray, params: np.ndarray, coords, step: float) -> float:
-    """Worst |analytic - central difference| / max(|analytic|, |central|, 1e-12)."""
-    if step <= 0:
-        raise ValueError("finite-difference step must be > 0")
-    worst = 0.0
-    probe = params.copy()
-    for c in coords:
-        base = probe[c]
-        probe[c] = base + step
-        plus = loss_fn(probe)
-        probe[c] = base - step
-        minus = loss_fn(probe)
-        probe[c] = base
-        numeric = (plus - minus) / (2.0 * step)
-        analytic = grad[c]
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-        worst = max(worst, err)
-    return worst
-
-
 def activation_margin(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> float:
     """Distance of the forward pass from the nearest kink: the smallest
     |pre-activation| over ReLU inputs and smallest top-two gap over pooling
@@ -861,6 +833,8 @@ def load_state(path: str | Path) -> ModelState:
     blob = Path(path).read_bytes()
     if blob[:4] != _STATE_MAGIC:
         raise ValueError(f"{path}: not a model-state file (bad magic {blob[:4]!r})")
+    if len(blob) < 44:
+        raise ValueError(f"{path}: {len(blob)} bytes, shorter than the 44-byte header")
     spec_hash = blob[4:36].hex()
     (length,) = struct.unpack("<Q", blob[36:44])
     expected = 44 + 2 * 8 * length

@@ -306,6 +306,14 @@ def test_idx_truncated_file_names_lengths(tmp_path):
         data.load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("class_count", [None, 2])
+def test_idx_without_samples_is_rejected(tmp_path, class_count):
+    ip, lp = write_idx_pair(tmp_path, [], [])
+    with pytest.raises(data.IdxFormatError, match="byte 4: the file holds no images") as err:
+        data.load_idx(ip, lp, class_count=class_count)
+    assert err.value.offset == 4 and str(ip) in str(err.value)
+
+
 def test_idx_bad_magic_and_count_mismatch(tmp_path):
     ip, lp = write_idx_pair(tmp_path, [1] * 8, [0, 1])
     bad = tmp_path / "bad.idx"

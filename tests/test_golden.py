@@ -47,6 +47,14 @@ CASES = {
         "training": {"rounds": 2, "local_epochs": 1, "batch_size": 8, "lr": 0.05},
     },
 }
+# hard and proficient anchors pick a non-dominant class's sample by its CE
+# loss under the round's global model. gamma 0.5 leaves classes of several
+# samples non-dominant, so the two picks differ from each other, from
+# random and from round to round
+for _selection in ("hard", "proficient"):
+    CASES[f"mlp-fedka-{_selection}"] = {
+        **BLOB, "partition": {**BLOB["partition"], "gamma": 0.5},
+        "strategy": {"kind": "fedka", "beta": 0.3, "selection": _selection}}
 # the fedka case sends the anchor rows through conv and pool backward too
 CASES["tcnn-fedka"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedka", "beta": 0.3}}
 CASES["tcnn-fedprox"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedprox", "mu": 0.5},
@@ -126,6 +134,31 @@ DIGESTS = {
             "5984cb539efb484d38f5908d278639418fcd12de314e4dba0658c0699da3ea20",
         "checkpoints/final.bin":
             "e06aa536ad836a997a6ec64d446aa0678ea4a7a7d3e13d4d9a11b282da01842c",
+    },
+    # pinned before per_sample_ce scored its rows through ce_losses
+    "mlp-fedka-hard": {
+        "metrics/clients.csv":
+            "84738f08b228312d399708aafaef1c4da3a7df698d81950e08c9aac051c1330f",
+        "metrics/forgetting.csv":
+            "3f4245eaa7af5f82cac630e81389847afd63eacdb838d267fae278a4085a8633",
+        "metrics/rounds.csv":
+            "d4c581fa97d4d6a743ba019dc42f1c32e494e90887266f29f8cca447d7253a63",
+        "anchors.csv":
+            "6a20a25a5d997b01aad07ebf09f129a897eb69353eb8778beaea58096e2d802c",
+        "checkpoints/final.bin":
+            "32e2fbac6b8a1a34ae457f872227987e2de3d58c539f8015670a9db4aec71656",
+    },
+    "mlp-fedka-proficient": {
+        "metrics/clients.csv":
+            "8db774dd5b8fdb0945ad29514f1d2c02ff03132205bf9aa1e21582b271ef5752",
+        "metrics/forgetting.csv":
+            "6a25ab7e41c15d7f01a74721cc957f0dbec9822c2676de8125227821d2b1fba8",
+        "metrics/rounds.csv":
+            "dbb5f08de5ce844367a142a2cf3c6c29d03b4301f50018f9a1363d8196cb7bab",
+        "anchors.csv":
+            "07e230300a4e1f6b611c7a75474bfb4a66d3c497bd305319f4352f4bc6dac4e6",
+        "checkpoints/final.bin":
+            "4cc88de1091a43c51e710e4ec1d64a5b5bee7dba71b4fd787ed9e967e4f595b2",
     },
     "tcnn-fedavg": {
         **TCNN_CSVS,

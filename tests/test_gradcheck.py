@@ -4,12 +4,14 @@ and fail loudly on corrupted ones."""
 import numpy as np
 import pytest
 
-from fedka import nn
+from fedka import anchor, nn
 from fedka.gradcheck import (
     CheckResult,
     check_objective,
     check_preset,
+    objective_loss,
     run_gradcheck,
+    _anchor_for,
     _sample_away_from_kinks,
 )
 from fedka.rng import stream
@@ -29,10 +31,7 @@ def test_correct_gradient_passes():
     def obj(s):
         return nn.ce_loss_and_grad(s, SPEC, batch)
 
-    def obj_loss(s):
-        return nn.ce_loss(s, SPEC, batch)
-
-    err = check_objective(obj, obj_loss, state, coords, step=1e-5)
+    err = check_objective(obj, objective_loss(SPEC, batch), state, coords, step=1e-5)
     assert err < 1e-4
 
 
@@ -46,10 +45,7 @@ def test_corrupted_gradient_fails():
         grad[coords] *= 1.5
         return loss, grad
 
-    def loss_only(s):
-        return nn.ce_loss(s, SPEC, batch)
-
-    err = check_objective(broken, loss_only, state, coords, step=1e-5)
+    err = check_objective(broken, objective_loss(SPEC, batch), state, coords, step=1e-5)
     assert err > 0.2
 
 
@@ -62,17 +58,30 @@ def test_mismatched_loss_only_fails():
     def obj(s):
         return nn.ce_loss_and_grad(s, SPEC, batch)
 
+    loss_only = objective_loss(SPEC, batch)
+
     def wrong_loss(s):
-        return 2.0 * nn.ce_loss(s, SPEC, batch)
+        return 2.0 * loss_only(s)
 
     err = check_objective(obj, wrong_loss, state, coords, step=1e-5)
     assert err > 0.2
 
 
 def test_loss_only_matches_objective_loss():
-    state, batch = _state_and_batch(seed=3)
-    full, _ = nn.ce_loss_and_grad(state, SPEC, batch)
-    assert nn.ce_loss(state, SPEC, batch) == full
+    # the central differences probe the very loss each objective returns
+    for spec in (nn.mlp_spec(12, (16, 8), 5), nn.tcnn_spec()):
+        state, batch = _sample_away_from_kinks(spec, 3, 2, ())
+        teacher = nn.init_state(spec, stream(3, "teacher"))
+        target = anchor.anchor_target(_anchor_for(spec, 3), teacher, spec)
+        center = teacher.params
+
+        ce, _ = nn.ce_loss_and_grad(state, spec, batch)
+        assert objective_loss(spec, batch)(state) == ce
+        prox = ce + nn.proximal_loss_and_grad(state.params, center, 0.1)[0]
+        assert objective_loss(spec, batch, center=center, mu=0.1)(state) == prox
+        anchored, _ = anchor.anchored_loss_and_grad(state, spec, batch, target, 0.3)
+        assert objective_loss(spec, batch, target, 0.3)(state) == anchored
+        assert anchored != ce
 
 
 def test_kink_avoidance_returns_clear_margin():

@@ -475,8 +475,12 @@ def test_load_state_rejects_garbage(tmp_path):
         nn.load_state(path)
     spec, state = small_mlp()
     nn.save_state(state, path)
-    path.write_bytes(path.read_bytes()[:-8])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="bytes"):
+        nn.load_state(path)
+    path.write_bytes(blob[:40])
+    with pytest.raises(ValueError, match=f"{path.name}: 40 bytes, shorter than the 44-byte header"):
         nn.load_state(path)
 
 
