@@ -119,10 +119,12 @@ def local_train(
     spec: nn.NetworkSpec,
     dataset: LabeledDataset,
     shared: anchor.SharedDataset | None = None,
+    workspace: nn.Workspace | None = None,
 ) -> list[ClientUpdate]:
     """Train a fresh copy of the global model on each client's shard, under
     ``cfg.training`` and ``cfg.strategy``, all clients in lockstep; returns
-    the updates in the order of ``shards``.
+    the updates in the order of ``shards``. The passes build their conv
+    column matrices in ``workspace``, which nothing else may use meanwhile.
 
     Each copy starts with zeroed momentum. Proximal and anchor terms are
     evaluated only when their weights are nonzero, so a zero-weight run is
@@ -203,10 +205,10 @@ def local_train(
         stack_params, stack_grad = params[:active], grad[:active]
         prox_loss = None
         try:
-            logits, caches = nn.forward_stack(spec, stack_params, inputs, rows.offsets)
+            logits, caches = nn.forward_stack(spec, stack_params, inputs, rows.offsets, workspace)
             grad_logits = anchor.fused_grad_logits(logits, labels, rows, strategy.beta)
             nn.backward_from_logits(spec, stack_params, caches, grad_logits, out=stack_grad,
-                                    offsets=rows.offsets)
+                                    offsets=rows.offsets, workspace=workspace)
             if prox:
                 prox_loss, prox_grad = nn.proximal_loss_and_grad(
                     stack_params, global_state.params, strategy.mu)
@@ -324,12 +326,15 @@ def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, d
 
 def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
               global_state: nn.ModelState, spec: nn.NetworkSpec, train: LabeledDataset,
-              shared: anchor.SharedDataset | None) -> list[ClientUpdate]:
+              shared: anchor.SharedDataset | None,
+              workspaces: list[nn.Workspace]) -> list[ClientUpdate]:
     """Round r's local stages: the sampled participants train on their
     shards in lockstep, split into ``training.parallel_clients`` contiguous
-    stacks that run in threads. Returns the updates in client order; a
-    failure raises RunError naming the round (and the client, when one is
-    at fault).
+    stacks that run in threads. Stack i trains through ``workspaces[i]``,
+    so a caller that keeps ``parallel_clients`` workspaces across rounds
+    reuses their buffers. Returns the updates in client order; a failure
+    raises RunError naming the round (and the client, when one is at
+    fault).
     """
     t = cfg.training
     participants = sample_participants(
@@ -337,10 +342,13 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
     k = min(t.parallel_clients, len(participants))
     stacks = [participants[len(participants) * i // k:len(participants) * (i + 1) // k]
               for i in range(k)]
+    if len(workspaces) < k:
+        raise ValueError(f"{k} training stacks need as many workspaces, got {len(workspaces)}")
 
-    def train_stack(ids: tuple[int, ...]) -> list[ClientUpdate]:
+    def train_stack(ids: tuple[int, ...], workspace: nn.Workspace) -> list[ClientUpdate]:
         try:
-            return local_train(cfg, r, [shards[cid] for cid in ids], global_state, spec, train, shared)
+            return local_train(cfg, r, [shards[cid] for cid in ids], global_state, spec, train,
+                               shared, workspace)
         except RunError:
             raise
         except Exception as exc:
@@ -348,8 +356,8 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
 
     if k > 1:
         with ThreadPoolExecutor(max_workers=k) as pool:
-            return [u for updates in pool.map(train_stack, stacks) for u in updates]
-    return train_stack(participants)
+            return [u for updates in pool.map(train_stack, stacks, workspaces) for u in updates]
+    return train_stack(participants, workspaces[0])
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) -> Path:
@@ -388,13 +396,16 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             epoch_forgetting=cfg.metrics.epoch_forgetting)
     except OSError as exc:
         raise RunError(f"cannot open metric files: {exc}") from None
-    # every state of the run is evaluated through one set of buffers
-    workspace = nn.Workspace()
+    # each training stack keeps one set of buffers for the whole run; every
+    # state of the run is evaluated through the first, as evaluation never
+    # overlaps training
+    train_workspaces = [nn.Workspace() for _ in range(t.parallel_clients)]
+    workspace = train_workspaces[0]
     with writer:
         teacher_acc = classwise_accuracy(global_state, spec, test, workspace)
         for r in range(1, t.rounds + 1):
             shards.update(changes.get(r, {}))
-            updates = run_round(cfg, r, shards, global_state, spec, train, shared)
+            updates = run_round(cfg, r, shards, global_state, spec, train, shared, train_workspaces)
             global_state = aggregate(updates)
             post_acc = classwise_accuracy(global_state, spec, test, workspace)
             acc = global_accuracy(post_acc, test)

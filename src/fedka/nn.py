@@ -19,6 +19,11 @@ model would use: OpenBLAS rounds a product's rows differently depending on
 how many rows it has, so padding clients to a common row count would move
 bits. Row-wise work (ReLU, pooling, the loss) and SGD run once for the whole
 stack. A flat parameter vector with no offsets is the single-model case.
+
+A convolution is an explicit GEMM over an im2col column matrix
+(Chellapilla et al. 2006), and its input gradient a GEMM followed by col2im.
+The column matrices live in a Workspace's column scratch, which a caller
+keeps from pass to pass.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ def _clients(offsets, n_rows: int, *arrays) -> tuple:
     if offsets is None:
         return ((slice(0, n_rows),), *(a[None] for a in arrays))
     return (_row_slices(offsets), *arrays)
+
+
+def _scratch(workspace: Workspace | None, size: int) -> np.ndarray:
+    """``size`` entries of the workspace's column scratch, or of a new array."""
+    return np.empty(size) if workspace is None else workspace.columns(size)
 
 
 def _first_bad_row(values: np.ndarray) -> int:
@@ -160,7 +170,14 @@ class Relu:
 
 @dataclass(frozen=True)
 class Conv2d:
-    """Valid (unpadded) stride-1 cross-correlation on (batch, C, H, W)."""
+    """Valid (unpadded) stride-1 cross-correlation on (batch, C, H, W), as
+    explicit GEMMs over im2col column matrices.
+
+    The forward pass returns a (batch, O, oh, ow) view of a channel-major
+    (O, batch, oh, ow) array, and takes its output gradient in the same
+    layout without a copy. Column matrices come from a ``workspace``'s
+    column scratch (see Workspace) or, without one, from one allocation per
+    call."""
 
     in_channels: int
     out_channels: int
@@ -192,37 +209,69 @@ class Conv2d:
                                     self.kernel, self.kernel)
         return w, params[..., n:]
 
-    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
+    def _windows(self, x: np.ndarray) -> np.ndarray:
+        """The (batch, C, oh, ow, k, k) view of x's sliding windows."""
+        return sliding_window_view(x, (self.kernel, self.kernel), axis=(2, 3))
+
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, workspace=None) -> np.ndarray:
+        """One (C*k*k, rows*oh*ow) column matrix for the whole stack, then
+        ``W @ cols`` per client into its own columns of the output. That is
+        the product einsum forms for this contraction, so the output is
+        bit-for-bit einsum's."""
         slices, params = _clients(offsets, len(x), params)
         w, b = self._split(params)
-        k = self.kernel
-        parts = [np.einsum("bchwij,ocij->bohw", sliding_window_view(x[rows], (k, k), axis=(2, 3)),
-                           w[p], optimize=True) + b[p][None, :, None, None]
-                 for p, rows in enumerate(slices)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        n, c, h, wd = x.shape
+        k, o = self.kernel, self.out_channels
+        oh, ow = h - k + 1, wd - k + 1
+        hw, ckk = oh * ow, c * k * k
+        cols = _scratch(workspace, ckk * n * hw).reshape(ckk, n * hw)
+        cols.reshape(c, k, k, n, oh, ow)[...] = self._windows(x).transpose(1, 4, 5, 0, 2, 3)
+        y = np.empty((o, n * hw))
+        for p, rows in enumerate(slices):
+            cs = slice(rows.start * hw, rows.stop * hw)
+            yp = y[:, cs]
+            np.matmul(w[p].reshape(o, ckk), cols[:, cs], out=yp)
+            yp += b[p][:, None]
+        return y.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
-        """As Dense.backward."""
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, workspace=None):
+        """As Dense.backward. Per client, the weight gradient is
+        ``grad_out (O, rows*oh*ow) @ cols (rows*oh*ow, C*k*k)``, bit-for-bit
+        einsum's, and the input gradient is col2im: ``W.T @ grad_out`` into
+        a column matrix, then k*k shifted adds into the input's shape. That
+        sums in another order than the full correlation of grad_out with
+        the flipped kernel, so it differs from it in rounding. The two column
+        matrices take turns in one buffer."""
         if out is None:
             out = np.empty(params.shape)
         slices, params, stack_out = _clients(offsets, len(x), params, out)
         w, _ = self._split(params)
         grad_w, grad_b = self._split(stack_out)
-        k = self.kernel
-        parts = []
+        n, c, h, wd = x.shape
+        k, o = self.kernel, self.out_channels
+        oh, ow = h - k + 1, wd - k + 1
+        hw, ckk = oh * ow, c * k * k
+        # (O, rows*oh*ow); a view when grad_out is channel-major, as forward returns it
+        go = grad_out.transpose(1, 0, 2, 3).reshape(o, n * hw)
+        most = max(rows.stop - rows.start for rows in slices)
+        scratch = _scratch(workspace, most * hw * ckk)
+        grad_x = np.zeros((c, n, h, wd)) if input_grad else None
         for p, rows in enumerate(slices):
-            win = sliding_window_view(x[rows], (k, k), axis=(2, 3))
-            grad_w[p] = np.einsum("bchwij,bohw->ocij", win, grad_out[rows], optimize=True)
+            m = rows.stop - rows.start
+            g = go[:, rows.start * hw:rows.stop * hw]
+            cols = scratch[:m * hw * ckk].reshape(m * hw, ckk)
+            cols.reshape(m, oh, ow, c, k, k)[...] = self._windows(x[rows]).transpose(0, 2, 3, 1, 4, 5)
+            np.matmul(g, cols, out=grad_w[p].reshape(o, ckk))
             np.add.reduce(grad_out[rows], axis=(0, 2, 3), out=grad_b[p])
             if input_grad:
-                # full correlation of grad_out with the flipped kernel
-                padded = np.pad(grad_out[rows], ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-                gwin = sliding_window_view(padded, (k, k), axis=(2, 3))
-                parts.append(np.einsum("bohwij,ocij->bchw", gwin, w[p][:, :, ::-1, ::-1], optimize=True))
-        grad_x = None
-        if input_grad:
-            grad_x = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return out, grad_x
+                dcols = scratch[:ckk * m * hw].reshape(ckk, m * hw)
+                np.matmul(w[p].reshape(o, ckk).T, g, out=dcols)
+                dcols = dcols.reshape(c, k, k, m, oh, ow)
+                gx = grad_x[:, rows]
+                for i in range(k):
+                    for j in range(k):
+                        gx[:, :, i:i + oh, j:j + ow] += dcols[:, i, j]
+        return out, None if grad_x is None else grad_x.transpose(1, 0, 2, 3)
 
     def to_json(self) -> dict:
         return {
@@ -278,7 +327,12 @@ class MaxPool:
             return None, None
         views = self._views(x)
         best = self._max(views)
-        grad_x = np.zeros_like(x)
+        # the loop below writes every cell of a full window: zero only the
+        # ragged rows and columns beyond the last one
+        grad_x = np.empty_like(x)
+        k = self.kernel
+        grad_x[..., best.shape[-2] * k:, :] = 0.0
+        grad_x[..., best.shape[-1] * k:] = 0.0
         # walk the offsets in row-major order: the first one holding the
         # window's maximum takes its gradient, so a tie goes to the first
         unclaimed = np.ones(best.shape, dtype=bool)
@@ -497,23 +551,34 @@ def check_state(state: ModelState, spec: NetworkSpec) -> None:
 
 
 class Workspace:
-    """Buffers that forward-only passes reuse, for evaluating many states
-    of one model on the same inputs.
+    """Buffers that passes reuse, for evaluating many states of one model
+    on the same inputs and for training one stack of models step after step.
 
     A fresh pass over a large batch allocates every activation anew, and the
-    kernel faults its pages in each time. Through a workspace, each Dense
-    layer writes into its own buffer and a ReLU works in place on an array
-    the pass allocated, never on the caller's inputs or a view of them; conv
-    and pooling layers allocate as usual. The logits of a pass live in a
-    buffer until the next pass overwrites it. A workspace belongs to one
-    thread.
+    kernel faults its pages in each time. Through a workspace, conv layers
+    build their im2col column matrices in one column scratch; only one such
+    matrix is live at a time, so the scratch grows to the largest and stays.
+    In a forward-only pass, each Dense layer also writes into its own buffer
+    and a ReLU works in place on an array the pass allocated, never on the
+    caller's inputs or a view of them; pooling layers allocate as usual. The
+    logits of such a pass live in a buffer until the next pass overwrites
+    it. A workspace serves one pass at a time: threads that run at once
+    need one each.
 
     It also remembers the last read-only inputs it checked: their values
     cannot change, so check_inputs runs once for them, not at every pass."""
 
     def __init__(self):
         self._buffers: dict[int, np.ndarray] = {}
+        self._columns = np.empty(0)
         self._checked: np.ndarray | None = None
+
+    def columns(self, size: int) -> np.ndarray:
+        """The first ``size`` entries of the column scratch, grown when it
+        is smaller; what the last caller wrote there is overwritten."""
+        if self._columns.size < size:
+            self._columns = np.empty(size)
+        return self._columns[:size]
 
     def buffer(self, layer: int, shape: Shape) -> np.ndarray:
         """Layer ``layer``'s output buffer, reallocated when its shape changes."""
@@ -533,22 +598,24 @@ class Workspace:
 
 def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
              workspace: Workspace | None = None):
-    """Logits and, with ``keep_caches``, every layer's input. A ``workspace``
-    serves single-model passes that keep no caches."""
+    """Logits and, with ``keep_caches``, every layer's input. Conv layers
+    take their column matrices from a ``workspace``; a pass that keeps no
+    caches also writes Dense outputs into its buffers, and ReLUs in place."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
+    reuse = workspace is not None and not keep_caches
     h = x
     owned = False   # h was allocated by this pass: not x, nor a view of it
     for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
         if caches is not None:
             caches.append(h)
-        if workspace is None:
-            h = layer.forward(params[..., sl], h, offsets)
-        elif isinstance(layer, Dense):
+        if isinstance(layer, Conv2d):
+            h = layer.forward(params[..., sl], h, offsets, workspace)
+        elif reuse and isinstance(layer, Dense):
             h = layer.forward(params[..., sl], h, out=workspace.buffer(i, (len(h), layer.out_features)))
-        elif isinstance(layer, Relu) and owned:
+        elif reuse and isinstance(layer, Relu) and owned:
             h = layer.forward(params[..., sl], h, out=h)
         else:
-            h = layer.forward(params[..., sl], h)
+            h = layer.forward(params[..., sl], h, offsets)
         # of all layers only Flatten returns a view of its input
         owned = owned or not isinstance(layer, Flatten)
         if not np.isfinite(h).all():
@@ -590,20 +657,23 @@ def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray
     return _forward(spec, state.params, inputs, keep_caches=True)
 
 
-def forward_stack(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, offsets):
+def forward_stack(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, offsets,
+                  workspace: Workspace | None = None):
     """Logits and caches of a (P, n) stack of models, client p on the input
-    rows ``offsets[p]:offsets[p + 1]``. The inputs are not checked here: the
-    caller checks each client's data once, not at every step."""
-    return _forward(spec, params, inputs, True, offsets)
+    rows ``offsets[p]:offsets[p + 1]``; conv layers build their column
+    matrices in the ``workspace``'s scratch. The inputs are not checked
+    here: the caller checks each client's data once, not at every step."""
+    return _forward(spec, params, inputs, True, offsets, workspace)
 
 
 def backward_from_logits(
     spec: NetworkSpec, params: np.ndarray, caches: list[np.ndarray], grad_logits: np.ndarray,
-    out: np.ndarray | None = None, offsets=None,
+    out: np.ndarray | None = None, offsets=None, workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Backpropagate an arbitrary dLoss/dlogits to the parameter gradient of
     a flat vector, or of a (P, n) stack with its row ``offsets``. Each layer
-    writes its part straight into ``out`` (allocated when None).
+    writes its part straight into ``out`` (allocated when None); conv layers
+    build their column matrices in the ``workspace``'s scratch.
 
     Nothing reads the gradient with respect to the network inputs, so layer 0
     is not asked for it."""
@@ -612,9 +682,10 @@ def backward_from_logits(
         out = np.empty_like(params)
     g = grad_logits
     for i in range(len(spec.layers) - 1, -1, -1):
-        sl = spec.param_slices[i]
-        _, g = spec.layers[i].backward(params[..., sl], caches[i], g, input_grad=i > 0,
-                                       out=out[..., sl], offsets=offsets)
+        layer, sl = spec.layers[i], spec.param_slices[i]
+        where = {"workspace": workspace} if isinstance(layer, Conv2d) else {}
+        _, g = layer.backward(params[..., sl], caches[i], g, input_grad=i > 0,
+                              out=out[..., sl], offsets=offsets, **where)
     return out
 
 

@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps fedka functions by name: every name it wraps
-must exist, and removing the tracer must put every original back."""
+must exist, and removing the tracer must put every original back. Its
+per-layer table calls each layer's forward and backward positionally, and
+must keep running."""
 
 from pathlib import Path
 
@@ -32,3 +34,17 @@ def test_tracer_removal_restores_every_original(spans):
     finally:
         tracer.remove()
     assert all(ns.__dict__[attr] is original for (ns, attr), original in zip(sites, originals))
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    return layers
+
+
+def test_layer_table_times_every_layer(layers):
+    rows = layers.table(1)
+    assert [(r["model"], r["index"]) for r in rows] == [
+        (model, i) for model, spec in layers.MODELS.items() for i in range(len(spec.layers))]
+    assert all(r["forward_s"] > 0 and r["backward_s"] > 0 for r in rows)

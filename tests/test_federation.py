@@ -299,6 +299,27 @@ def test_lockstep_matches_serial_reference_byte_for_byte(preset, kind, strategy)
         assert a.loss_trace == b.loss_trace
 
 
+def test_training_workspace_changes_no_bit():
+    """One workspace kept across two rounds, whose stacks hold different row
+    counts, trains exactly as fresh allocations do. Two convs, so col2im
+    runs too, and fedka, so the anchor rows pass through them."""
+    ds, _, _, shards = lockstep_setup("t_cnn")
+    spec = nn.NetworkSpec((nn.Conv2d(1, 3, 3), nn.Relu(), nn.Conv2d(3, 4, 3), nn.Relu(),
+                           nn.MaxPool(2), nn.Flatten(), nn.Dense(4, 4)), (1, 6, 6), 4)
+    state = nn.init_state(spec, stream(5, "init"))
+    shared = anchor.build_shared_dataset(ds, seed=9)
+    cfg = lockstep_cfg("fedka", beta=0.3)
+    workspace = nn.Workspace()
+    for r, group in ((1, shards), (2, shards[3:])):
+        kept = federation.local_train(cfg, r, group, state, spec, ds, shared, workspace)
+        fresh = federation.local_train(cfg, r, group, state, spec, ds, shared)
+        for a, b in zip(kept, fresh, strict=True):
+            assert a.state.params.tobytes() == b.state.params.tobytes()
+            assert a.state.momentum.tobytes() == b.state.momentum.tobytes()
+            assert a.loss_trace == b.loss_trace
+    assert workspace._columns.size > 0
+
+
 def recording_steps(monkeypatch):
     """Count the SGD updates and stacked forward passes local_train makes."""
     calls = []
@@ -478,6 +499,20 @@ def test_parallel_equals_serial(tmp_path):
     out_p, _ = run_cfg(tmp_path / "parallel", **{"training.parallel_clients": 3})
     for rel in ("metrics/rounds.csv", "metrics/forgetting.csv", "metrics/clients.csv"):
         assert (out_s / rel).read_bytes() == (out_p / rel).read_bytes()
+
+
+def test_each_training_stack_keeps_one_workspace_for_the_run(tmp_path, monkeypatch):
+    """Threads never share buffers, and no round allocates them anew."""
+    used = {}
+    original = federation.local_train
+
+    def recorder(cfg, r, shards, *rest):
+        used.setdefault(r, set()).add(rest[-1])
+        return original(cfg, r, shards, *rest)
+
+    monkeypatch.setattr(federation, "local_train", recorder)
+    run_cfg(tmp_path, **{"training.parallel_clients": 3})
+    assert len(used[1]) == 3 and used[1] == used[2] == used[3]
 
 
 def test_finished_run_not_overwritten(tmp_path):

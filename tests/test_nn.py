@@ -2,13 +2,16 @@
 
 Expected values are either closed-form constants, hand-computed scalars, or
 produced by independent reference routes written inline (explicit Python
-loops for convolution, central differences for gradients).
+loops for convolution, the einsum expressions convolution was computed with
+before it became im2col GEMMs, central differences for gradients).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fedka import nn
 from fedka.rng import stream
@@ -179,6 +182,76 @@ def test_strided_maxpool_matches_block_reference_bit_for_bit(side, k):
     assert gp is None
     assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
     assert grad_x.shape == x.shape and grad_x.tobytes() == ref_grad_x.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# convolution as im2col GEMMs, against the einsum expressions it replaced
+# ---------------------------------------------------------------------------
+
+
+def conv_einsum_reference(layer, params, x, grad_out):
+    """A single model's conv output, parameter gradient and input gradient
+    as einsum computes them; the input gradient is the full correlation of
+    grad_out with the flipped kernel, over grad_out padded by k - 1."""
+    k = layer.kernel
+    w, b = layer._split(params)
+    win = sliding_window_view(x, (k, k), axis=(2, 3))
+    y = np.einsum("bchwij,ocij->bohw", win, w, optimize=True) + b[None, :, None, None]
+    grad_w = np.einsum("bchwij,bohw->ocij", win, grad_out, optimize=True)
+    grad_b = np.add.reduce(grad_out, axis=(0, 2, 3))
+    padded = np.pad(grad_out, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    gwin = sliding_window_view(padded, (k, k), axis=(2, 3))
+    grad_x = np.einsum("bohwij,ocij->bchw", gwin, w[:, :, ::-1, ::-1], optimize=True)
+    return y, np.concatenate([grad_w.ravel(), grad_b]), grad_x
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("c", [1, 3, 32])
+@pytest.mark.parametrize("sizes", [None, (3, 1, 5), (1, 6, 1, 2)], ids=["single", "3-1-5", "1-6-1-2"])
+def test_conv_gemms_match_einsum(sizes, c, k):
+    """Forward and parameter gradient bit for bit; the col2im input
+    gradient sums in another order, so it matches to rel 1e-12."""
+    layer = nn.Conv2d(c, 8, k)
+    rng = stream(12, "conv", c, k)
+    clients = [4] if sizes is None else list(sizes)
+    offsets = None if sizes is None else tuple(np.cumsum([0, *sizes]).tolist())
+    params = rng.normal(size=(len(clients), layer.param_count()))
+    x = rng.normal(size=(sum(clients), c, k + 4, k + 6))
+    flat = params[0] if sizes is None else params
+    y = layer.forward(flat, x, offsets)
+    # channel-major, as the layers after a conv pass its gradient back, and C order
+    channel_major = np.empty_like(y)
+    channel_major[...] = rng.normal(size=y.shape)
+    for grad_out in (channel_major, np.ascontiguousarray(channel_major)):
+        gp, grad_x = layer.backward(flat, x, grad_out, offsets=offsets)
+        gp = gp.reshape(len(clients), -1)
+        start = 0
+        for p, m in enumerate(clients):
+            rows = slice(start, start + m)
+            start += m
+            ref_y, ref_gp, ref_x = conv_einsum_reference(layer, params[p], x[rows], grad_out[rows])
+            assert y[rows].tobytes() == ref_y.tobytes()
+            assert gp[p].tobytes() == ref_gp.tobytes()
+            assert np.max(np.abs(grad_x[rows] - ref_x)) <= 1e-12 * np.max(np.abs(ref_x))
+
+
+def test_conv1_backward_peak_memory():
+    """t_cnn's second conv at batch 32 on 32x12x12 inputs. The full
+    correlation peaked at 65.2 MB on its padded windows; col2im needs one
+    13.1 MB column matrix."""
+    layer = nn.Conv2d(32, 64, 5)
+    rng = stream(13, "conv1")
+    params = rng.normal(size=layer.param_count())
+    x = rng.normal(size=(32, 32, 12, 12))
+    grad_out = np.empty_like(layer.forward(params, x))
+    grad_out[...] = rng.normal(size=grad_out.shape)
+    tracemalloc.start()
+    try:
+        layer.backward(params, x, grad_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 @pytest.mark.parametrize("layer, in_shape", [(nn.Dense(6, 4), (6,)), (nn.Conv2d(2, 3, 3), (2, 6, 5))])
