@@ -288,23 +288,24 @@ def fused_losses(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, beta: 
     return losses
 
 
-def anchored_loss_and_grad(
-    state: nn.ModelState,
-    spec: nn.NetworkSpec,
-    batch: nn.Batch,
-    target: AnchorTarget,
-    beta: float,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy on the batch plus ``beta`` times the anchor term, with
-    the exact gradient, from one forward and one backward pass over the
-    batch rows followed by the anchor rows."""
-    labels = nn.batch_labels(spec, batch)
-    logits, caches = nn.forward_with_caches(
-        state, spec, np.concatenate([batch.inputs, target.inputs]))
-    rows = fused_rows((len(labels),), [target])
-    loss = float(fused_losses(logits, labels, rows, beta)[0])
+def fused_gradient(spec: nn.NetworkSpec, params: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
+                   rows: FusedRows, beta: float, out: np.ndarray, center: np.ndarray | None = None,
+                   mu: float = 0.0, workspace: nn.Workspace | None = None):
+    """The training step's gradient, written into ``out``: per client of the
+    (P, n) stack ``params``, that of fused_grad_logits' objective on ``rows``
+    plus FedProx's term around ``center`` if given. One forward and one
+    backward pass over ``inputs`` (checked by the caller), conv columns in
+    the ``workspace``. Returns the logits, for fused_losses, and the clients'
+    proximal losses (None without a center)."""
+    logits, caches = nn.forward_stack(spec, params, inputs, rows.offsets, workspace)
     grad_logits = fused_grad_logits(logits, labels, rows, beta)
-    return loss, nn.backward_from_logits(spec, state.params, caches, grad_logits)
+    nn.backward_from_logits(spec, params, caches, grad_logits, out=out,
+                            offsets=rows.offsets, workspace=workspace)
+    prox_losses = None
+    if center is not None:
+        prox_losses, prox_grad = nn.proximal_loss_and_grad(params, center, mu)
+        out += prox_grad
+    return logits, prox_losses
 
 
 def ka_loss_and_grad(
@@ -319,7 +320,8 @@ def ka_loss_and_grad(
 
     The teacher (global) model is frozen: its logits are data here and may
     be passed in precomputed. Training adds this term inside the CE pass
-    (anchored_loss_and_grad); this standalone form is its reference.
+    (fused_gradient); this standalone form is the two-pass reference that
+    tests compare the fused step with.
     """
     if local_state.spec_hash != spec.spec_hash or global_state.spec_hash != spec.spec_hash:
         raise nn.ShapeError("anchor loss needs both states built for the given spec")

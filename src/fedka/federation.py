@@ -101,7 +101,7 @@ def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
         steps += [rows[start:start + t.batch_size] for start in range(0, n, t.batch_size)]
     if steps:
         inputs, labels = dataset.take(shard.indices)
-        nn.batch_labels(spec, nn.Batch(inputs, labels))
+        nn.batch_labels(spec, labels)
         nn.check_inputs(spec, inputs)
     return _Client(shard, steps, -(-n // t.batch_size), anchor_log, target)
 
@@ -160,7 +160,7 @@ def local_train(
     order = sorted(range(len(planned)), key=lambda i: -len(planned[i].steps))
     clients = [planned[i] for i in order]
     targets = [c.target for c in clients]
-    prox = strategy.kind == "fedprox" and strategy.mu > 0.0
+    center = global_state.params if strategy.kind == "fedprox" and strategy.mu > 0.0 else None
 
     params = np.repeat(global_state.params[None], len(clients), axis=0)
     momentum = np.zeros_like(params)
@@ -174,7 +174,7 @@ def local_train(
         for rows, records in pending.values():
             steps, logits, labels, prox_losses = zip(*records)
             step_losses = anchor.fused_losses(np.stack(logits), np.stack(labels), rows, strategy.beta)
-            if prox:
+            if center is not None:
                 step_losses += np.stack(prox_losses)
             for p in range(step_losses.shape[1]):
                 losses[p][list(steps)] = step_losses[:, p]
@@ -203,16 +203,10 @@ def local_train(
             inputs[rows.batch] = dataset.inputs[batch]
         labels = dataset.labels[batch]
         stack_params, stack_grad = params[:active], grad[:active]
-        prox_loss = None
         try:
-            logits, caches = nn.forward_stack(spec, stack_params, inputs, rows.offsets, workspace)
-            grad_logits = anchor.fused_grad_logits(logits, labels, rows, strategy.beta)
-            nn.backward_from_logits(spec, stack_params, caches, grad_logits, out=stack_grad,
-                                    offsets=rows.offsets, workspace=workspace)
-            if prox:
-                prox_loss, prox_grad = nn.proximal_loss_and_grad(
-                    stack_params, global_state.params, strategy.mu)
-                stack_grad += prox_grad
+            logits, prox_loss = anchor.fused_gradient(
+                spec, stack_params, inputs, labels, rows, strategy.beta, stack_grad,
+                center, strategy.mu, workspace)
             nn.sgd_update(stack_params, momentum[:active], stack_grad, t.lr, t.momentum, t.weight_decay)
         except nn.NonFiniteError as exc:
             raise failed(stack[exc.client].shard.client_id, exc) from exc

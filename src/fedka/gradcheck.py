@@ -1,14 +1,16 @@
 """Finite-difference verification of every training objective.
 
-Checks the analytic gradients of plain cross-entropy, the proximal
-objective and the anchored objective against central differences on
-randomly sampled coordinates, over several seeds and both model presets.
-The differences are taken of each objective's loss as training computes
-it for its loss trace (anchor.fused_losses, nn.proximal_loss_and_grad).
-Draws whose forward pass runs too close to a ReLU or pooling kink for the
-probe step are resampled (the analytic subgradient is still valid there,
-but central differences straddle the kink and disagree).
-"""
+Checks the training step's gradients (anchor.fused_gradient) of plain
+cross-entropy, the proximal and the anchored objective against central
+differences, over several seeds and both model presets. Each seed stacks
+three distinct clients of batch_size + 1, 1 (a matrix-vector product in
+OpenBLAS) and batch_size rows; only the last holds an anchor, as in a round
+that mixes anchored and plain clients. Sampled coordinates of the stack are
+differenced through their own client's loss as the loss trace computes it
+(anchor.fused_losses, nn.proximal_loss_and_grad), on that model alone.
+Draws whose pass over a client's rows, anchor rows included, comes within
+the probe step of a ReLU or pooling kink are resampled (central differences
+would straddle the kink)."""
 
 from __future__ import annotations
 
@@ -45,26 +47,21 @@ class CheckResult:
                 f"(tol {self.tolerance:g}, {self.seeds} seeds x {self.coords_per_seed} coords)")
 
 
-Objective = Callable[[nn.ModelState], tuple[float, np.ndarray]]
 LossOnly = Callable[[nn.ModelState], float]
 
 
 def check_objective(
-    objective: Objective,
+    grad: np.ndarray,
     loss_only: LossOnly,
     state: nn.ModelState,
     coords: np.ndarray,
     step: float,
 ) -> float:
     """Worst |analytic - central difference| / max(|analytic|, |central|,
-    1e-12) of the objective's gradient on given coords.
-
-    ``loss_only`` must compute the same scalar as ``objective`` without the
-    backward pass; central differences call it two times per coordinate.
-    """
+    1e-12) on given coords of ``grad``, the gradient of ``loss_only`` at
+    ``state``."""
     if step <= 0:
         raise ValueError("finite-difference step must be > 0")
-    _, grad = objective(state)
     probe = state.params.copy()
     moved = nn.ModelState(probe, state.momentum, state.spec_hash)
     worst = 0.0
@@ -89,14 +86,12 @@ def objective_loss(
     center: np.ndarray | None = None,
     mu: float = 0.0,
 ) -> LossOnly:
-    """The forward-only loss of a client's objective: cross-entropy on the
-    batch, plus ``beta`` times the anchor term on ``target``'s rows, plus
-    the proximal term around ``center``. Like training's loss trace, it
-    takes one forward pass over the batch rows followed by the anchor rows,
-    anchor.fused_losses and nn.proximal_loss_and_grad."""
-    labels = nn.batch_labels(spec, batch)
+    """The forward-only loss of a client's objective as the loss trace
+    computes it: cross-entropy on the batch, plus ``beta`` times the anchor
+    term on ``target``'s rows, plus the proximal term around ``center``."""
+    labels = nn.batch_labels(spec, batch.labels)
     rows = anchor_mod.fused_rows((len(labels),), [target])
-    inputs = batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+    inputs = _client_rows(batch, target)
 
     def loss(state: nn.ModelState) -> float:
         value = float(anchor_mod.fused_losses(
@@ -107,15 +102,21 @@ def objective_loss(
     return loss
 
 
-def _sample_away_from_kinks(spec, seed, batch_size, attempt_tokens, margin=KINK_MARGIN):
-    """Model state + batch whose forward pass clears every kink by `margin`."""
+def _client_rows(batch: nn.Batch, target: anchor_mod.AnchorTarget | None) -> np.ndarray:
+    """A client's rows of a pass: its batch, then its anchor rows."""
+    return batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+
+
+def _sample_away_from_kinks(spec, seed, batch_size, attempt_tokens, target=None, margin=KINK_MARGIN):
+    """Model state + batch whose forward pass over the batch rows and any
+    anchor rows of ``target`` clears every kink by `margin`."""
     for attempt in range(RESAMPLE_ATTEMPTS):
         state = nn.init_state(spec, stream(seed, "gc-init", attempt, *attempt_tokens))
         rng = stream(seed, "gc-data", attempt, *attempt_tokens)
         x = rng.normal(size=(batch_size, *spec.input_shape))
-        y = rng.integers(0, spec.class_count, size=batch_size)
-        if nn.activation_margin(state, spec, x) > margin:
-            return state, nn.Batch(x, y)
+        batch = nn.Batch(x, rng.integers(0, spec.class_count, size=batch_size))
+        if nn.activation_margin(state, spec, _client_rows(batch, target)) > margin:
+            return state, batch
     raise RuntimeError(f"no kink-free draw found in {RESAMPLE_ATTEMPTS} attempts")
 
 
@@ -130,6 +131,16 @@ def _anchor_for(spec, seed, size=3):
     return anchor_mod.KnowledgeAnchor(entries, owner=0, round=0, dominant=dominant)
 
 
+def _client_stack(spec, seed, batch_size):
+    """The teacher, the anchored objective's targets and three kink-free
+    (state, batch) clients of batch_size + 1, 1 and batch_size rows."""
+    teacher = nn.init_state(spec, stream(seed, "gc-teacher"))
+    targets = [None, None, anchor_mod.anchor_target(_anchor_for(spec, seed), teacher, spec)]
+    clients = [_sample_away_from_kinks(spec, seed, m, (p,), targets[p])
+               for p, m in enumerate((batch_size + 1, 1, batch_size))]
+    return teacher, targets, clients
+
+
 def check_preset(
     label: str,
     spec: nn.NetworkSpec,
@@ -142,29 +153,30 @@ def check_preset(
     beta: float = 0.3,
 ) -> list[CheckResult]:
     """CE, proximal and anchored objectives on one architecture."""
+    if seeds < 1 or coords_per_seed < 1:
+        raise ValueError(f"gradcheck needs seeds >= 1 and coords >= 1, got {seeds} and {coords_per_seed}")
     names = (f"{label} cross-entropy", f"{label} proximal (mu={mu:g})",
              f"{label} anchored (beta={beta:g})")
     worst = [0.0] * len(names)
+    workspace = nn.Workspace()
+    n = spec.param_count
     for seed in range(seeds):
-        state, batch = _sample_away_from_kinks(spec, seed, batch_size, ())
-        teacher = nn.init_state(spec, stream(seed, "gc-teacher"))
-        target = anchor_mod.anchor_target(_anchor_for(spec, seed), teacher, spec)
+        teacher, anchored, clients = _client_stack(spec, seed, batch_size)
+        params = np.stack([state.params for state, _ in clients])
+        labels = np.concatenate([batch.labels for _, batch in clients])
+        grad = np.empty_like(params)
         coords = stream(seed, "gc-coords").choice(
-            spec.param_count, size=min(coords_per_seed, spec.param_count), replace=False)
-
-        def prox(s):
-            loss, grad = nn.ce_loss_and_grad(s, spec, batch)
-            p_loss, p_grad = nn.proximal_loss_and_grad(s.params, teacher.params, mu)
-            return loss + p_loss, grad + p_grad
-
-        checks = [
-            (lambda s: nn.ce_loss_and_grad(s, spec, batch), objective_loss(spec, batch)),
-            (prox, objective_loss(spec, batch, center=teacher.params, mu=mu)),
-            (lambda s: anchor_mod.anchored_loss_and_grad(s, spec, batch, target, beta),
-             objective_loss(spec, batch, target, beta)),
-        ]
-        for i, (objective, loss_only) in enumerate(checks):
-            worst[i] = max(worst[i], check_objective(objective, loss_only, state, coords, step))
+            params.size, size=min(coords_per_seed, params.size), replace=False)
+        plain = [None] * len(clients)
+        objectives = [(plain, 0.0, None, 0.0), (plain, 0.0, teacher.params, mu), (anchored, beta, None, 0.0)]
+        for i, (targets, b, center, m) in enumerate(objectives):
+            rows = anchor_mod.fused_rows(tuple(len(batch) for _, batch in clients), targets)
+            inputs = np.concatenate([_client_rows(batch, t) for (_, batch), t in zip(clients, targets)])
+            anchor_mod.fused_gradient(spec, params, inputs, labels, rows, b, grad, center, m, workspace)
+            for p, ((state, batch), t) in enumerate(zip(clients, targets)):
+                loss_only = objective_loss(spec, batch, t, b, center, m)
+                mine = coords[coords // n == p] % n    # client p's coordinates
+                worst[i] = max(worst[i], check_objective(grad[p], loss_only, state, mine, step))
     return [CheckResult(name, seeds, coords_per_seed, w, tol) for name, w in zip(names, worst)]
 
 

@@ -1,8 +1,8 @@
 """Minimal neural-network engine for the federated simulator.
 
 Dense / ReLU / valid-convolution / max-pool models over float64 NumPy
-arrays, with exact analytic gradients for softmax cross-entropy, SGD with
-momentum and weight decay, and finite-difference gradient verification.
+arrays, with exact analytic gradients for softmax cross-entropy, and SGD
+with momentum and weight decay.
 
 All parameters of a model live in one flat vector (deterministic layer
 order, weights before biases within a layer) so states can be averaged
@@ -516,10 +516,6 @@ class ModelState:
     def copy(self) -> "ModelState":
         return ModelState(self.params.copy(), self.momentum.copy(), self.spec_hash)
 
-    def fresh_local(self) -> "ModelState":
-        """Copy of the parameters with the momentum buffer reset."""
-        return ModelState(self.params.copy(), np.zeros_like(self.params), self.spec_hash)
-
 
 def init_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelState:
     """Uniform +-sqrt(6/(fan_in+fan_out)) per parameterized layer."""
@@ -752,13 +748,6 @@ def ce_grad(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, divisor) -
     return grad
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean softmax CE over the batch and its gradient w.r.t. the logits."""
-    m = logits.shape[0]
-    rows = np.arange(m)
-    return float(ce_losses(logits, labels, rows, (m,))[0]), ce_grad(logits, labels, rows, m)
-
-
 def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Individual CE losses, used for hard / proficient sample mining."""
     logits = forward_logits(state, spec, inputs)
@@ -766,11 +755,11 @@ def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labe
     return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)
 
 
-def batch_labels(spec: NetworkSpec, batch: Batch) -> np.ndarray:
-    """The batch's labels, checked to be non-empty and in [0, class_count)."""
-    if len(batch) == 0:
+def batch_labels(spec: NetworkSpec, labels: np.ndarray) -> np.ndarray:
+    """A batch's labels, checked to be non-empty and in [0, class_count)."""
+    labels = np.asarray(labels)
+    if len(labels) == 0:
         raise ValueError("empty batch")
-    labels = np.asarray(batch.labels)
     if labels.min() < 0 or labels.max() >= spec.class_count:
         raise ShapeError(f"labels must lie in [0, {spec.class_count})")
     return labels
@@ -778,11 +767,11 @@ def batch_labels(spec: NetworkSpec, batch: Batch) -> np.ndarray:
 
 def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, batch: Batch):
     """Mean softmax cross-entropy and its exact flat parameter gradient."""
-    labels = batch_labels(spec, batch)
+    labels = batch_labels(spec, batch.labels)
     logits, caches = forward_with_caches(state, spec, batch.inputs)
-    loss, grad_logits = softmax_cross_entropy(logits, labels)
-    grad = backward_from_logits(spec, state.params, caches, grad_logits)
-    return loss, grad
+    rows, m = np.arange(len(labels)), len(labels)
+    grad = backward_from_logits(spec, state.params, caches, ce_grad(logits, labels, rows, m))
+    return float(ce_losses(logits, labels, rows, (m,))[0]), grad
 
 
 def proximal_loss_and_grad(params: np.ndarray, center: np.ndarray, mu: float):
@@ -854,7 +843,7 @@ def sgd_step(
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference verification
+# Distance from the kinks
 # ---------------------------------------------------------------------------
 
 

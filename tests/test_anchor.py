@@ -310,12 +310,23 @@ def fused_setup(name):
     return spec, teacher, student, nn.Batch(inputs, labels), built
 
 
+def fused_step(spec, state, batch, target, beta):
+    """The training step's loss and gradient for one client alone: a stack
+    of one, over the batch rows followed by the anchor rows."""
+    rows = anchor.fused_rows((len(batch),), [target])
+    grad = np.empty((1, spec.param_count))
+    logits, _ = anchor.fused_gradient(spec, state.params[None],
+                                      np.concatenate([batch.inputs, target.inputs]),
+                                      batch.labels, rows, beta, grad)
+    return float(anchor.fused_losses(logits, batch.labels, rows, beta)[0]), grad[0]
+
+
 @pytest.mark.parametrize("name", sorted(FUSED_SPECS))
 def test_fused_step_equals_ce_plus_beta_ka(name):
     spec, teacher, student, batch, built = fused_setup(name)
     beta = 0.3
     target = anchor.anchor_target(built, teacher, spec)
-    loss, grad = anchor.anchored_loss_and_grad(student, spec, batch, target, beta)
+    loss, grad = fused_step(spec, student, batch, target, beta)
     ce, ce_grad = nn.ce_loss_and_grad(student, spec, batch)
     ka, ka_grad = anchor.ka_loss_and_grad(built, teacher, student, spec)
     assert ka > 0
@@ -326,16 +337,18 @@ def test_fused_step_equals_ce_plus_beta_ka(name):
 
 @pytest.mark.parametrize("name", sorted(FUSED_SPECS))
 def test_fused_step_keeps_label_and_finiteness_checks(name):
+    # the step takes labels its callers checked once with nn.batch_labels
+    # (local_train when it plans a client), and checks every layer's output
     spec, teacher, student, batch, built = fused_setup(name)
     target = anchor.anchor_target(built, teacher, spec)
-    bad = nn.Batch(batch.inputs, np.where(batch.labels == 3, spec.class_count, batch.labels))
     with pytest.raises(nn.ShapeError, match="labels must lie"):
-        anchor.anchored_loss_and_grad(student, spec, bad, target, 0.3)
+        nn.batch_labels(spec, np.where(batch.labels == 3, spec.class_count, batch.labels))
     huge = nn.ModelState(np.full_like(student.params, 1e308), student.momentum, spec.spec_hash)
     positive = nn.Batch(np.abs(batch.inputs) + 1.0, batch.labels)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(nn.NonFiniteError, match=r"layer 0 \("):
-        anchor.anchored_loss_and_grad(huge, spec, positive, target, 0.3)
+            pytest.raises(nn.NonFiniteError, match=r"layer 0 \(") as info:
+        fused_step(spec, huge, positive, target, 0.3)
+    assert info.value.client == 0
 
 
 # ---------------------------------------------------------------------------

@@ -273,3 +273,12 @@ def test_gradcheck_quick_passes(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 3
     assert all(line.startswith("ok") for line in out)
+
+
+@pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-3", "--coords", "0"],
+                                  ["--seeds", "1", "--coords", "0"]])
+def test_gradcheck_that_checks_nothing_fails(argv, capsys):
+    assert cli.main(["gradcheck", "--quick", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gradcheck needs seeds >= 1 and coords >= 1")

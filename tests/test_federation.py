@@ -148,7 +148,7 @@ def test_fedka_local_train_matches_two_pass_reference():
         anchor.build_anchor(lopsided, shared, ds, 1, arng), strategy.mu_anchor, arng)
     assert fused.anchor_log == tuple((e.label, e.source, e.sample_id) for e in built.entries)
     assert {e.source for e in built.entries} == {"shared", "local"} and built.dominant
-    ref = state.fresh_local()
+    ref = nn.ModelState(state.params.copy(), np.zeros_like(state.params), state.spec_hash)
     inputs, labels = ds.take(lopsided.indices)
     brng = stream(cfg.master_seed, "batch", 1, lopsided.client_id)
     trace = []
@@ -212,10 +212,11 @@ def lockstep_setup(preset):
 
 
 def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
-    """One client alone, step by step through the single-model entry points,
-    as local training ran before clients trained in lockstep."""
+    """One client alone, step by step through the training step on a stack
+    of one and nn.sgd_step."""
     strategy, t = cfg.strategy, cfg.training
-    state = global_state.fresh_local()
+    state = nn.ModelState(global_state.params.copy(), np.zeros_like(global_state.params),
+                          global_state.spec_hash)
     target, anchor_log = None, ()
     if strategy.kind == "fedka":
         arng = stream(cfg.master_seed, "anchor", r, shard.client_id)
@@ -226,6 +227,7 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
         if strategy.beta > 0.0 and len(built) > 0:
             target = anchor.anchor_target(built, global_state, spec)
+    center = global_state.params if strategy.kind == "fedprox" and strategy.mu > 0.0 else None
     inputs, labels = ds.take(shard.indices)
     brng = stream(cfg.master_seed, "batch", r, shard.client_id)
     trace, epoch_states = [], []
@@ -234,16 +236,15 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
         losses = []
         for start in range(0, len(shard), t.batch_size):
             sel = order[start:start + t.batch_size]
-            batch = nn.Batch(inputs[sel], labels[sel])
-            if target is not None:
-                loss, grad = anchor.anchored_loss_and_grad(state, spec, batch, target, strategy.beta)
-            else:
-                loss, grad = nn.ce_loss_and_grad(state, spec, batch)
-            if strategy.kind == "fedprox" and strategy.mu > 0.0:
-                p_loss, p_grad = nn.proximal_loss_and_grad(state.params, global_state.params, strategy.mu)
-                loss += p_loss
-                grad = grad + p_grad
-            state = nn.sgd_step(state, grad, t.lr, t.momentum, t.weight_decay)
+            rows = anchor.fused_rows((len(sel),), [target])
+            x = inputs[sel] if target is None else np.concatenate([inputs[sel], target.inputs])
+            grad = np.empty((1, spec.param_count))
+            logits, p_loss = anchor.fused_gradient(spec, state.params[None], x, labels[sel], rows,
+                                                   strategy.beta, grad, center, strategy.mu)
+            loss = float(anchor.fused_losses(logits, labels[sel], rows, strategy.beta)[0])
+            if center is not None:
+                loss += float(p_loss[0])
+            state = nn.sgd_step(state, grad[0], t.lr, t.momentum, t.weight_decay)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
         if cfg.metrics.epoch_forgetting:

@@ -6,12 +6,14 @@ import pytest
 
 from fedka import anchor, nn
 from fedka.gradcheck import (
+    KINK_MARGIN,
     CheckResult,
     check_objective,
     check_preset,
     objective_loss,
     run_gradcheck,
     _anchor_for,
+    _client_stack,
     _sample_away_from_kinks,
 )
 from fedka.rng import stream
@@ -24,28 +26,34 @@ def _state_and_batch(seed=0):
     return _sample_away_from_kinks(SPEC, seed, batch_size=5, attempt_tokens=())
 
 
+def step_of_one(spec, state, batch, target=None, beta=0.0, center=None, mu=0.0):
+    """The training step on a stack of one: the gradient, and the loss the
+    trace records for it."""
+    rows = anchor.fused_rows((len(batch),), [target])
+    inputs = batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+    grad = np.empty((1, spec.param_count))
+    logits, prox_losses = anchor.fused_gradient(spec, state.params[None], inputs, batch.labels,
+                                                rows, beta, grad, center, mu)
+    loss = anchor.fused_losses(logits, batch.labels, rows, beta)
+    if center is not None:
+        loss += prox_losses
+    return grad[0], float(loss[0])
+
+
 def test_correct_gradient_passes():
     state, batch = _state_and_batch()
     coords = np.arange(min(40, SPEC.param_count))
-
-    def obj(s):
-        return nn.ce_loss_and_grad(s, SPEC, batch)
-
-    err = check_objective(obj, objective_loss(SPEC, batch), state, coords, step=1e-5)
+    grad, _ = step_of_one(SPEC, state, batch)
+    err = check_objective(grad, objective_loss(SPEC, batch), state, coords, step=1e-5)
     assert err < 1e-4
 
 
 def test_corrupted_gradient_fails():
     state, batch = _state_and_batch()
     coords = np.arange(20)
-
-    def broken(s):
-        loss, grad = nn.ce_loss_and_grad(s, SPEC, batch)
-        grad = grad.copy()
-        grad[coords] *= 1.5
-        return loss, grad
-
-    err = check_objective(broken, objective_loss(SPEC, batch), state, coords, step=1e-5)
+    grad, _ = step_of_one(SPEC, state, batch)
+    grad[coords] *= 1.5
+    err = check_objective(grad, objective_loss(SPEC, batch), state, coords, step=1e-5)
     assert err > 0.2
 
 
@@ -54,32 +62,29 @@ def test_mismatched_loss_only_fails():
     # not silently accepted.
     state, batch = _state_and_batch()
     coords = np.arange(20)
-
-    def obj(s):
-        return nn.ce_loss_and_grad(s, SPEC, batch)
-
+    grad, _ = step_of_one(SPEC, state, batch)
     loss_only = objective_loss(SPEC, batch)
 
     def wrong_loss(s):
         return 2.0 * loss_only(s)
 
-    err = check_objective(obj, wrong_loss, state, coords, step=1e-5)
+    err = check_objective(grad, wrong_loss, state, coords, step=1e-5)
     assert err > 0.2
 
 
 def test_loss_only_matches_objective_loss():
-    # the central differences probe the very loss each objective returns
+    # the central differences probe the very loss the training step records
     for spec in (nn.mlp_spec(12, (16, 8), 5), nn.tcnn_spec()):
         state, batch = _sample_away_from_kinks(spec, 3, 2, ())
         teacher = nn.init_state(spec, stream(3, "teacher"))
         target = anchor.anchor_target(_anchor_for(spec, 3), teacher, spec)
         center = teacher.params
 
-        ce, _ = nn.ce_loss_and_grad(state, spec, batch)
+        _, ce = step_of_one(spec, state, batch)
         assert objective_loss(spec, batch)(state) == ce
-        prox = ce + nn.proximal_loss_and_grad(state.params, center, 0.1)[0]
+        _, prox = step_of_one(spec, state, batch, center=center, mu=0.1)
         assert objective_loss(spec, batch, center=center, mu=0.1)(state) == prox
-        anchored, _ = anchor.anchored_loss_and_grad(state, spec, batch, target, 0.3)
+        _, anchored = step_of_one(spec, state, batch, target, 0.3)
         assert objective_loss(spec, batch, target, 0.3)(state) == anchored
         assert anchored != ce
 
@@ -88,6 +93,19 @@ def test_kink_avoidance_returns_clear_margin():
     for seed in range(6):
         state, batch = _sample_away_from_kinks(SPEC, seed, 5, ())
         assert nn.activation_margin(state, SPEC, batch.inputs) > 1e-6
+
+
+@pytest.mark.parametrize("spec, batch_size", [(nn.mlp_spec(12, (16, 8), 5), 6),
+                                              (nn.tcnn_spec(), 2)], ids=["mlp", "t_cnn"])
+def test_kink_margin_covers_every_differenced_row(spec, batch_size):
+    # the anchored client's differenced pass also runs over the anchor rows
+    for seed in range(5):
+        _, targets, clients = _client_stack(spec, seed, batch_size)
+        assert [len(batch) for _, batch in clients] == [batch_size + 1, 1, batch_size]
+        assert [t is None for t in targets] == [True, True, False]
+        for (state, batch), target in zip(clients, targets):
+            seen = batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+            assert nn.activation_margin(state, spec, seen) > KINK_MARGIN
 
 
 def test_kink_avoidance_gives_up():
@@ -102,6 +120,29 @@ def test_check_preset_covers_three_objectives():
     for r in results:
         assert r.passed, r.line()
         assert r.seeds == 2 and r.coords_per_seed == 10
+
+
+def test_stacking_fault_fails_every_objective(monkeypatch):
+    # client boundaries shifted by one row in the backward pass: a fault only
+    # a stack of several clients reaches
+    original = nn.backward_from_logits
+
+    def shifted(spec, params, caches, grad_logits, out=None, offsets=None, workspace=None):
+        if offsets is not None:
+            offsets = (offsets[0], *(o + 1 for o in offsets[1:-1]), offsets[-1])
+        return original(spec, params, caches, grad_logits, out, offsets, workspace)
+
+    monkeypatch.setattr(nn, "backward_from_logits", shifted)
+    results = check_preset("tiny", SPEC, seeds=2, coords_per_seed=30, batch_size=4)
+    assert [r.passed for r in results] == [False, False, False]
+
+
+@pytest.mark.parametrize("seeds, coords", [(0, 30), (-3, 0), (1, 0)])
+def test_nothing_to_check_is_refused(seeds, coords):
+    with pytest.raises(ValueError, match="seeds >= 1 and coords >= 1"):
+        check_preset("tiny", SPEC, seeds, coords)
+    with pytest.raises(ValueError, match="seeds >= 1 and coords >= 1"):
+        run_gradcheck(seeds, coords, include_cnn=False)
 
 
 def test_run_gradcheck_mlp_only():
