@@ -27,8 +27,8 @@ from . import __version__, anchor, nn
 from .config import ExperimentConfig
 from .data import (ClientShard, LabeledDataset, PartitionSpec, apply_reduction_schedule,
                    dirichlet_partition, load_assignments, load_idx, synth_blobs)
-from .metrics import (MetricsWriter, RoundRecord, classwise_accuracy, global_accuracy,
-                      measure_local_forgetting, write_summary)
+from .metrics import (MetricsWriter, RoundRecord, classwise_accuracies, classwise_accuracy,
+                      global_accuracy, measure_local_forgetting, write_summary)
 from .rng import as_generator, stream
 
 
@@ -401,18 +401,24 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             shards.update(changes.get(r, {}))
             updates = run_round(cfg, r, shards, global_state, spec, train, shared, train_workspaces)
             global_state = aggregate(updates)
-            post_acc = classwise_accuracy(global_state, spec, test, workspace)
+            # the round's states, in one evaluation: the new global model, then
+            # per client its final local model and its model after every epoch
+            # but the last
+            states = [global_state]
+            for u in updates:
+                states += [u.state, *u.epoch_states[:-1]]
+            accs = iter(classwise_accuracies(states, spec, test, workspace))
+            post_acc = next(accs)
             acc = global_accuracy(post_acc, test)
 
             for u in updates:
                 shard = shards[u.client_id]
-                records = measure_local_forgetting(
-                    shard, teacher_acc, u.state, spec, test, r, cfg.metrics.xi, workspace)
+                records = measure_local_forgetting(shard, teacher_acc, next(accs), r, cfg.metrics.xi)
                 writer.write_forgetting(records)
                 writer.write_anchors(r, u.client_id, u.anchor_log)
-                for e, st in enumerate(u.epoch_states[:-1], start=1):
+                for e in range(1, len(u.epoch_states)):
                     writer.write_epoch_forgetting(e, measure_local_forgetting(
-                        shard, teacher_acc, st, spec, test, r, cfg.metrics.xi, workspace))
+                        shard, teacher_acc, next(accs), r, cfg.metrics.xi))
                 if u.epoch_states:
                     # the last epoch ends in the final state, whose records are above
                     writer.write_epoch_forgetting(len(u.epoch_states), records)
@@ -430,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             teacher_acc = post_acc
             # the updates are views of the round's parameter stack: free it
             # before the next round allocates its own
-            del updates, u
+            del updates, u, states
             if progress is not None:
                 progress(r, t.rounds, acc)
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,27 +43,103 @@ def forgetting_degree(acc_global: float, acc_local: float, xi: float = DEFAULT_X
     return (acc_global - acc_local) / (acc_global + xi)
 
 
+def _class_hits(logits: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
+    """Per class, the rows whose argmax is their label; argmax ties resolve
+    to the lowest class id."""
+    return np.bincount(labels[logits.argmax(axis=1) == labels], minlength=class_count)
+
+
+def _accuracy(hits: np.ndarray, test_set: LabeledDataset) -> np.ndarray:
+    counts = test_set.class_counts
+    # integer counts convert exactly, so this divides as the mean over the class would
+    return np.divide(hits, counts, out=np.full(hits.shape, np.nan), where=counts > 0)
+
+
 def accuracy_from_logits(logits: np.ndarray, test_set: LabeledDataset) -> np.ndarray:
     """Per-class argmax accuracy; NaN where the test set lacks the class.
 
     Argmax ties resolve to the lowest class id.
     """
-    correct = logits.argmax(axis=1) == test_set.labels
-    # a sum of 0/1 values is exact, so this divides as the mean over the class would
-    hits = np.bincount(test_set.labels, weights=correct, minlength=test_set.class_count)
-    counts = test_set.class_counts
-    return np.divide(hits, counts, out=np.full(test_set.class_count, np.nan), where=counts > 0)
+    return _accuracy(_class_hits(logits, test_set.labels, test_set.class_count), test_set)
 
 
-def classwise_accuracy(state: nn.ModelState, spec: nn.NetworkSpec, test_set: LabeledDataset,
-                       workspace: nn.Workspace | None = None) -> np.ndarray:
-    """Per-class accuracy of a model on the test set; the forward pass runs
-    through ``workspace`` when one is given (see nn.Workspace)."""
+# every block of an evaluation pass has at least this many rows: OpenBLAS
+# takes its small-matrix kernels for small enough products, and they round
+# differently from the kernels a whole test set's products take
+MIN_BLOCK_ROWS = 1000
+
+
+def row_blocks(n: int) -> list[slice]:
+    """The blocks an n-row test set is evaluated in: the largest power of
+    two of near-equal blocks that keeps each at MIN_BLOCK_ROWS rows or more,
+    so that they split evenly over 2, 4 or 8 threads. They depend on n
+    alone; fewer than 2 * MIN_BLOCK_ROWS rows make one block."""
+    count = 1
+    while n >= 2 * count * MIN_BLOCK_ROWS:
+        count *= 2
+    return [slice(n * b // count, n * (b + 1) // count) for b in range(count)]
+
+
+def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
+                         test_set: LabeledDataset, workspace: nn.Workspace | None = None) -> np.ndarray:
+    """Per-class accuracy of each state on the test set, one row per state.
+
+    Every pass runs over the fixed row_blocks of the test set, on
+    k = min(usable cores, blocks) threads: thread t evaluates blocks t,
+    t + k, ... of every state, so each block's rows of the ``workspace``'s
+    buffers (a fresh one when None) have one writer, and no thread waits
+    for another between states. A block yields its per-class hit counts,
+    integers whose sums are exact in any order, so no result depends on k.
+    The calling thread is thread 0, and a one-block test set runs on it
+    alone. The other threads are gone when this returns; a failure in a
+    block is raised then, the one of the earliest (state, block), as a
+    single thread would meet it first."""
     if spec.class_count != test_set.class_count:
         raise ValueError(
             f"model emits {spec.class_count} classes, test set has {test_set.class_count}"
         )
-    return accuracy_from_logits(nn.forward_logits(state, spec, test_set.inputs, workspace), test_set)
+    for state in states:
+        nn.check_state(state, spec)
+    workspace = nn.Workspace() if workspace is None else workspace
+    inputs, labels = workspace.checked_inputs(spec, test_set.inputs), test_set.labels
+    blocks = row_blocks(len(inputs))
+    k = min(len(os.sched_getaffinity(0)), len(blocks))
+    hits = np.empty((len(states), len(blocks), spec.class_count), dtype=np.int64)
+    failures: list[tuple[tuple[int, int], Exception]] = []
+
+    def evaluate(tasks: list[tuple[int, int]], lane: nn.Workspace) -> bool:
+        for s, b in tasks:
+            try:
+                logits = nn.forward_rows(spec, states[s].params, inputs, blocks[b], lane)
+            except Exception as exc:
+                failures.append(((s, b), exc))
+                return False
+            hits[s, b] = _class_hits(logits, labels[blocks[b]], spec.class_count)
+        return True
+
+    shares = [[(s, b) for s in range(len(states)) for b in range(t, len(blocks), k)]
+              for t in range(k)]
+    # the other threads start once the calling thread's first pass has
+    # allocated the shared buffers: glibc would keep a buffer that a worker
+    # allocated in that thread's malloc arena, and not give its pages back
+    if evaluate(shares[0][:1], workspace) and k > 1:
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            others = [pool.submit(evaluate, share, lane)
+                      for share, lane in zip(shares[1:], workspace.lanes(k)[1:])]
+            evaluate(shares[0][1:], workspace)
+            for future in others:
+                future.result()
+    elif not failures:
+        evaluate(shares[0][1:], workspace)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return _accuracy(hits.sum(axis=1), test_set)
+
+
+def classwise_accuracy(state: nn.ModelState, spec: nn.NetworkSpec, test_set: LabeledDataset,
+                       workspace: nn.Workspace | None = None) -> np.ndarray:
+    """Per-class accuracy of one model on the test set (classwise_accuracies)."""
+    return classwise_accuracies([state], spec, test_set, workspace)[0]
 
 
 def global_accuracy(per_class: np.ndarray, test_set: LabeledDataset) -> float:
@@ -94,24 +172,18 @@ class RoundRecord:
 def measure_local_forgetting(
     shard: ClientShard,
     global_acc_by_class: np.ndarray,
-    local_state: nn.ModelState,
-    spec: nn.NetworkSpec,
-    test_set: LabeledDataset,
+    local_acc_by_class: np.ndarray,
     round_index: int,
     xi: float = DEFAULT_XI,
-    workspace: nn.Workspace | None = None,
 ) -> list[ForgettingRecord]:
     """One record per class with defined test accuracy, roles from the shard.
 
     ``global_acc_by_class`` is the accuracy vector of the round's received
-    global model; passing it in lets the orchestrator evaluate the teacher
-    once per round instead of once per client. The local model is evaluated
-    through ``workspace`` when one is given.
+    global model and ``local_acc_by_class`` that of the local model, so the
+    orchestrator evaluates every state of a round in one call.
     """
-    local_acc = classwise_accuracy(local_state, spec, test_set, workspace)
     records = []
-    for k in range(spec.class_count):
-        g, l = global_acc_by_class[k], local_acc[k]
+    for k, (g, l) in enumerate(zip(global_acc_by_class, local_acc_by_class)):
         if math.isnan(g) or math.isnan(l):
             continue
         records.append(ForgettingRecord(

@@ -322,11 +322,14 @@ class MaxPool:
     def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
         return self._max(self._views(x))
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, best=None):
+        """The input gradient; ``best`` is the forward pass's output, the
+        window maxima, recomputed when not given."""
         if not input_grad:
             return None, None
         views = self._views(x)
-        best = self._max(views)
+        if best is None:
+            best = self._max(views)
         # the loop below writes every cell of a full window: zero only the
         # ragged rows and columns beyond the last one
         grad_x = np.empty_like(x)
@@ -558,14 +561,17 @@ class Workspace:
     and a ReLU works in place on an array the pass allocated, never on the
     caller's inputs or a view of them; pooling layers allocate as usual. The
     logits of such a pass live in a buffer until the next pass overwrites
-    it. A workspace serves one pass at a time: threads that run at once
-    need one each.
+    it. A workspace serves one pass at a time, except for passes over
+    disjoint rows of the same inputs (forward_rows): threads may run those
+    at once through its lanes, which share its layer buffers and each have
+    a column scratch of their own.
 
     It also remembers the last read-only inputs it checked: their values
     cannot change, so check_inputs runs once for them, not at every pass."""
 
     def __init__(self):
         self._buffers: dict[int, np.ndarray] = {}
+        self._lanes: list[Workspace] = []
         self._columns = np.empty(0)
         self._checked: np.ndarray | None = None
 
@@ -583,6 +589,19 @@ class Workspace:
             buf = self._buffers[layer] = np.empty(shape)
         return buf
 
+    def lanes(self, count: int) -> list[Workspace]:
+        """This workspace and ``count - 1`` others, one per thread of a
+        forward_rows evaluation: they share this one's layer buffers, and
+        each keeps a column scratch of its own from call to call. One pass
+        through this workspace should come before the others start, so that
+        the buffers exist: threads that find one missing each allocate it,
+        and all but one of those copies go to waste."""
+        while len(self._lanes) < count - 1:
+            lane = Workspace()
+            lane._buffers = self._buffers
+            self._lanes.append(lane)
+        return [self, *self._lanes[:count - 1]]
+
     def checked_inputs(self, spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
         """check_inputs, skipped for the read-only array checked last."""
         if inputs is not self._checked or inputs.shape[1:] != spec.input_shape:
@@ -593,13 +612,15 @@ class Workspace:
 
 
 def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
-             workspace: Workspace | None = None):
+             workspace: Workspace | None = None, rows: slice | None = None):
     """Logits and, with ``keep_caches``, every layer's input. Conv layers
     take their column matrices from a ``workspace``; a pass that keeps no
-    caches also writes Dense outputs into its buffers, and ReLUs in place."""
+    caches also writes Dense outputs into its buffers, and ReLUs in place.
+    With ``rows`` the pass runs on those rows of x alone, and a Dense
+    buffer, sized for all of x, takes its output in the same rows."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
     reuse = workspace is not None and not keep_caches
-    h = x
+    h = x if rows is None else x[rows]
     owned = False   # h was allocated by this pass: not x, nor a view of it
     for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
         if caches is not None:
@@ -607,14 +628,16 @@ def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: 
         if isinstance(layer, Conv2d):
             h = layer.forward(params[..., sl], h, offsets, workspace)
         elif reuse and isinstance(layer, Dense):
-            h = layer.forward(params[..., sl], h, out=workspace.buffer(i, (len(h), layer.out_features)))
+            out = workspace.buffer(i, (len(x), layer.out_features))
+            h = layer.forward(params[..., sl], h, out=out if rows is None else out[rows])
         elif reuse and isinstance(layer, Relu) and owned:
             h = layer.forward(params[..., sl], h, out=h)
         else:
             h = layer.forward(params[..., sl], h, offsets)
         # of all layers only Flatten returns a view of its input
         owned = owned or not isinstance(layer, Flatten)
-        if not np.isfinite(h).all():
+        # ReLU, pooling and Flatten cannot turn finite values non-finite
+        if isinstance(layer, (Dense, Conv2d)) and not np.isfinite(h).all():
             client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(h)) - 1
             raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})", client)
     return h, caches
@@ -644,6 +667,17 @@ def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray,
         inputs = workspace.checked_inputs(spec, inputs)
     logits, _ = _forward(spec, state.params, inputs, keep_caches=False, workspace=workspace)
     return logits
+
+
+def forward_rows(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, rows: slice,
+                 workspace: Workspace) -> np.ndarray:
+    """The logits of ``inputs[rows]``: a forward_logits pass through the
+    ``workspace``, but each Dense layer writes rows ``rows`` of a buffer
+    sized for all of the inputs. Threads may run passes over disjoint rows
+    at once, each through its own lane of one workspace (Workspace.lanes).
+    The logits may live in a buffer, until the next pass over these rows.
+    The inputs are not checked here."""
+    return _forward(spec, params, inputs, False, workspace=workspace, rows=rows)[0]
 
 
 def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray):
@@ -679,7 +713,12 @@ def backward_from_logits(
     g = grad_logits
     for i in range(len(spec.layers) - 1, -1, -1):
         layer, sl = spec.layers[i], spec.param_slices[i]
-        where = {"workspace": workspace} if isinstance(layer, Conv2d) else {}
+        where = {}
+        if isinstance(layer, Conv2d):
+            where = {"workspace": workspace}
+        elif isinstance(layer, MaxPool):
+            # no pooling layer ends a net, so the next layer's input is its output
+            where = {"best": caches[i + 1]}
         _, g = layer.backward(params[..., sl], caches[i], g, input_grad=i > 0,
                               out=out[..., sl], offsets=offsets, **where)
     return out
@@ -884,9 +923,11 @@ _STATE_MAGIC = b"FKMS"
 def save_state(state: ModelState, path: str | Path) -> None:
     """Little-endian blob: magic, 32-byte spec hash, u64 length, params then
     momentum as raw float64."""
-    header = _STATE_MAGIC + bytes.fromhex(state.spec_hash) + struct.pack("<Q", state.params.size)
-    body = state.params.astype("<f8").tobytes() + state.momentum.astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
+    with open(path, "wb") as fh:
+        fh.write(_STATE_MAGIC + bytes.fromhex(state.spec_hash) + struct.pack("<Q", state.params.size))
+        for values in (state.params, state.momentum):
+            # a contiguous little-endian float64 array is written without a copy
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def load_state(path: str | Path) -> ModelState:

@@ -1,6 +1,8 @@
 """Forgetting-degree and accuracy tests with hand-checked expectations."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -92,7 +94,7 @@ def test_absent_class_is_nan_and_excluded():
     # weighted global over defined classes only
     assert metrics.global_accuracy(acc, ds) == pytest.approx(0.5)
     shard = data.make_shard(0, np.array([0, 1]), ds, gamma=0.05)
-    records = metrics.measure_local_forgetting(shard, acc, state, spec, ds, round_index=3)
+    records = metrics.measure_local_forgetting(shard, acc, acc, round_index=3)
     assert sorted(r.klass for r in records) == [0, 2]
     assert all(r.tau == 0.0 for r in records)  # local model == global column source
     assert {r.role for r in records} == {"dominant", "missing"}
@@ -105,7 +107,8 @@ def test_forgetting_records_satisfy_their_own_equation():
     l_state = nn.init_state(spec, stream(7, "init"))
     shard = data.make_shard(1, np.arange(20), ds, gamma=0.05)
     g_acc = metrics.classwise_accuracy(g_state, spec, ds)
-    records = metrics.measure_local_forgetting(shard, g_acc, l_state, spec, ds, round_index=9)
+    l_acc = metrics.classwise_accuracy(l_state, spec, ds)
+    records = metrics.measure_local_forgetting(shard, g_acc, l_acc, round_index=9)
     assert len(records) == 3
     for r in records:
         assert r.tau == metrics.forgetting_degree(r.acc_global, r.acc_local)
@@ -149,8 +152,7 @@ def test_workspace_evaluation_matches_fresh_passes(preset):
         assert acc.tobytes() == metrics.accuracy_from_logits(fresh, ds).tobytes()
         assert math.isnan(acc[2])
         records = metrics.measure_local_forgetting(
-            data.make_shard(0, np.arange(10), ds, gamma=0.05), acc, state, spec, ds, 1,
-            workspace=workspace)
+            data.make_shard(0, np.arange(10), ds, gamma=0.05), acc, acc, 1)
         assert sorted(r.klass for r in records) == [0, 1, 3]
 
 
@@ -176,6 +178,168 @@ def test_workspace_evaluation_allocates_no_activations():
     # a fresh pass holds a 5000x128 float64 activation (5.12 MB) at least
     assert fresh >= 5000 * 128 * 8
     assert max(reused) < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# evaluation in row blocks on several threads
+# ---------------------------------------------------------------------------
+
+
+def wide_case(states=(15, 16, 17)):
+    """The wide benchmark's shape: 5000 test rows, 64 -> 128 -> 10."""
+    ds = data.synth_blobs(10, 500, 64, 4.0, seed=14)
+    spec = nn.mlp_spec(64, (128,), 10)
+    return spec, ds, [nn.init_state(spec, stream(s, "init")) for s in states]
+
+
+def cores(monkeypatch, count):
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def record_lanes(monkeypatch):
+    """The workspace lanes that forward_rows runs through, the threads that
+    run it, and (thread, rows) of each failure."""
+    lanes, threads, failures = set(), set(), []
+    original = nn.forward_rows
+
+    def recorder(spec, params, inputs, rows, workspace):
+        lanes.add(id(workspace))
+        threads.add(threading.get_ident())
+        try:
+            return original(spec, params, inputs, rows, workspace)
+        except nn.NonFiniteError:
+            failures.append((threading.get_ident(), rows))
+            raise
+
+    monkeypatch.setattr(nn, "forward_rows", recorder)
+    return lanes, threads, failures
+
+
+def test_row_blocks_are_fixed_by_the_row_count():
+    assert metrics.row_blocks(20) == [slice(0, 20)]
+    assert metrics.row_blocks(1999) == [slice(0, 1999)]
+    assert metrics.row_blocks(5000) == [slice(0, 1250), slice(1250, 2500),
+                                        slice(2500, 3750), slice(3750, 5000)]
+    for n in (2000, 3999, 4001, 9999, 16000):
+        blocks = metrics.row_blocks(n)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert min(sizes) >= metrics.MIN_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        assert len(blocks) & (len(blocks) - 1) == 0 and n < 2 * len(blocks) * metrics.MIN_BLOCK_ROWS
+
+
+def test_blocked_logits_equal_the_whole_set_pass():
+    spec, ds, states = wide_case()
+    workspace = nn.Workspace()
+    blocks = metrics.row_blocks(len(ds))
+    assert len(blocks) == 4
+    for state in states:
+        whole = nn.forward_logits(state, spec, ds.inputs)
+        # the last block first: each block's pass writes its own rows only
+        for rows in blocks[::-1]:
+            logits = nn.forward_rows(spec, state.params, ds.inputs, rows, workspace)
+            assert logits.tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_accuracies_do_not_depend_on_the_thread_count(threads, monkeypatch):
+    spec, ds, states = wide_case()
+    expected = np.stack([metrics.accuracy_from_logits(nn.forward_logits(s, spec, ds.inputs), ds)
+                         for s in states])
+    cores(monkeypatch, threads)
+    lanes, _, _ = record_lanes(monkeypatch)
+    workspace = nn.Workspace()
+    for _ in range(2):
+        accs = metrics.classwise_accuracies(states, spec, ds, workspace)
+        assert accs.tobytes() == expected.tobytes()
+    assert len(lanes) == threads
+    assert metrics.classwise_accuracy(states[1], spec, ds).tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("rows, affinity, expected", [
+    (5000, 8, 4), (5000, 2, 2), (5000, 1, 1), (2000, 8, 2), (1999, 8, 1), (20, 8, 1)])
+def test_thread_count_is_bounded_by_cores_and_blocks(rows, affinity, expected, monkeypatch):
+    spec = nn.mlp_spec(3, (4,), 2)
+    ds = data.LabeledDataset(stream(18, "x").normal(size=(rows, 3)), np.arange(rows) % 2, 2, "small")
+    cores(monkeypatch, affinity)
+    lanes, threads, _ = record_lanes(monkeypatch)
+    pools = []
+
+    class Pool(metrics.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+    metrics.classwise_accuracy(nn.init_state(spec, stream(19, "init")), spec, ds)
+    # the calling thread is one of them; a pool may hand a finished worker another share
+    assert len(lanes) == expected and threading.get_ident() in threads and len(threads) <= expected
+    assert pools == ([] if expected == 1 else [expected - 1])
+
+
+def test_more_threads_than_cores_lose_no_block(monkeypatch):
+    """8 threads over 8 blocks of 16000 rows, switching every few µs: every
+    block's hits and buffer rows must land, for every state."""
+    spec = nn.mlp_spec(3, (4,), 2)
+    ds = data.LabeledDataset(stream(23, "x").normal(size=(16000, 3)), np.arange(16000) % 2, 2, "stress")
+    states = [nn.init_state(spec, stream(s, "init")) for s in range(24, 30)]
+    expected = np.stack([metrics.accuracy_from_logits(nn.forward_logits(s, spec, ds.inputs), ds)
+                         for s in states])
+    cores(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert metrics.classwise_accuracies(states, spec, ds).tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == 1
+
+
+def test_conv_blocks_use_a_column_scratch_per_thread(monkeypatch):
+    spec = nn.NetworkSpec(
+        (nn.Conv2d(1, 2, 3), nn.Relu(), nn.MaxPool(2), nn.Flatten(), nn.Dense(8, 3)), (1, 6, 6), 3)
+    rng = stream(20, "conv")
+    labels = rng.integers(0, 3, size=2000)
+    ds = data.LabeledDataset(rng.normal(size=(2000, 1, 6, 6)) + labels[:, None, None, None], labels,
+                             3, "conv")
+    states = [nn.init_state(spec, stream(s, "init")) for s in (21, 22)]
+    cores(monkeypatch, 1)
+    serial = metrics.classwise_accuracies(states, spec, ds)
+    cores(monkeypatch, 2)
+    workspace = nn.Workspace()
+    threaded = metrics.classwise_accuracies(states, spec, ds, workspace)
+    assert threaded.tobytes() == serial.tobytes()
+    lanes = workspace.lanes(2)
+    # one block's column matrix: C*k*k rows by 1000 images of 4x4 outputs
+    assert [lane._columns.size for lane in lanes] == [9 * 1000 * 16] * 2
+    assert lanes[0]._columns is not lanes[1]._columns
+    assert lanes == workspace.lanes(2)           # kept for the next call
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # errstate is per thread
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_overflow_in_a_block_is_raised_with_its_layer(threads, monkeypatch):
+    """State 0 overflows at layer 2 in block 1 alone, state 1 at layer 0 in
+    every block: the failure of the earliest (state, block) is raised, with
+    any thread count, after every thread has stopped."""
+    spec, ds, _ = wide_case(())
+    inputs = ds.inputs.copy()
+    block = metrics.row_blocks(len(ds))[1]
+    inputs[block] = 1e305     # 64 * 1e305 stays finite; 128 times that does not
+    ds = data.LabeledDataset(inputs, ds.labels, ds.class_count, "planted")
+    ones = np.ones(spec.param_count)
+    states = [nn.ModelState(ones, ones, spec.spec_hash),
+              nn.ModelState(ones * 1e308, ones, spec.spec_hash)]
+    cores(monkeypatch, threads)
+    _, _, failures = record_lanes(monkeypatch)
+    with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(128->10\)\)"):
+        metrics.classwise_accuracies(states, spec, ds)
+    # block 1 is thread 1's, a worker, unless one thread runs them all
+    owner = [t for t, rows in failures if rows == block]
+    assert len(owner) == 1 and (owner[0] == threading.get_ident()) == (threads == 1)
+    assert threading.active_count() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ before it became im2col GEMMs, central differences for gradients).
 """
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,8 @@ def test_strided_maxpool_matches_block_reference_bit_for_bit(side, k):
     assert gp is None
     assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
     assert grad_x.shape == x.shape and grad_x.tobytes() == ref_grad_x.tobytes()
+    # the forward pass's maxima, handed in, give the same bytes
+    assert layer.backward(None, x, grad_out, best=out)[1].tobytes() == grad_x.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +390,21 @@ def test_forward_reports_layer_of_overflow():
         nn.forward_logits(state, spec, np.full((1, 2), 1e30))
 
 
+def test_forward_reports_layer_of_overflow_beyond_layer_0():
+    # layer 0 passes 1e300 through; only the dense layer 2 overflows
+    spec = nn.mlp_spec(2, (2,), 2)
+    params = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1e10, 0.0, 0.0, 1e10, 0.0, 0.0])
+    state = nn.ModelState(params, np.zeros(12), spec.spec_hash)
+    x = np.array([[1.0, 1.0], [1e300, 1.0]])
+    with np.errstate(over="ignore"):
+        for workspace in (None, nn.Workspace()):
+            with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
+                nn.forward_logits(state, spec, x, workspace)
+        with pytest.raises(nn.NonFiniteError, match="layer 2") as caught:
+            nn.forward_stack(spec, np.stack([params, params]), x, (0, 1, 2))
+    assert caught.value.client == 1
+
+
 # ---------------------------------------------------------------------------
 # forward passes through a reused workspace
 # ---------------------------------------------------------------------------
@@ -543,6 +561,17 @@ def test_state_round_trip_is_bit_exact(tmp_path):
     assert back.spec_hash == state.spec_hash
     assert np.array_equal(back.params, state.params)
     assert np.array_equal(back.momentum, state.momentum)
+
+
+def test_saved_state_is_header_then_little_endian_arrays(tmp_path):
+    spec, state = small_mlp(seed=32)
+    state.momentum[:] = stream(33, "m").normal(size=state.momentum.shape)
+    expected = (b"FKMS" + bytes.fromhex(state.spec_hash) + struct.pack("<Q", spec.param_count)
+                + state.params.astype("<f8").tobytes() + state.momentum.astype("<f8").tobytes())
+    swapped = nn.ModelState(state.params.astype(">f8"), state.momentum.astype(">f8"), state.spec_hash)
+    for saved in (state, swapped):
+        nn.save_state(saved, tmp_path / "model.bin")
+        assert (tmp_path / "model.bin").read_bytes() == expected
 
 
 def test_load_state_rejects_garbage(tmp_path):
