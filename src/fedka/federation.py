@@ -354,15 +354,32 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
     return train_stack(participants, workspaces[0])
 
 
+def _clear_outputs(out: Path) -> None:
+    """Delete every file an earlier run wrote to ``out``, its manifest
+    first, so that a run which fails part-way leaves no finished-run marker
+    over its partial files, and no file its own config does not write.
+    Other files are left alone."""
+    checkpoints, metrics_dir = out / "checkpoints", out / "metrics"
+    for path in [out / "manifest.json", out / "summary.json", out / "config.json",
+                 out / "model.json", out / "anchors.csv", checkpoints / "final.bin",
+                 *checkpoints.glob("round_*.bin"),
+                 *(metrics_dir / f"{name}.csv"
+                   for name in ("rounds", "forgetting", "clients", "forgetting_epochs"))]:
+        if path.is_file():
+            path.unlink()
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) -> Path:
     """Execute the configured experiment; returns the artifact directory.
 
     Refuses to overwrite a directory holding a finished run (manifest
-    present) unless forced. On error, metrics written so far stay on disk.
+    present) unless forced, and clears what an earlier run left there
+    before it starts. On error, metrics written so far stay on disk.
     """
     out = Path(cfg.output_dir)
     if (out / "manifest.json").exists() and not force:
         raise RunError(f"{out} already holds a finished run (use force to overwrite)")
+    _clear_outputs(out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 

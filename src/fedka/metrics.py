@@ -84,9 +84,10 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
                          test_set: LabeledDataset, workspace: nn.Workspace | None = None) -> np.ndarray:
     """Per-class accuracy of each state on the test set, one row per state.
 
-    Every pass runs over the fixed row_blocks of the test set, on
-    k = min(usable cores, blocks) threads: thread t evaluates blocks t,
-    t + k, ... of every state, so each block's rows of the ``workspace``'s
+    The test inputs are checked once per call. Every pass then runs over
+    the fixed row_blocks of the test set, on k = min(usable cores, blocks)
+    threads: thread t evaluates blocks t, t + k, ... of every state
+    (nn.forward_rows), so each block's rows of the ``workspace``'s
     buffers (a fresh one when None) have one writer, and no thread waits
     for another between states. A block yields its per-class hit counts,
     integers whose sums are exact in any order, so no result depends on k.
@@ -101,7 +102,7 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
     for state in states:
         nn.check_state(state, spec)
     workspace = nn.Workspace() if workspace is None else workspace
-    inputs, labels = workspace.checked_inputs(spec, test_set.inputs), test_set.labels
+    inputs, labels = nn.check_inputs(spec, test_set.inputs), test_set.labels
     blocks = row_blocks(len(inputs))
     k = min(len(os.sched_getaffinity(0)), len(blocks))
     hits = np.empty((len(states), len(blocks), spec.class_count), dtype=np.int64)
@@ -243,18 +244,23 @@ class MetricsWriter:
         metrics_dir.mkdir(parents=True, exist_ok=True)
         self._files = []
         self._selection = anchor_selection
-        self._rounds = self._open(metrics_dir / "rounds.csv", "round,global_acc," + ",".join(
-            f"acc_class_{k}" for k in range(class_count)))
-        self._forget = self._open(metrics_dir / "forgetting.csv",
-                                  "round,client,class,role,acc_global,acc_local,tau")
-        self._clients = self._open(metrics_dir / "clients.csv",
-                                   "round,client,participated,n_samples,mean_loss")
-        if anchor_selection is not None:
-            self._anchors = self._open(metrics_dir.parent / "anchors.csv",
-                                       "round,client,class,source,sample_id,strategy")
-        if epoch_forgetting:
-            self._epochs = self._open(metrics_dir / "forgetting_epochs.csv",
-                                      "round,epoch,client,class,role,acc_global,acc_local,tau")
+        try:
+            self._rounds = self._open(metrics_dir / "rounds.csv", "round,global_acc," + ",".join(
+                f"acc_class_{k}" for k in range(class_count)))
+            self._forget = self._open(metrics_dir / "forgetting.csv",
+                                      "round,client,class,role,acc_global,acc_local,tau")
+            self._clients = self._open(metrics_dir / "clients.csv",
+                                       "round,client,participated,n_samples,mean_loss")
+            if anchor_selection is not None:
+                self._anchors = self._open(metrics_dir.parent / "anchors.csv",
+                                           "round,client,class,source,sample_id,strategy")
+            if epoch_forgetting:
+                self._epochs = self._open(metrics_dir / "forgetting_epochs.csv",
+                                          "round,epoch,client,class,role,acc_global,acc_local,tau")
+        except BaseException:
+            # no caller gets a writer to close: close what was opened here
+            self.close()
+            raise
 
     def _open(self, path: Path, header: str):
         fh = open(path, "w", newline="")

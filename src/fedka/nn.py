@@ -33,6 +33,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -557,23 +558,19 @@ class Workspace:
     kernel faults its pages in each time. Through a workspace, conv layers
     build their im2col column matrices in one column scratch; only one such
     matrix is live at a time, so the scratch grows to the largest and stays.
-    In a forward-only pass, each Dense layer also writes into its own buffer
+    In a forward_rows pass, each Dense layer also writes into its own buffer
     and a ReLU works in place on an array the pass allocated, never on the
     caller's inputs or a view of them; pooling layers allocate as usual. The
     logits of such a pass live in a buffer until the next pass overwrites
-    it. A workspace serves one pass at a time, except for passes over
-    disjoint rows of the same inputs (forward_rows): threads may run those
-    at once through its lanes, which share its layer buffers and each have
-    a column scratch of their own.
-
-    It also remembers the last read-only inputs it checked: their values
-    cannot change, so check_inputs runs once for them, not at every pass."""
+    it. A workspace serves one pass at a time, except for forward_rows
+    passes over disjoint rows of the same inputs: threads may run those at
+    once through its lanes, which share its layer buffers and each have a
+    column scratch of their own."""
 
     def __init__(self):
         self._buffers: dict[int, np.ndarray] = {}
         self._lanes: list[Workspace] = []
         self._columns = np.empty(0)
-        self._checked: np.ndarray | None = None
 
     def columns(self, size: int) -> np.ndarray:
         """The first ``size`` entries of the column scratch, grown when it
@@ -602,24 +599,15 @@ class Workspace:
             self._lanes.append(lane)
         return [self, *self._lanes[:count - 1]]
 
-    def checked_inputs(self, spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
-        """check_inputs, skipped for the read-only array checked last."""
-        if inputs is not self._checked or inputs.shape[1:] != spec.input_shape:
-            inputs = check_inputs(spec, inputs)
-            if not inputs.flags.writeable:
-                self._checked = inputs
-        return inputs
-
 
 def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
              workspace: Workspace | None = None, rows: slice | None = None):
     """Logits and, with ``keep_caches``, every layer's input. Conv layers
-    take their column matrices from a ``workspace``; a pass that keeps no
-    caches also writes Dense outputs into its buffers, and ReLUs in place.
-    With ``rows`` the pass runs on those rows of x alone, and a Dense
-    buffer, sized for all of x, takes its output in the same rows."""
+    take their column matrices from a ``workspace``. With ``rows`` (a pass
+    that keeps no caches) the pass runs on those rows of x alone: each Dense
+    layer writes the same rows of its workspace buffer, which is sized for
+    all of x, and ReLUs work in place."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
-    reuse = workspace is not None and not keep_caches
     h = x if rows is None else x[rows]
     owned = False   # h was allocated by this pass: not x, nor a view of it
     for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
@@ -627,10 +615,10 @@ def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: 
             caches.append(h)
         if isinstance(layer, Conv2d):
             h = layer.forward(params[..., sl], h, offsets, workspace)
-        elif reuse and isinstance(layer, Dense):
-            out = workspace.buffer(i, (len(x), layer.out_features))
-            h = layer.forward(params[..., sl], h, out=out if rows is None else out[rows])
-        elif reuse and isinstance(layer, Relu) and owned:
+        elif rows is not None and isinstance(layer, Dense):
+            out = workspace.buffer(i, (len(x), layer.out_features))[rows]
+            h = layer.forward(params[..., sl], h, out=out)
+        elif rows is not None and isinstance(layer, Relu) and owned:
             h = layer.forward(params[..., sl], h, out=h)
         else:
             h = layer.forward(params[..., sl], h, offsets)
@@ -654,29 +642,23 @@ def check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray,
-                   workspace: Workspace | None = None) -> np.ndarray:
-    """Raw (batch, class_count) logits. No softmax is ever applied.
-
-    Through a ``workspace`` the logits are bit-for-bit the same, but they
-    live in one of its buffers, which the workspace's next pass overwrites."""
+def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
+    """Raw (batch, class_count) logits, in arrays of their own: the inputs
+    are checked and every activation is allocated. No softmax is ever
+    applied."""
     check_state(state, spec)
-    if workspace is None:
-        inputs = check_inputs(spec, inputs)
-    else:
-        inputs = workspace.checked_inputs(spec, inputs)
-    logits, _ = _forward(spec, state.params, inputs, keep_caches=False, workspace=workspace)
+    logits, _ = _forward(spec, state.params, check_inputs(spec, inputs), keep_caches=False)
     return logits
 
 
 def forward_rows(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, rows: slice,
                  workspace: Workspace) -> np.ndarray:
-    """The logits of ``inputs[rows]``: a forward_logits pass through the
-    ``workspace``, but each Dense layer writes rows ``rows`` of a buffer
-    sized for all of the inputs. Threads may run passes over disjoint rows
-    at once, each through its own lane of one workspace (Workspace.lanes).
-    The logits may live in a buffer, until the next pass over these rows.
-    The inputs are not checked here."""
+    """The logits of ``inputs[rows]``, bit-for-bit forward_logits' rows,
+    from a pass through the ``workspace``'s buffers: each Dense layer writes
+    rows ``rows`` of a buffer sized for all of the inputs. Threads may run
+    passes over disjoint rows at once, each through its own lane of one
+    workspace (Workspace.lanes). The logits may live in a buffer, until the
+    next pass over these rows. The inputs are not checked here."""
     return _forward(spec, params, inputs, False, workspace=workspace, rows=rows)[0]
 
 
@@ -922,12 +904,21 @@ _STATE_MAGIC = b"FKMS"
 
 def save_state(state: ModelState, path: str | Path) -> None:
     """Little-endian blob: magic, 32-byte spec hash, u64 length, params then
-    momentum as raw float64."""
-    with open(path, "wb") as fh:
-        fh.write(_STATE_MAGIC + bytes.fromhex(state.spec_hash) + struct.pack("<Q", state.params.size))
-        for values in (state.params, state.momentum):
-            # a contiguous little-endian float64 array is written without a copy
-            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+    momentum as raw float64. It is written to a temporary file beside
+    ``path`` and renamed over it, so a failed write leaves whatever file was
+    at ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_STATE_MAGIC + bytes.fromhex(state.spec_hash) + struct.pack("<Q", state.params.size))
+            for values in (state.params, state.momentum):
+                # a contiguous little-endian float64 array is written without a copy
+                fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_state(path: str | Path) -> ModelState:

@@ -272,8 +272,8 @@ def test_teacher_logits_unchanged_by_workspace_evaluation():
     workspace = nn.Workspace()
     for seed in (16, 17):
         state = nn.init_state(spec, stream(seed, "init"))
-        nn.forward_logits(state, spec, before.inputs, workspace)
-        nn.forward_logits(state, spec, ds.inputs, workspace)
+        nn.forward_rows(spec, state.params, before.inputs, slice(0, len(before.inputs)), workspace)
+        nn.forward_rows(spec, state.params, ds.inputs, slice(0, len(ds)), workspace)
     assert before.teacher.tobytes() == teacher.tobytes()
     assert anchor.anchor_target(built, g_state, spec).teacher.tobytes() == teacher.tobytes()
 

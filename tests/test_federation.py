@@ -523,6 +523,45 @@ def test_finished_run_not_overwritten(tmp_path):
     federation.run_experiment(cfg, force=True)  # explicit override allowed
 
 
+def test_forced_rerun_that_fails_leaves_no_file_of_the_old_run(tmp_path, monkeypatch):
+    old, _ = run_cfg(tmp_path, strategy={"kind": "fedka", "beta": 0.1},
+                     metrics={"checkpoint_interval": 1, "epoch_forgetting": True})
+    assert (old / "anchors.csv").exists() and (old / "checkpoints" / "round_00003.bin").exists()
+    (old / "notes.txt").write_text("kept\n")
+    original = federation.run_round
+
+    def fail_in_round_2(cfg, r, *rest):
+        if r == 2:
+            raise RuntimeError("stop in round 2")
+        return original(cfg, r, *rest)
+
+    monkeypatch.setattr(federation, "run_round", fail_in_round_2)
+    cfg = config.resolve(raw_config(tmp_path, **{"training.rounds": 2,
+                                                 "metrics.checkpoint_interval": 1}))
+    with pytest.raises(RuntimeError, match="stop in round 2"):
+        federation.run_experiment(cfg, force=True)
+    left = sorted(str(p.relative_to(old)) for p in old.rglob("*") if p.is_file())
+    assert left == ["checkpoints/round_00001.bin", "config.json", "metrics/clients.csv",
+                    "metrics/forgetting.csv", "metrics/rounds.csv", "model.json", "notes.txt"]
+    assert len((old / "metrics" / "rounds.csv").read_text().splitlines()) == 2
+    assert json.loads((old / "config.json").read_text())["strategy"]["kind"] == "fedavg"
+
+
+def test_metric_files_opened_before_a_failure_are_closed(tmp_path, monkeypatch):
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(metrics, "open", recording_open, raising=False)
+    (tmp_path / "run" / "metrics" / "forgetting_epochs.csv").mkdir(parents=True)
+    cfg = config.resolve(raw_config(tmp_path, **{"metrics.epoch_forgetting": True}))
+    with pytest.raises(federation.RunError, match="cannot open metric files"):
+        federation.run_experiment(cfg)
+    assert len(handles) == 3 and all(fh.closed for fh in handles)
+
+
 def test_partial_participation_marks_nonparticipants(tmp_path):
     out, _ = run_cfg(tmp_path, **{"training.participation_ratio": 0.5,
                                   "partition.clients": 4})

@@ -145,7 +145,7 @@ def test_workspace_evaluation_matches_fresh_passes(preset):
     workspace = nn.Workspace()
     # back to the first state last: each pass must overwrite what the one before left
     for state in states + states[:1]:
-        logits = nn.forward_logits(state, spec, ds.inputs, workspace).tobytes()
+        logits = nn.forward_rows(spec, state.params, ds.inputs, slice(0, len(ds)), workspace).tobytes()
         acc = metrics.classwise_accuracy(state, spec, ds, workspace)
         fresh = nn.forward_logits(state, spec, ds.inputs)
         assert logits == fresh.tobytes()
@@ -154,6 +154,21 @@ def test_workspace_evaluation_matches_fresh_passes(preset):
         records = metrics.measure_local_forgetting(
             data.make_shard(0, np.arange(10), ds, gamma=0.05), acc, acc, 1)
         assert sorted(r.klass for r in records) == [0, 1, 3]
+
+
+def test_evaluation_rechecks_inputs_whose_base_changed():
+    """A read-only view cannot be written, but its writeable base can: each
+    evaluation checks the inputs anew."""
+    spec = nn.mlp_spec(3, (4,), 2)
+    base = stream(20, "x").normal(size=(10, 3))
+    ds = data.LabeledDataset(base[:], np.arange(10) % 2, 2, "view")
+    assert not ds.inputs.flags.writeable and base.flags.writeable
+    state = nn.init_state(spec, stream(21, "init"))
+    workspace = nn.Workspace()
+    metrics.classwise_accuracies([state], spec, ds, workspace)
+    base[3, 1] = np.nan
+    with pytest.raises(nn.NonFiniteError, match="non-finite values in network inputs"):
+        metrics.classwise_accuracies([state], spec, ds, workspace)
 
 
 def test_workspace_evaluation_allocates_no_activations():

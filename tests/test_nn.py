@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fedka import nn
+from fedka import data, metrics, nn
 from fedka.rng import stream
 
 # ln(4): CE of a uniform predictor over 4 classes
@@ -397,9 +397,10 @@ def test_forward_reports_layer_of_overflow_beyond_layer_0():
     state = nn.ModelState(params, np.zeros(12), spec.spec_hash)
     x = np.array([[1.0, 1.0], [1e300, 1.0]])
     with np.errstate(over="ignore"):
-        for workspace in (None, nn.Workspace()):
-            with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
-                nn.forward_logits(state, spec, x, workspace)
+        with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
+            nn.forward_logits(state, spec, x)
+        with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
+            nn.forward_rows(spec, params, x, slice(0, 2), nn.Workspace())
         with pytest.raises(nn.NonFiniteError, match="layer 2") as caught:
             nn.forward_stack(spec, np.stack([params, params]), x, (0, 1, 2))
     assert caught.value.client == 1
@@ -415,7 +416,7 @@ def test_workspace_reports_layer_of_overflow():
     params = np.array([1e308, 0.0, 0.0, 1e308, 0.0, 0.0])
     state = nn.ModelState(params, np.zeros(6), spec.spec_hash)
     with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match="layer 0"):
-        nn.forward_logits(state, spec, np.full((1, 2), 1e30), nn.Workspace())
+        nn.forward_rows(spec, state.params, np.full((1, 2), 1e30), slice(0, 1), nn.Workspace())
 
 
 @pytest.mark.parametrize("spec", [
@@ -430,7 +431,7 @@ def test_workspace_never_writes_the_inputs(spec):
     before = x.copy()
     workspace = nn.Workspace()
     for _ in range(2):
-        logits = nn.forward_logits(state, spec, x, workspace)
+        logits = nn.forward_rows(spec, state.params, x, slice(0, 9), workspace)
         assert x.tobytes() == before.tobytes()
         assert logits.tobytes() == nn.forward_logits(state, spec, before).tobytes()
 
@@ -438,13 +439,16 @@ def test_workspace_never_writes_the_inputs(spec):
 def test_workspace_checks_every_new_input_array():
     spec, state = small_mlp()
     workspace = nn.Workspace()
-    good = np.zeros((2, 6))
-    good.setflags(write=False)
-    nn.forward_logits(state, spec, good, workspace)
+
+    def evaluate(inputs):
+        test_set = data.LabeledDataset(inputs, np.arange(2), spec.class_count, "x")
+        return metrics.classwise_accuracy(state, spec, test_set, workspace)
+
+    evaluate(np.zeros((2, 6)))
     with pytest.raises(nn.NonFiniteError, match="inputs"):
-        nn.forward_logits(state, spec, np.full((2, 6), np.nan), workspace)
+        evaluate(np.full((2, 6), np.nan))
     with pytest.raises(nn.ShapeError):
-        nn.forward_logits(state, spec, np.zeros((2, 5)), workspace)
+        evaluate(np.zeros((2, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +576,18 @@ def test_saved_state_is_header_then_little_endian_arrays(tmp_path):
     for saved in (state, swapped):
         nn.save_state(saved, tmp_path / "model.bin")
         assert (tmp_path / "model.bin").read_bytes() == expected
+
+
+def test_failed_save_leaves_the_older_file_intact(tmp_path):
+    spec, state = small_mlp(seed=34)
+    path = tmp_path / "model.bin"
+    nn.save_state(state, path)
+    saved = path.read_bytes()
+    broken = nn.ModelState(state.params + 1.0, np.full(state.momentum.shape, "x"), state.spec_hash)
+    with pytest.raises(ValueError):
+        nn.save_state(broken, path)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_load_state_rejects_garbage(tmp_path):
