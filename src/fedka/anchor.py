@@ -110,7 +110,11 @@ def select_anchor_strategy(
 
     random draws uniformly; hard takes the sample with the largest CE loss
     under the given model, proficient the smallest. Loss ties break toward
-    the lowest sample index (members are in ascending index order).
+    the lowest sample index (members are in ascending index order). The
+    first call scores every sample of the shard's non-dominant classes, the
+    ones build_anchor asks for, in one pass, each class on its own rows of
+    a stack (nn.per_sample_ce), so every loss is the one a pass over its
+    class alone gives; a class outside them is scored when asked for.
     """
     if strategy == "random":
         def choose(k: int, rng: np.random.Generator) -> int:
@@ -120,13 +124,24 @@ def select_anchor_strategy(
     if strategy in ("hard", "proficient"):
         if state is None or spec is None:
             raise ValueError(f"{strategy} selection needs a model to score losses")
+        scored: dict[int, np.ndarray] = {}
+
+        def score(classes: list[int]) -> None:
+            members = [shard.class_members(k) for k in classes]
+            inputs, labels = dataset.take(np.concatenate(members))
+            offsets = np.cumsum([0] + [len(m) for m in members]).tolist()
+            losses = nn.per_sample_ce(state, spec, inputs, labels, offsets)
+            for k, start, stop in zip(classes, offsets, offsets[1:]):
+                scored[k] = losses[start:stop]
 
         def choose(k: int, rng: np.random.Generator) -> int:
-            members = shard.class_members(k)
-            inputs, labels = dataset.take(members)
-            losses = nn.per_sample_ce(state, spec, inputs, labels)
+            if not scored:
+                score(sorted(shard.non_dominant | {k}))
+            elif k not in scored:
+                score([k])
+            losses = scored[k]
             pick = int(np.argmax(losses)) if strategy == "hard" else int(np.argmin(losses))
-            return int(members[pick])
+            return int(shard.class_members(k)[pick])
         return choose
     raise ValueError(f"unknown selection strategy {strategy!r}, pick one of {SELECTIONS}")
 

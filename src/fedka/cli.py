@@ -19,6 +19,14 @@ import os
 import sys
 from pathlib import Path
 
+# One BLAS thread per Python thread, set before numpy loads OpenBLAS: a run
+# spreads its training stacks and evaluation passes over the cores itself
+# (nn.thread_count), and two threads each calling a two-thread BLAS ran a
+# 40-round t_cnn experiment in 6.8 s instead of 4.0 s on a 2-core host
+# (medians of 5). A thread count exported by the caller stands.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .config import (
     ConfigError,
     apply_overrides,

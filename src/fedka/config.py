@@ -153,7 +153,7 @@ class TrainingConfig:
     momentum: float = _key(0.9, minimum=0.0, maximum=1.0)
     weight_decay: float = _key(1e-5, minimum=0.0)
     participation_ratio: float = _key(1.0, exclusive_min=0.0, maximum=1.0)
-    parallel_clients: int = _key(1, minimum=1)
+    parallel_clients: int = _key(0, minimum=0)  # 0: nn.thread_count chooses
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,11 @@ def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
     return _Client(shard, steps, -(-n // t.batch_size), anchor_log, target)
 
 
+# the most stacks training.parallel_clients = 0 chooses: the most measured
+# (a 2-core host, one BLAS thread each); more would each keep a workspace
+# lane's memory, a cost never weighed against their speed
+CHOSEN_STACKS = 2
+
 # logit entries that lockstep training keeps for the loss trace before it
 # computes their losses
 _PENDING_LOSS_ENTRIES = 1 << 22
@@ -120,18 +125,21 @@ def local_train(
     dataset: LabeledDataset,
     shared: anchor.SharedDataset | None = None,
     workspace: nn.Workspace | None = None,
+    stack: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[ClientUpdate]:
     """Train a fresh copy of the global model on each client's shard, under
     ``cfg.training`` and ``cfg.strategy``, all clients in lockstep; returns
-    the updates in the order of ``shards``. The passes build their conv
-    column matrices in ``workspace``, which nothing else may use meanwhile.
+    the updates in the order of ``shards``. The passes run through the
+    ``workspace``, which nothing else may use meanwhile.
 
     Each copy starts with zeroed momentum. Proximal and anchor terms are
     evaluated only when their weights are nonzero, so a zero-weight run is
     bit-identical to plain averaging; the anchor itself is still built (it
     has its own stream, and the audit trail stays meaningful).
 
-    The copies' parameters and momentum are one (P, n) stack. Each step makes
+    The copies' parameters, momentum and gradients are three (P, n) stacks,
+    P = len(shards): the C-contiguous arrays of ``stack``, or arrays
+    allocated here when None. Each step makes
     one forward pass, one loss gradient and one SGD update for every client
     that still has batches, and a client leaves the stack when they run out.
     Every client draws from its own streams and every GEMM runs on its own
@@ -162,9 +170,11 @@ def local_train(
     targets = [c.target for c in clients]
     center = global_state.params if strategy.kind == "fedprox" and strategy.mu > 0.0 else None
 
-    params = np.repeat(global_state.params[None], len(clients), axis=0)
-    momentum = np.zeros_like(params)
-    grad = np.empty_like(params)
+    if stack is None:
+        stack = tuple(np.empty((len(clients), spec.param_count)) for _ in range(3))
+    params, momentum, grad = stack
+    params[...] = global_state.params
+    momentum[...] = 0.0
     losses = [np.empty(len(c.steps)) for c in clients]
     epoch_states: list[list[nn.ModelState]] = [[] for _ in clients]
     layouts: dict[tuple[int, ...], tuple[anchor.FusedRows, np.ndarray | None]] = {}
@@ -183,8 +193,8 @@ def local_train(
     active = sum(1 for c in clients if c.steps)
     s = pending_entries = 0
     while active:
-        stack = clients[:active]
-        sizes = tuple([len(c.steps[s]) for c in stack])
+        training = clients[:active]
+        sizes = tuple([len(c.steps[s]) for c in training])
         layout = layouts.get(sizes)
         if layout is None:
             rows = anchor.fused_rows(sizes, targets[:active])
@@ -196,7 +206,7 @@ def local_train(
                     [tg.inputs for tg in targets[:active] if tg is not None])
             layout = layouts[sizes] = (rows, buffer)
         rows, inputs = layout
-        batch = np.concatenate([c.steps[s] for c in stack])
+        batch = np.concatenate([c.steps[s] for c in training])
         if inputs is None:
             inputs = dataset.inputs[batch]
         else:
@@ -209,12 +219,12 @@ def local_train(
                 center, strategy.mu, workspace)
             nn.sgd_update(stack_params, momentum[:active], stack_grad, t.lr, t.momentum, t.weight_decay)
         except nn.NonFiniteError as exc:
-            raise failed(stack[exc.client].shard.client_id, exc) from exc
+            raise failed(training[exc.client].shard.client_id, exc) from exc
         pending.setdefault(sizes, (rows, []))[1].append((s, logits, labels, prox_loss))
         pending_entries += logits.size
         s += 1
         if cfg.metrics.epoch_forgetting:
-            for p, c in enumerate(stack):
+            for p, c in enumerate(training):
                 if s % c.per_epoch == 0:
                     epoch_states[p].append(nn.ModelState(
                         params[p].copy(), momentum[p].copy(), global_state.spec_hash))
@@ -254,9 +264,14 @@ def aggregate(updates: list[ClientUpdate]) -> nn.ModelState:
     if drift > 1e-12:
         raise ArithmeticError(f"aggregation weights sum off by {drift:.3e}")
     params = np.zeros_like(updates[0].state.params)
-    term = np.empty_like(params)
-    for w, u in zip(weights, updates):
-        params += np.multiply(u.state.params, w, out=term)
+    term = np.empty(min(nn.CACHE_BLOCK, params.size))
+    # block by block, so that the sum and the term stay in cache; each entry
+    # still adds the clients' terms in client order
+    for lo in range(0, params.size, nn.CACHE_BLOCK):
+        block = params[lo:lo + nn.CACHE_BLOCK]
+        part = term[:len(block)]
+        for w, u in zip(weights, updates):
+            block += np.multiply(u.state.params[lo:lo + nn.CACHE_BLOCK], w, out=part)
     return nn.ModelState(params, np.zeros_like(params), spec_hash)
 
 
@@ -320,38 +335,57 @@ def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, d
 
 def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
               global_state: nn.ModelState, spec: nn.NetworkSpec, train: LabeledDataset,
-              shared: anchor.SharedDataset | None,
-              workspaces: list[nn.Workspace]) -> list[ClientUpdate]:
+              shared: anchor.SharedDataset | None, workspace: nn.Workspace) -> list[ClientUpdate]:
     """Round r's local stages: the sampled participants train on their
-    shards in lockstep, split into ``training.parallel_clients`` contiguous
-    stacks that run in threads. Stack i trains through ``workspaces[i]``,
-    so a caller that keeps ``parallel_clients`` workspaces across rounds
-    reuses their buffers. Returns the updates in client order; a failure
-    raises RunError naming the round (and the client, when one is at
-    fault).
+    shards in lockstep, split into k stacks, stack i on thread i and through
+    lane i of the ``workspace`` (Workspace.lanes), so a caller that keeps one
+    workspace across rounds reuses its memory. k is
+    ``training.parallel_clients`` when that is set, else nn.thread_count for
+    one client's forward pass over a batch, at most CHOSEN_STACKS; never
+    more than the participants. The stacks hold about as many samples
+    each: the largest shard goes first, each to the stack with the fewest
+    samples so far.
+    The calling thread trains stack 0. The stacks' parameter, momentum and
+    gradient rows are allocated here, one array each, a contiguous range of
+    rows per stack. Returns the updates in client order; a failure raises
+    RunError naming the round (and the client, when one is at fault).
     """
     t = cfg.training
     participants = sample_participants(
         shards, t.participation_ratio, stream(cfg.master_seed, "participants", r))
-    k = min(t.parallel_clients, len(participants))
-    stacks = [participants[len(participants) * i // k:len(participants) * (i + 1) // k]
-              for i in range(k)]
-    if len(workspaces) < k:
-        raise ValueError(f"{k} training stacks need as many workspaces, got {len(workspaces)}")
+    k = t.parallel_clients or min(nn.thread_count(spec.macs_per_row * t.batch_size, len(participants)),
+                                  CHOSEN_STACKS)
+    k = min(k, len(participants))
+    stacks: list[list[int]] = [[] for _ in range(k)]
+    samples = [0] * k
+    for cid in sorted(participants, key=lambda c: -len(shards[c])):
+        i = samples.index(min(samples))
+        stacks[i].append(cid)
+        samples[i] += len(shards[cid])
+    bounds = np.cumsum([0] + [len(ids) for ids in stacks])
+    arrays = [np.empty((len(participants), spec.param_count)) for _ in range(3)]
+    lanes = workspace.lanes(k)
 
-    def train_stack(ids: tuple[int, ...], workspace: nn.Workspace) -> list[ClientUpdate]:
+    def train_stack(i: int) -> list[ClientUpdate]:
+        rows = slice(bounds[i], bounds[i + 1])
         try:
-            return local_train(cfg, r, [shards[cid] for cid in ids], global_state, spec, train,
-                               shared, workspace)
+            return local_train(cfg, r, [shards[cid] for cid in stacks[i]], global_state, spec,
+                               train, shared, lanes[i], tuple(a[rows] for a in arrays))
         except RunError:
             raise
         except Exception as exc:
             raise RunError(f"round {r}: {exc}") from exc
 
-    if k > 1:
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            return [u for updates in pool.map(train_stack, stacks, workspaces) for u in updates]
-    return train_stack(participants, workspaces[0])
+    if k == 1:
+        updates = train_stack(0)
+    else:
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            others = [pool.submit(train_stack, i) for i in range(1, k)]
+            # a failure in stack 0 is raised once the others have stopped
+            updates = train_stack(0)
+            for future in others:
+                updates += future.result()
+    return sorted(updates, key=lambda u: u.client_id)
 
 
 def _clear_outputs(out: Path) -> None:
@@ -407,16 +441,14 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
             epoch_forgetting=cfg.metrics.epoch_forgetting)
     except OSError as exc:
         raise RunError(f"cannot open metric files: {exc}") from None
-    # each training stack keeps one set of buffers for the whole run; every
-    # state of the run is evaluated through the first, as evaluation never
-    # overlaps training
-    train_workspaces = [nn.Workspace() for _ in range(t.parallel_clients)]
-    workspace = train_workspaces[0]
+    # one region of memory per thread for the whole run: thread t trains and
+    # evaluates through lane t, as evaluation never overlaps training
+    workspace = nn.Workspace()
     with writer:
         teacher_acc = classwise_accuracy(global_state, spec, test, workspace)
         for r in range(1, t.rounds + 1):
             shards.update(changes.get(r, {}))
-            updates = run_round(cfg, r, shards, global_state, spec, train, shared, train_workspaces)
+            updates = run_round(cfg, r, shards, global_state, spec, train, shared, workspace)
             global_state = aggregate(updates)
             # the round's states, in one evaluation: the new global model, then
             # per client its final local model and its model after every epoch

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,16 +84,17 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
     """Per-class accuracy of each state on the test set, one row per state.
 
     The test inputs are checked once per call. Every pass then runs over
-    the fixed row_blocks of the test set, on k = min(usable cores, blocks)
-    threads: thread t evaluates blocks t, t + k, ... of every state
-    (nn.forward_rows), so each block's rows of the ``workspace``'s
-    buffers (a fresh one when None) have one writer, and no thread waits
-    for another between states. A block yields its per-class hit counts,
-    integers whose sums are exact in any order, so no result depends on k.
-    The calling thread is thread 0, and a one-block test set runs on it
-    alone. The other threads are gone when this returns; a failure in a
-    block is raised then, the one of the earliest (state, block), as a
-    single thread would meet it first."""
+    the fixed row_blocks of the test set: the (state, block) units, state
+    after state, go round-robin to nn.thread_count threads, each unit one
+    nn.forward_rows pass. Thread t takes units t, t + k, ... and works
+    through lane t of the ``workspace`` (a fresh one when None), so no
+    thread waits for another. A unit yields its block's per-class hit
+    counts, integers whose sums are exact in any order, so no result
+    depends on k. The calling thread is thread 0, and a unit of fewer than
+    nn.THREAD_MACS multiply-adds, or a single unit, runs on it alone. The
+    other threads are gone when this returns; a failure in a unit is raised
+    then, the one of the earliest (state, block), as a single thread would
+    meet it first."""
     if spec.class_count != test_set.class_count:
         raise ValueError(
             f"model emits {spec.class_count} classes, test set has {test_set.class_count}"
@@ -104,34 +104,29 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
     workspace = nn.Workspace() if workspace is None else workspace
     inputs, labels = nn.check_inputs(spec, test_set.inputs), test_set.labels
     blocks = row_blocks(len(inputs))
-    k = min(len(os.sched_getaffinity(0)), len(blocks))
+    units = [(s, b) for s in range(len(states)) for b in range(len(blocks))]
+    k = nn.thread_count(spec.macs_per_row * (len(inputs) // len(blocks)), len(units))
     hits = np.empty((len(states), len(blocks), spec.class_count), dtype=np.int64)
     failures: list[tuple[tuple[int, int], Exception]] = []
 
-    def evaluate(tasks: list[tuple[int, int]], lane: nn.Workspace) -> bool:
-        for s, b in tasks:
+    def evaluate(t: int, lane: nn.Workspace) -> None:
+        for s, b in units[t::k]:
             try:
                 logits = nn.forward_rows(spec, states[s].params, inputs, blocks[b], lane)
             except Exception as exc:
                 failures.append(((s, b), exc))
-                return False
+                return
             hits[s, b] = _class_hits(logits, labels[blocks[b]], spec.class_count)
-        return True
 
-    shares = [[(s, b) for s in range(len(states)) for b in range(t, len(blocks), k)]
-              for t in range(k)]
-    # the other threads start once the calling thread's first pass has
-    # allocated the shared buffers: glibc would keep a buffer that a worker
-    # allocated in that thread's malloc arena, and not give its pages back
-    if evaluate(shares[0][:1], workspace) and k > 1:
+    lanes = workspace.lanes(k)
+    if k > 1:
         with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            others = [pool.submit(evaluate, share, lane)
-                      for share, lane in zip(shares[1:], workspace.lanes(k)[1:])]
-            evaluate(shares[0][1:], workspace)
+            others = [pool.submit(evaluate, t, lanes[t]) for t in range(1, k)]
+            evaluate(0, lanes[0])
             for future in others:
                 future.result()
-    elif not failures:
-        evaluate(shares[0][1:], workspace)
+    else:
+        evaluate(0, lanes[0])
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return _accuracy(hits.sum(axis=1), test_set)

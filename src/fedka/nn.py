@@ -22,8 +22,12 @@ stack. A flat parameter vector with no offsets is the single-model case.
 
 A convolution is an explicit GEMM over an im2col column matrix
 (Chellapilla et al. 2006), and its input gradient a GEMM followed by col2im.
-The column matrices live in a Workspace's column scratch, which a caller
-keeps from pass to pass.
+The column matrices, and the activations and input gradients a pass makes,
+can live in a Workspace, which a caller keeps from pass to pass.
+
+How many threads a job gets follows from its multiply-adds (thread_count):
+a unit of work below THREAD_MACS runs on the calling thread, since starting
+a thread and handing it the GIL costs more than such a unit saves.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import functools
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -74,9 +79,44 @@ def _clients(offsets, n_rows: int, *arrays) -> tuple:
     return (_row_slices(offsets), *arrays)
 
 
-def _scratch(workspace: Workspace | None, size: int) -> np.ndarray:
-    """``size`` entries of the workspace's column scratch, or of a new array."""
-    return np.empty(size) if workspace is None else workspace.columns(size)
+def _order(x: np.ndarray) -> list[int] | None:
+    """x's axes in the order they lie in memory, outermost first; None for
+    C order."""
+    if x.flags.c_contiguous:
+        return None
+    return sorted(range(x.ndim), key=lambda a: -x.strides[a])
+
+
+def _layout(memory: np.ndarray | None, shape: Shape, order: Sequence[int] | None = None) -> np.ndarray:
+    """An uninitialised array of ``shape`` whose axes lie in memory in
+    ``order`` (C order when None), over the first entries of the flat
+    ``memory``, or a new one when that is None. The layout matters beyond
+    speed: numpy sums a reduction in memory order."""
+    if order is None:
+        return np.empty(shape) if memory is None else memory[:math.prod(shape)].reshape(shape)
+    stored = tuple(shape[a] for a in order)
+    return _layout(memory, stored).transpose(np.argsort(order))
+
+
+def _mapped(size: int) -> np.ndarray:
+    """``size`` float64 entries in pages of their own, outside the malloc
+    heaps, given back to the system when the array goes: glibc keeps what a
+    thread frees in that thread's heap, and memory kept for a run pins the
+    heap around it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)))[:size]
+
+
+# a unit of work (a forward pass over some rows) of this many multiply-adds
+# or more is worth a thread of its own
+THREAD_MACS = 1 << 22
+
+
+def thread_count(macs: int, units: int) -> int:
+    """Threads for ``units`` units of work of ``macs`` multiply-adds each: one
+    per unit up to the usable cores from THREAD_MACS on, else one."""
+    if macs < THREAD_MACS:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), units))
 
 
 def _first_bad_row(values: np.ndarray) -> int:
@@ -125,15 +165,18 @@ class Dense:
             yp += b[p]
         return y
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, grad_into=None):
         """The parameter gradient, written into ``out`` (allocated when None),
-        and the input gradient when asked for."""
+        and the input gradient when asked for, laid out over ``grad_into``
+        (see _layout). Every layer's backward takes these arguments."""
         if out is None:
             out = np.empty(params.shape)
         slices, params, stack_out = _clients(offsets, len(x), params, out)
         w, _ = self._split(params)
         grad_w, grad_b = self._split(stack_out)
-        grad_x = np.empty_like(x) if input_grad else None
+        grad_x = None
+        if input_grad:
+            grad_x = np.empty_like(x) if grad_into is None else _layout(grad_into, x.shape, _order(x))
         for p, rows in enumerate(slices):
             g = grad_out[rows]
             np.matmul(x[rows].T, g, out=grad_w[p])
@@ -161,9 +204,20 @@ class Relu:
     def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, out=None) -> np.ndarray:
         return np.maximum(x, 0.0, out=out)
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, grad_into=None):
+        """``x`` may be the layer's input or its output: both are > 0 at
+        the same entries."""
+        if not input_grad:
+            return None, None
         # subgradient at 0 is fixed to 0
-        return None, grad_out * (x > 0.0) if input_grad else None
+        if grad_into is None:
+            return None, grad_out * (x > 0.0)
+        # laid out as numpy lays out that product: as both operands when
+        # they agree, else in C order
+        order = _order(x)
+        if order is not None and order != _order(grad_out):
+            order = None
+        return None, np.multiply(grad_out, x > 0.0, out=_layout(grad_into, x.shape, order))
 
     def to_json(self) -> dict:
         return {"type": "relu"}
@@ -176,9 +230,9 @@ class Conv2d:
 
     The forward pass returns a (batch, O, oh, ow) view of a channel-major
     (O, batch, oh, ow) array, and takes its output gradient in the same
-    layout without a copy. Column matrices come from a ``workspace``'s
-    column scratch (see Workspace) or, without one, from one allocation per
-    call."""
+    layout without a copy. Column matrices and the input gradient come from
+    a ``workspace`` (see Workspace) or, without one, from
+    allocations of their own."""
 
     in_channels: int
     out_channels: int
@@ -214,35 +268,43 @@ class Conv2d:
         """The (batch, C, oh, ow, k, k) view of x's sliding windows."""
         return sliding_window_view(x, (self.kernel, self.kernel), axis=(2, 3))
 
-    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, workspace=None) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, workspace=None,
+                out=None) -> np.ndarray:
         """One (C*k*k, rows*oh*ow) column matrix for the whole stack, then
         ``W @ cols`` per client into its own columns of the output. That is
         the product einsum forms for this contraction, so the output is
-        bit-for-bit einsum's."""
+        bit-for-bit einsum's. ``out``, when given, is a channel-major
+        (batch, O, oh, ow) array, as this returns."""
         slices, params = _clients(offsets, len(x), params)
         w, b = self._split(params)
         n, c, h, wd = x.shape
         k, o = self.kernel, self.out_channels
         oh, ow = h - k + 1, wd - k + 1
         hw, ckk = oh * ow, c * k * k
-        cols = _scratch(workspace, ckk * n * hw).reshape(ckk, n * hw)
+        memory = None if workspace is None else workspace.take(ckk * n * hw)
+        cols = _layout(memory, (ckk, n * hw))
         cols.reshape(c, k, k, n, oh, ow)[...] = self._windows(x).transpose(1, 4, 5, 0, 2, 3)
-        y = np.empty((o, n * hw))
+        if out is None:
+            out = _layout(None, (n, o, oh, ow), (1, 0, 2, 3))
+        y = out.transpose(1, 0, 2, 3).reshape(o, n * hw)
         for p, rows in enumerate(slices):
             cs = slice(rows.start * hw, rows.stop * hw)
             yp = y[:, cs]
             np.matmul(w[p].reshape(o, ckk), cols[:, cs], out=yp)
             yp += b[p][:, None]
-        return y.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+        if workspace is not None:
+            workspace.give_back(memory)
+        return out
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, workspace=None):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None,
+                 grad_into=None, workspace=None):
         """As Dense.backward. Per client, the weight gradient is
         ``grad_out (O, rows*oh*ow) @ cols (rows*oh*ow, C*k*k)``, bit-for-bit
         einsum's, and the input gradient is col2im: ``W.T @ grad_out`` into
         a column matrix, then k*k shifted adds into the input's shape. That
         sums in another order than the full correlation of grad_out with
         the flipped kernel, so it differs from it in rounding. The two column
-        matrices take turns in one buffer."""
+        matrices take turns in one buffer, taken from the ``workspace``."""
         if out is None:
             out = np.empty(params.shape)
         slices, params, stack_out = _clients(offsets, len(x), params, out)
@@ -255,8 +317,11 @@ class Conv2d:
         # (O, rows*oh*ow); a view when grad_out is channel-major, as forward returns it
         go = grad_out.transpose(1, 0, 2, 3).reshape(o, n * hw)
         most = max(rows.stop - rows.start for rows in slices)
-        scratch = _scratch(workspace, most * hw * ckk)
-        grad_x = np.zeros((c, n, h, wd)) if input_grad else None
+        grad_x = None
+        if input_grad:
+            grad_x = _layout(grad_into, (c, n, h, wd))
+            grad_x.fill(0.0)
+        scratch = np.empty(most * hw * ckk) if workspace is None else workspace.take(most * hw * ckk)
         for p, rows in enumerate(slices):
             m = rows.stop - rows.start
             g = go[:, rows.start * hw:rows.stop * hw]
@@ -272,6 +337,8 @@ class Conv2d:
                 for i in range(k):
                     for j in range(k):
                         gx[:, :, i:i + oh, j:j + ow] += dcols[:, i, j]
+        if workspace is not None:
+            workspace.give_back(scratch)
         return out, None if grad_x is None else grad_x.transpose(1, 0, 2, 3)
 
     def to_json(self) -> dict:
@@ -314,16 +381,21 @@ class MaxPool:
         return [x[..., i : oh * k : k, j : ow * k : k] for i in range(k) for j in range(k)]
 
     @staticmethod
-    def _max(views: list[np.ndarray]) -> np.ndarray:
-        out = views[0].copy()
+    def _max(views: list[np.ndarray], out=None) -> np.ndarray:
+        """The window maxima, written into ``out`` (a C-order array,
+        allocated when None)."""
+        if out is None:
+            out = np.empty(views[0].shape)
+        out[...] = views[0]
         for view in views[1:]:
             np.maximum(out, view, out=out)
         return out
 
-    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
-        return self._max(self._views(x))
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, out=None) -> np.ndarray:
+        return self._max(self._views(x), out)
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, best=None):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None,
+                 grad_into=None, best=None):
         """The input gradient; ``best`` is the forward pass's output, the
         window maxima, recomputed when not given."""
         if not input_grad:
@@ -333,7 +405,7 @@ class MaxPool:
             best = self._max(views)
         # the loop below writes every cell of a full window: zero only the
         # ragged rows and columns beyond the last one
-        grad_x = np.empty_like(x)
+        grad_x = np.empty_like(x) if grad_into is None else _layout(grad_into, x.shape, _order(x))
         k = self.kernel
         grad_x[..., best.shape[-2] * k:, :] = 0.0
         grad_x[..., best.shape[-1] * k:] = 0.0
@@ -344,7 +416,8 @@ class MaxPool:
             wins = view == best
             wins &= unclaimed
             unclaimed ^= wins
-            grad_view[...] = np.where(wins, grad_out, 0.0)
+            grad_view[...] = 0.0
+            np.copyto(grad_view, grad_out, where=wins)
         return None, grad_x
 
     def to_json(self) -> dict:
@@ -363,10 +436,10 @@ class Flatten:
     def param_count(self) -> int:
         return 0
 
-    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, out=None) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None):
+    def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, grad_into=None):
         return None, grad_out.reshape(x.shape) if input_grad else None
 
     def to_json(self) -> dict:
@@ -446,6 +519,47 @@ class NetworkSpec:
     @cached_property
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)
+
+    @cached_property
+    def macs_per_row(self) -> int:
+        """Multiply-adds of one row's forward pass: in * out per Dense layer,
+        C * k * k * O * oh * ow per Conv2d layer."""
+        return sum(layer.in_features * layer.out_features if isinstance(layer, Dense)
+                   else layer.in_channels * layer.kernel**2 * math.prod(shape)
+                   for layer, shape in zip(self.layers, self.layer_shapes[1:])
+                   if isinstance(layer, (Dense, Conv2d)))
+
+    @cached_property
+    def gradient_areas(self) -> tuple[int, int]:
+        """Entries per row of the two areas a backward pass's input gradients
+        take turns in: layer by layer from the last, each layer but Flatten
+        (whose input gradient is a view of its output's) and layer 0 (whose
+        input gradient nothing reads) writes into the one its output
+        gradient is not in."""
+        widths, turn = [0, 0], 0
+        for layer, shape in zip(self.layers[:0:-1], self.layer_shapes[-2:0:-1]):
+            if not isinstance(layer, Flatten):
+                widths[turn] = max(widths[turn], math.prod(shape))
+                turn ^= 1
+        return widths[0], widths[1]
+
+    @cached_property
+    def _workspace_row(self) -> int:
+        # every output but Flatten's (a view), the two gradient areas and the
+        # largest im2col column matrix
+        outputs = sum(math.prod(shape) for layer, shape in zip(self.layers, self.layer_shapes[1:])
+                      if not isinstance(layer, Flatten))
+        columns = max((layer.in_channels * layer.kernel**2 * math.prod(shape[1:])
+                       for layer, shape in zip(self.layers, self.layer_shapes[1:])
+                       if isinstance(layer, Conv2d)), default=0)
+        return outputs + sum(self.gradient_areas) + columns
+
+    def workspace_size(self, rows: int) -> int:
+        """Entries a forward pass over ``rows`` rows and the backward pass
+        after it can take from a Workspace at most: every layer's output,
+        the two gradient areas and one column matrix, each rounded up to a
+        64-byte line."""
+        return rows * self._workspace_row + 8 * (len(self.layers) + 2)
 
     @cached_property
     def spec_hash(self) -> str:
@@ -551,77 +665,91 @@ def check_state(state: ModelState, spec: NetworkSpec) -> None:
 
 
 class Workspace:
-    """Buffers that passes reuse, for evaluating many states of one model
-    on the same inputs and for training one stack of models step after step.
+    """Memory that passes reuse, for evaluating many states of one model on
+    the same inputs and for training one stack of models step after step.
 
-    A fresh pass over a large batch allocates every activation anew, and the
-    kernel faults its pages in each time. Through a workspace, conv layers
-    build their im2col column matrices in one column scratch; only one such
-    matrix is live at a time, so the scratch grows to the largest and stays.
-    In a forward_rows pass, each Dense layer also writes into its own buffer
-    and a ReLU works in place on an array the pass allocated, never on the
-    caller's inputs or a view of them; pooling layers allocate as usual. The
-    logits of such a pass live in a buffer until the next pass overwrites
-    it. A workspace serves one pass at a time, except for forward_rows
-    passes over disjoint rows of the same inputs: threads may run those at
-    once through its lanes, which share its layer buffers and each have a
-    column scratch of their own."""
+    A fresh pass allocates every activation anew, and the kernel faults its
+    pages in each time. Through a workspace, a pass takes its arrays one
+    after another from one region of memory: every layer's output, the conv
+    layers' im2col column matrices (given back once the layer is done with
+    them), and in a backward pass two areas that the input gradients take
+    turns in. A forward pass starts again at the start of the region, and a
+    backward pass goes on after the arrays of the forward pass before it.
+    The region is mapped outside the malloc heaps, and the kernel maps its
+    pages in as a pass first touches them. It only grows: a forward pass
+    that could take more than the region holds (NetworkSpec.workspace_size)
+    maps one of that size before it takes anything. So a thread holds the
+    memory of its largest pass, be it training or evaluation, and faults
+    each page in once. Two exceptions: the Dense layers of a forward_stack
+    pass allocate their outputs, so that the logits a caller keeps are
+    arrays of their own, and ReLUs work in place on arrays the pass wrote (a
+    backward pass tells where they were positive from their outputs). What
+    a pass leaves in the region lives until the next forward pass.
+
+    A workspace serves one pass at a time. Threads run passes at once
+    through its lanes (Workspace.lanes), each with a region of its own."""
 
     def __init__(self):
-        self._buffers: dict[int, np.ndarray] = {}
+        self._memory = np.empty(0)
+        self._used = 0      # entries taken since the forward pass started
         self._lanes: list[Workspace] = []
-        self._columns = np.empty(0)
 
-    def columns(self, size: int) -> np.ndarray:
-        """The first ``size`` entries of the column scratch, grown when it
-        is smaller; what the last caller wrote there is overwritten."""
-        if self._columns.size < size:
-            self._columns = np.empty(size)
-        return self._columns[:size]
+    def restart(self, size: int) -> None:
+        """Start a forward pass that takes at most ``size`` entries: what
+        earlier passes took may be overwritten."""
+        self._used = 0
+        if self._memory.size < size:
+            # the arrays of earlier passes keep the old region until they go
+            self._memory = _mapped(size)
 
-    def buffer(self, layer: int, shape: Shape) -> np.ndarray:
-        """Layer ``layer``'s output buffer, reallocated when its shape changes."""
-        buf = self._buffers.get(layer)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[layer] = np.empty(shape)
-        return buf
+    def take(self, size: int) -> np.ndarray:
+        """The next ``size`` entries of the region."""
+        start = self._used
+        # whole 64-byte lines, so that every array starts on one
+        self._used += -(-size // 8) * 8
+        return self._memory[start:start + size]
+
+    def give_back(self, memory: np.ndarray) -> None:
+        """Give back the last ``take``, to be taken again."""
+        self._used -= -(-memory.size // 8) * 8
 
     def lanes(self, count: int) -> list[Workspace]:
-        """This workspace and ``count - 1`` others, one per thread of a
-        forward_rows evaluation: they share this one's layer buffers, and
-        each keeps a column scratch of its own from call to call. One pass
-        through this workspace should come before the others start, so that
-        the buffers exist: threads that find one missing each allocate it,
-        and all but one of those copies go to waste."""
+        """This workspace and ``count - 1`` others, kept from call to call:
+        thread t of a job on ``count`` threads works through lane t."""
         while len(self._lanes) < count - 1:
-            lane = Workspace()
-            lane._buffers = self._buffers
-            self._lanes.append(lane)
+            self._lanes.append(Workspace())
         return [self, *self._lanes[:count - 1]]
 
 
 def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
              workspace: Workspace | None = None, rows: slice | None = None):
-    """Logits and, with ``keep_caches``, every layer's input. Conv layers
-    take their column matrices from a ``workspace``. With ``rows`` (a pass
-    that keeps no caches) the pass runs on those rows of x alone: each Dense
-    layer writes the same rows of its workspace buffer, which is sized for
-    all of x, and ReLUs work in place."""
+    """Logits and, with ``keep_caches``, every layer's input (a ReLU's
+    output instead, when it works in place). With a ``workspace``, the
+    layers write their outputs into its region (see Workspace). With
+    ``rows`` (a pass that keeps no caches) the pass runs on those rows of x
+    alone."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
     h = x if rows is None else x[rows]
-    owned = False   # h was allocated by this pass: not x, nor a view of it
+    owned = False   # h was written by this pass: not x, nor a view of it
+    if workspace is not None:
+        workspace.restart(spec.workspace_size(len(h)))
     for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
         if caches is not None:
             caches.append(h)
-        if isinstance(layer, Conv2d):
-            h = layer.forward(params[..., sl], h, offsets, workspace)
-        elif rows is not None and isinstance(layer, Dense):
-            out = workspace.buffer(i, (len(x), layer.out_features))[rows]
-            h = layer.forward(params[..., sl], h, out=out)
-        elif rows is not None and isinstance(layer, Relu) and owned:
-            h = layer.forward(params[..., sl], h, out=h)
+        out = None
+        if workspace is None or isinstance(layer, Flatten) or (rows is None and isinstance(layer, Dense)):
+            pass
+        elif isinstance(layer, Relu) and owned:
+            out = h
         else:
-            h = layer.forward(params[..., sl], h, offsets)
+            # a conv layer's output is channel-major (see Conv2d)
+            order = (1, 0, 2, 3) if isinstance(layer, Conv2d) else _order(h) if isinstance(layer, Relu) else None
+            shape = (len(h), *spec.layer_shapes[i + 1])
+            out = _layout(workspace.take(math.prod(shape)), shape, order)
+        if isinstance(layer, Conv2d):
+            h = layer.forward(params[..., sl], h, offsets, workspace, out)
+        else:
+            h = layer.forward(params[..., sl], h, offsets, out=out)
         # of all layers only Flatten returns a view of its input
         owned = owned or not isinstance(layer, Flatten)
         # ReLU, pooling and Flatten cannot turn finite values non-finite
@@ -654,11 +782,8 @@ def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> 
 def forward_rows(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, rows: slice,
                  workspace: Workspace) -> np.ndarray:
     """The logits of ``inputs[rows]``, bit-for-bit forward_logits' rows,
-    from a pass through the ``workspace``'s buffers: each Dense layer writes
-    rows ``rows`` of a buffer sized for all of the inputs. Threads may run
-    passes over disjoint rows at once, each through its own lane of one
-    workspace (Workspace.lanes). The logits may live in a buffer, until the
-    next pass over these rows. The inputs are not checked here."""
+    from a pass through the ``workspace``, where they live until its next
+    forward pass. The inputs are not checked here."""
     return _forward(spec, params, inputs, False, workspace=workspace, rows=rows)[0]
 
 
@@ -672,10 +797,17 @@ def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray
 def forward_stack(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, offsets,
                   workspace: Workspace | None = None):
     """Logits and caches of a (P, n) stack of models, client p on the input
-    rows ``offsets[p]:offsets[p + 1]``; conv layers build their column
-    matrices in the ``workspace``'s scratch. The inputs are not checked
-    here: the caller checks each client's data once, not at every step."""
+    rows ``offsets[p]:offsets[p + 1]``; the activations but the Dense
+    layers' live in the ``workspace``, until its next forward pass. The
+    inputs are not checked here: the caller checks each client's data once,
+    not at every step."""
     return _forward(spec, params, inputs, True, offsets, workspace)
+
+
+# input gradients of fewer entries than this are allocated, not taken from a
+# workspace: malloc hands out blocks this small from memory it keeps, for
+# less than the workspace's bookkeeping costs
+_SMALL_GRADIENTS = 1 << 14
 
 
 def backward_from_logits(
@@ -684,15 +816,25 @@ def backward_from_logits(
 ) -> np.ndarray:
     """Backpropagate an arbitrary dLoss/dlogits to the parameter gradient of
     a flat vector, or of a (P, n) stack with its row ``offsets``. Each layer
-    writes its part straight into ``out`` (allocated when None); conv layers
-    build their column matrices in the ``workspace``'s scratch.
+    writes its part straight into ``out`` (allocated when None); the input
+    gradients (unless they are small) and conv column matrices are taken
+    from the ``workspace``, after the arrays of the forward pass that made
+    the ``caches``, and given back at the end.
 
     Nothing reads the gradient with respect to the network inputs, so layer 0
     is not asked for it."""
     if out is None:
         # param_slices tile the vector, so every entry gets written
         out = np.empty_like(params)
+    n, (first, second) = len(grad_logits), spec.gradient_areas
+    areas: list = [None, None]
+    memory = None
+    if workspace is not None and n * (first + second) >= _SMALL_GRADIENTS:
+        split = -(-n * first // 8) * 8     # the second area starts on a 64-byte line too
+        memory = workspace.take(split + n * second)
+        areas = [memory[:split], memory[split:]]
     g = grad_logits
+    turn = 0
     for i in range(len(spec.layers) - 1, -1, -1):
         layer, sl = spec.layers[i], spec.param_slices[i]
         where = {}
@@ -701,8 +843,12 @@ def backward_from_logits(
         elif isinstance(layer, MaxPool):
             # no pooling layer ends a net, so the next layer's input is its output
             where = {"best": caches[i + 1]}
-        _, g = layer.backward(params[..., sl], caches[i], g, input_grad=i > 0,
-                              out=out[..., sl], offsets=offsets, **where)
+        _, g = layer.backward(params[..., sl], caches[i], g, input_grad=i > 0, out=out[..., sl],
+                              offsets=offsets, grad_into=areas[turn], **where)
+        if not isinstance(layer, Flatten):
+            turn ^= 1
+    if memory is not None:
+        workspace.give_back(memory)
     return out
 
 
@@ -769,9 +915,18 @@ def ce_grad(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, divisor) -
     return grad
 
 
-def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Individual CE losses, used for hard / proficient sample mining."""
-    logits = forward_logits(state, spec, inputs)
+def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labels: np.ndarray,
+                  offsets: Sequence[int] | None = None) -> np.ndarray:
+    """Individual CE losses, used for hard / proficient sample mining. With
+    ``offsets``, the rows ``offsets[i]:offsets[i + 1]`` go through the model
+    as a stack of copies of it (see forward_stack), so each run of rows
+    scores bit-for-bit as it would alone."""
+    if offsets is None:
+        logits = forward_logits(state, spec, inputs)
+    else:
+        check_state(state, spec)
+        params = np.broadcast_to(state.params, (len(offsets) - 1, spec.param_count))
+        logits, _ = _forward(spec, params, check_inputs(spec, inputs), False, tuple(offsets))
     n = len(logits)
     return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)
 
@@ -804,9 +959,9 @@ def proximal_loss_and_grad(params: np.ndarray, center: np.ndarray, mu: float):
     return (float(loss) if diff.ndim == 1 else loss), mu * diff
 
 
-# sgd_update walks its arrays in blocks of this many entries, so that the
-# five arrays of a block stay in cache
-_SGD_BLOCK = 1 << 15
+# sgd_update and federation.aggregate walk their arrays in blocks of this
+# many entries, so that the arrays' blocks stay in cache together
+CACHE_BLOCK = 1 << 15
 
 
 def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: float,
@@ -826,9 +981,9 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
         raise ValueError("sgd_update works in place on C-contiguous arrays")
     width = params.shape[-1] if params.ndim == 2 else None
     flat = params.reshape(-1), momentum.reshape(-1), grad.reshape(-1)
-    scratch = np.empty(min(_SGD_BLOCK, params.size))
-    for lo in range(0, params.size, _SGD_BLOCK):
-        w, m, g = (a[lo:lo + _SGD_BLOCK] for a in flat)
+    scratch = np.empty(min(CACHE_BLOCK, params.size))
+    for lo in range(0, params.size, CACHE_BLOCK):
+        w, m, g = (a[lo:lo + CACHE_BLOCK] for a in flat)
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite entries in gradient", _bad_client(g, lo, width))
         decay = scratch[:len(w)]

@@ -392,6 +392,73 @@ def test_hard_loss_at_least_proficient_loss():
     assert losses[p] == min(losses.values())
 
 
+@pytest.mark.parametrize("strategy", ["hard", "proficient"])
+def test_scored_selection_makes_one_pass_per_anchor(strategy, monkeypatch):
+    """One per_sample_ce pass scores every non-dominant class of the shard,
+    and each pick is the one a pass over that class alone gives."""
+    ds = data.synth_blobs(5, 40, 2, 4.0, seed=27)
+    shard = shard_with_roles(ds, [0, 3, 4, 2, 40], gamma=0.2)
+    assert shard.non_dominant == {1, 2, 3} and shard.missing == {0}
+    spec = nn.mlp_spec(2, (6,), 5)
+    state = nn.init_state(spec, stream(28, "init"))
+    pick = np.argmax if strategy == "hard" else np.argmin
+    expected = {}
+    for k in (1, 2, 3, 4):
+        members = shard.class_members(k)
+        expected[k] = int(members[pick(nn.per_sample_ce(state, spec, *ds.take(members)))])
+    calls = []
+    original = nn.per_sample_ce
+    monkeypatch.setattr(nn, "per_sample_ce", lambda *args: calls.append(len(args[2])) or original(*args))
+    shared = anchor.build_shared_dataset(ds, seed=29)
+    chooser = anchor.select_anchor_strategy(shard, strategy, ds, state, spec)
+    built = anchor.build_anchor(shard, shared, ds, 1, stream(30, "anchor"), chooser=chooser)
+    assert {e.label: e.sample_id for e in built.entries if e.source == "local"} == {
+        k: expected[k] for k in (1, 2, 3)}
+    assert calls == [3 + 4 + 2]
+    # a class outside the non-dominant ones is scored when asked for
+    assert chooser(4, stream(31, "pick")) == expected[4] and calls == [9, 40]
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_scored_selection_picks_as_per_class_passes(trial, monkeypatch):
+    """Random shards, class sizes and models: the one-pass scores of every
+    non-dominant class equal a pass over that class alone byte for byte, so
+    every hard and proficient pick does too. (A plain pass over all the
+    classes' rows at once rounds some losses differently: a GEMM's rows
+    round by the product's height.)"""
+    rng = stream(32, "trial", trial)
+    classes = int(rng.integers(4, 11))
+    if trial % 4 == 3:
+        flat = data.synth_blobs(classes, 40, 64, 3.0, seed=trial)
+        ds = data.LabeledDataset(flat.inputs.reshape(-1, 1, 8, 8), flat.labels, classes, "images")
+        spec = nn.NetworkSpec((nn.Conv2d(1, 4, 3), nn.Relu(), nn.MaxPool(2), nn.Flatten(),
+                               nn.Dense(36, classes)), (1, 8, 8), classes)
+    else:
+        dims = int(rng.integers(2, 70))
+        ds = data.synth_blobs(classes, 150, dims, 3.0, seed=trial)
+        spec = nn.mlp_spec(dims, [int(w) for w in rng.integers(2, 130, size=trial % 3)], classes)
+    # a full class and a class of a few samples, the others missing, small or large
+    counts = [len(ds.class_indices[0]), int(rng.integers(1, 6))] + [
+        int(rng.choice([0, rng.integers(1, 20), rng.integers(40, len(ds.class_indices[k]) + 1)]))
+        for k in range(2, classes)]
+    shard = shard_with_roles(ds, counts, gamma=float(rng.choice([0.05, 0.1, 0.2, 0.3])))
+    assert 1 in shard.non_dominant
+    state = nn.init_state(spec, stream(33, "init", trial))
+    classes_nd = sorted(shard.non_dominant)
+    members = [shard.class_members(k) for k in classes_nd]
+    alone = [nn.per_sample_ce(state, spec, *ds.take(m)) for m in members]
+    scored = []
+    original = nn.per_sample_ce
+    monkeypatch.setattr(nn, "per_sample_ce", lambda *args: scored.append(original(*args)) or scored[-1])
+    shared = anchor.build_shared_dataset(ds, seed=34)
+    for strategy, pick in (("hard", np.argmax), ("proficient", np.argmin)):
+        chooser = anchor.select_anchor_strategy(shard, strategy, ds, state, spec)
+        built = anchor.build_anchor(shard, shared, ds, 1, stream(35, "anchor"), chooser=chooser)
+        assert scored.pop().tobytes() == np.concatenate(alone).tobytes() and not scored
+        assert {e.label: e.sample_id for e in built.entries if e.source == "local"} == {
+            k: int(m[pick(losses)]) for k, m, losses in zip(classes_nd, members, alone)}
+
+
 def test_loss_ties_break_to_lowest_index():
     # two identical samples of class 0 -> identical losses -> first wins
     inputs = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])

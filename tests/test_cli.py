@@ -6,6 +6,11 @@ asserted directly; runs are kept tiny (tens of samples, a few rounds).
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +287,29 @@ def test_gradcheck_that_checks_nothing_fails(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: gradcheck needs seeds >= 1 and coords >= 1")
+
+
+@pytest.mark.parametrize("exported, expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(exported, expected):
+    """The CLI sets one BLAS thread before numpy loads, as the thread rule
+    assumes; a count the caller exported stands."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                       env.get("PYTHONPATH")]))
+    # the variable's value at numpy's first import, when OpenBLAS reads it
+    probe = textwrap.dedent("""
+        import builtins, os, sys
+        seen, original = [], builtins.__import__
+        def hook(name, *args, **kwargs):
+            if name == "numpy" and name not in sys.modules:
+                seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            return original(name, *args, **kwargs)
+        builtins.__import__ = hook
+        import fedka.cli
+        print(*seen)
+    """)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [expected]

@@ -41,7 +41,7 @@ def test_defaults_materialized():
     t = cfg.training
     assert (t.rounds, t.local_epochs, t.batch_size) == (100, 10, 128)
     assert (t.lr, t.momentum, t.weight_decay) == (0.01, 0.9, 1e-5)
-    assert t.participation_ratio == 1.0 and t.parallel_clients == 1
+    assert t.participation_ratio == 1.0 and t.parallel_clients == 0
     assert cfg.partition.gamma == 0.05 and cfg.partition.min_samples_per_client == 1
     assert cfg.metrics.xi == 1e-8
     assert cfg.reduction == ()
@@ -319,7 +319,7 @@ TO_DICT_PINS = {
         '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
         '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     'idx-classes-0': (
@@ -331,7 +331,7 @@ TO_DICT_PINS = {
         '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
         '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     'idx-classes-7': (
@@ -344,7 +344,7 @@ TO_DICT_PINS = {
         '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
         '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     'partition-file': (
@@ -356,7 +356,7 @@ TO_DICT_PINS = {
         '"output_dir": "runs/t-seed5", "partition": {"file": "assignments.csv", "gamma": 0.1}, '
         '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     'fedprox': (
@@ -369,7 +369,7 @@ TO_DICT_PINS = {
         '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
         '"schedules": {"reduction": []}, "strategy": {"kind": "fedprox", "mu": 0.25}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     'fedka-all-keys': (
@@ -383,7 +383,7 @@ TO_DICT_PINS = {
         '"schedules": {"reduction": []}, "strategy": {"beta": 0.3, "kind": "fedka", '
         '"mu_anchor": 4, "selection": "proficient", "variant": "ka_m"}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     't_cnn': (
@@ -395,7 +395,7 @@ TO_DICT_PINS = {
         '"gamma": 0.05, "min_samples_per_client": 1, "seed": 7574465381494210402}, '
         '"schedules": {"reduction": []}, "strategy": {"kind": "fedavg"}, '
         '"training": {"batch_size": 128, "local_epochs": 10, "lr": 0.01, "momentum": 0.9, '
-        '"parallel_clients": 1, "participation_ratio": 1.0, "rounds": 100, '
+        '"parallel_clients": 0, "participation_ratio": 1.0, "rounds": 100, '
         '"weight_decay": 1e-05}}'
     ),
     'training-metrics': (

@@ -1,6 +1,12 @@
 """Orchestration tests: sampling, local training, aggregation, full runs."""
 
+import dataclasses
 import json
+import os
+import resource
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +324,104 @@ def test_training_workspace_changes_no_bit():
             assert a.state.params.tobytes() == b.state.params.tobytes()
             assert a.state.momentum.tobytes() == b.state.momentum.tobytes()
             assert a.loss_trace == b.loss_trace
-    assert workspace._columns.size > 0
+    assert workspace._memory.size > 0
+
+
+def test_warmed_workspace_step_allocates_no_activation():
+    """A lockstep t_cnn step through a workspace that has run one step before
+    writes every conv, ReLU and pool output and input gradient into its
+    region: the step allocates less than one conv0 activation, counting
+    the pages it faults in, which tracemalloc does not see."""
+    spec = nn.tcnn_spec((1, 28, 28), 4, conv_kernel=5)
+    flat = data.synth_blobs(4, 5, 784, 4.0, seed=3)
+    inputs, labels = flat.inputs.reshape(-1, 1, 28, 28), flat.labels
+    rows = anchor.fused_rows((12, 8), [None, None])
+    state = nn.init_state(spec, stream(5, "init"))
+    params = np.repeat(state.params[None], 2, axis=0)
+    momentum, grad = np.zeros_like(params), np.empty_like(params)
+    workspace = nn.Workspace()
+
+    def step() -> int:
+        """The bytes of the pages the step faults in."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        anchor.fused_gradient(spec, params, inputs, labels, rows, 0.0, grad, workspace=workspace)
+        nn.sgd_update(params, momentum, grad, 0.01, 0.9, 1e-4)
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) * resource.getpagesize()
+
+    conv0 = len(inputs) * 32 * 24 * 24 * 8     # 20 rows of 32 channels of 24x24
+    assert step() >= conv0                      # the first step touches its region
+    tracemalloc.start()
+    try:
+        faulted = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak + faulted < conv0
+
+
+@pytest.mark.parametrize("preset, cores, stacks", [("t_cnn", 2, 2), ("mlp", 2, 1), ("t_cnn", 8, 2)],
+                         ids=["t_cnn-2", "mlp-1", "t_cnn-8-cores"])
+def test_parallel_clients_0_picks_the_stacks_by_work(preset, cores, stacks, monkeypatch):
+    """On 2 cores the rule gives t_cnn (137M multiply-adds for a batch of
+    32 rows) two stacks, the calling thread's among them, and an MLP of
+    100k a row one; 8 cores give t_cnn's 4 clients no more than
+    CHOSEN_STACKS. The updates are those of one serial stack."""
+    flat = data.synth_blobs(4, 10, 784, 4.0, seed=3)
+    if preset == "t_cnn":
+        ds = data.LabeledDataset(flat.inputs.reshape(-1, 1, 28, 28), flat.labels, 4, "images")
+        spec = nn.tcnn_spec((1, 28, 28), 4, conv_kernel=5)
+    else:
+        ds, spec = flat, nn.mlp_spec(784, (128,), 4)
+    shards = {s.client_id: s for s in data.dirichlet_partition(ds, data.PartitionSpec(4, 1.0, 5))}
+    state = nn.init_state(spec, stream(5, "init"))
+    cfg = lockstep_cfg("fedavg")
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, batch_size=32))
+    assert cfg.training.parallel_clients == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    threads = []
+    original = federation.local_train
+
+    def recorder(*args):
+        threads.append(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(federation, "local_train", recorder)
+    updates = federation.run_round(cfg, 1, shards, state, spec, ds, None, nn.Workspace())
+    assert len(threads) == len(set(threads)) == stacks and threading.get_ident() in threads
+    serial_cfg = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, parallel_clients=1))
+    serial = federation.run_round(serial_cfg, 1, shards, state, spec, ds, None, nn.Workspace())
+    assert len(threads) == stacks + 1
+    for a, b in zip(updates, serial, strict=True):
+        assert a.client_id == b.client_id
+        assert a.state.params.tobytes() == b.state.params.tobytes()
+        assert a.loss_trace == b.loss_trace
+
+
+def test_more_training_stacks_than_cores_lose_no_update():
+    """Five stacks in five threads on the host's cores, switching every few
+    µs: each stack writes its own rows of the round's arrays only, so every
+    update is the one of a single stack."""
+    ds, spec, state, shards = lockstep_setup("t_cnn")
+    shards = {s.client_id: s for s in shards}
+    cfg = lockstep_cfg("fedavg")
+    serial_cfg, stacked_cfg = (
+        dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, parallel_clients=k))
+        for k in (1, 5))
+    serial = federation.run_round(serial_cfg, 1, shards, state, spec, ds, None, nn.Workspace())
+    workspace = nn.Workspace()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            updates = federation.run_round(stacked_cfg, 1, shards, state, spec, ds, None, workspace)
+            for a, b in zip(updates, serial, strict=True):
+                assert a.client_id == b.client_id
+                assert a.state.params.tobytes() == b.state.params.tobytes()
+                assert a.state.momentum.tobytes() == b.state.momentum.tobytes()
+                assert a.loss_trace == b.loss_trace
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == 1
 
 
 def recording_steps(monkeypatch):
@@ -503,17 +606,26 @@ def test_parallel_equals_serial(tmp_path):
 
 
 def test_each_training_stack_keeps_one_workspace_for_the_run(tmp_path, monkeypatch):
-    """Threads never share buffers, and no round allocates them anew."""
-    used = {}
-    original = federation.local_train
+    """Threads never share buffers, no round allocates them anew, and the
+    stacks train through the lanes of the workspace evaluation runs
+    through."""
+    used, evaluated = {}, set()
+    original_train, original_eval = federation.local_train, federation.classwise_accuracies
 
-    def recorder(cfg, r, shards, *rest):
-        used.setdefault(r, set()).add(rest[-1])
-        return original(cfg, r, shards, *rest)
+    def train(cfg, r, shards, global_state, spec, dataset, shared, workspace, stack):
+        used.setdefault(r, set()).add(workspace)
+        return original_train(cfg, r, shards, global_state, spec, dataset, shared, workspace, stack)
 
-    monkeypatch.setattr(federation, "local_train", recorder)
+    def evaluate(states, spec, test_set, workspace):
+        evaluated.add(workspace)
+        return original_eval(states, spec, test_set, workspace)
+
+    monkeypatch.setattr(federation, "local_train", train)
+    monkeypatch.setattr(federation, "classwise_accuracies", evaluate)
     run_cfg(tmp_path, **{"training.parallel_clients": 3})
     assert len(used[1]) == 3 and used[1] == used[2] == used[3]
+    (root,) = evaluated
+    assert used[1] == set(root.lanes(3))
 
 
 def test_finished_run_not_overwritten(tmp_path):

@@ -13,11 +13,13 @@ different BLAS may round a GEMM differently and move them all at once.
 """
 
 import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from fedka import federation, nn
 from fedka.config import resolve
 from fedka.federation import run_experiment
 
@@ -245,3 +247,24 @@ def run_digests(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_metric_files_match_golden_digests(case, tmp_path):
     assert run_digests(case, tmp_path) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("case", ["mlp-fedka", "tcnn-fedavg", "tcnn-fedka", "tcnn-fedka-steps",
+                                  "tcnn-fedprox"])
+def test_digests_hold_on_any_number_of_cores(case, cores, tmp_path, monkeypatch):
+    """With the work threshold at 0, the thread counts follow the cores
+    alone: on 2 cores every round trains in 2 stacks and every evaluation
+    runs on 2 threads, and no digest moves."""
+    monkeypatch.setattr(nn, "THREAD_MACS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    stacks = {}
+    original = federation.local_train
+
+    def recorder(cfg, r, *rest):
+        stacks[r] = stacks.get(r, 0) + 1
+        return original(cfg, r, *rest)
+
+    monkeypatch.setattr(federation, "local_train", recorder)
+    assert run_digests(case, tmp_path) == DIGESTS[case]
+    assert set(stacks.values()) == {cores}

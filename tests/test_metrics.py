@@ -1,6 +1,8 @@
 """Forgetting-degree and accuracy tests with hand-checked expectations."""
 
 import math
+import os
+import resource
 import sys
 import threading
 import tracemalloc
@@ -172,16 +174,20 @@ def test_evaluation_rechecks_inputs_whose_base_changed():
 
 
 def test_workspace_evaluation_allocates_no_activations():
-    ds = data.synth_blobs(10, 500, 64, 4.0, seed=14)  # 5000 test rows
+    ds = data.synth_blobs(10, 500, 64, 4.0, seed=14)  # 5000 test rows, 4 blocks of 1250
     spec = nn.mlp_spec(64, (128,), 10)
     states = [nn.init_state(spec, stream(s, "init")) for s in (15, 16, 17)]
     workspace = nn.Workspace()
 
     def peak(state, ws):
+        # a workspace's memory is mapped outside the malloc heaps, where
+        # tracemalloc does not see it: count the pages it faults in too
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         metrics.classwise_accuracy(state, spec, ds, ws)
-        return tracemalloc.get_traced_memory()[1] - base
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return tracemalloc.get_traced_memory()[1] - base + faults * resource.getpagesize()
 
     metrics.classwise_accuracy(states[0], spec, ds, workspace)
     tracemalloc.start()
@@ -190,8 +196,8 @@ def test_workspace_evaluation_allocates_no_activations():
         fresh = peak(states[0], None)
     finally:
         tracemalloc.stop()
-    # a fresh pass holds a 5000x128 float64 activation (5.12 MB) at least
-    assert fresh >= 5000 * 128 * 8
+    # a fresh workspace holds one block's 1250x128 float64 activation (1.28 MB) at least
+    assert fresh >= 1250 * 128 * 8
     assert max(reused) < 1 << 20
 
 
@@ -208,12 +214,12 @@ def wide_case(states=(15, 16, 17)):
 
 
 def cores(monkeypatch, count):
-    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def record_lanes(monkeypatch):
     """The workspace lanes that forward_rows runs through, the threads that
-    run it, and (thread, rows) of each failure."""
+    run it, and (thread, params, rows) of each failure."""
     lanes, threads, failures = set(), set(), []
     original = nn.forward_rows
 
@@ -223,7 +229,7 @@ def record_lanes(monkeypatch):
         try:
             return original(spec, params, inputs, rows, workspace)
         except nn.NonFiniteError:
-            failures.append((threading.get_ident(), rows))
+            failures.append((threading.get_ident(), params, rows))
             raise
 
     monkeypatch.setattr(nn, "forward_rows", recorder)
@@ -272,11 +278,11 @@ def test_accuracies_do_not_depend_on_the_thread_count(threads, monkeypatch):
     assert metrics.classwise_accuracy(states[1], spec, ds).tobytes() == expected[1].tobytes()
 
 
-@pytest.mark.parametrize("rows, affinity, expected", [
-    (5000, 8, 4), (5000, 2, 2), (5000, 1, 1), (2000, 8, 2), (1999, 8, 1), (20, 8, 1)])
-def test_thread_count_is_bounded_by_cores_and_blocks(rows, affinity, expected, monkeypatch):
-    spec = nn.mlp_spec(3, (4,), 2)
-    ds = data.LabeledDataset(stream(18, "x").normal(size=(rows, 3)), np.arange(rows) % 2, 2, "small")
+def count_threads(monkeypatch, spec, rows, affinity):
+    """Evaluate one state on ``rows`` rows with ``affinity`` cores; returns
+    the lanes and threads forward_rows ran on and the pools' sizes."""
+    shape = spec.input_shape
+    ds = data.LabeledDataset(stream(18, "x").normal(size=(rows, *shape)), np.arange(rows) % 2, 2, "x")
     cores(monkeypatch, affinity)
     lanes, threads, _ = record_lanes(monkeypatch)
     pools = []
@@ -288,16 +294,35 @@ def test_thread_count_is_bounded_by_cores_and_blocks(rows, affinity, expected, m
 
     monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
     metrics.classwise_accuracy(nn.init_state(spec, stream(19, "init")), spec, ds)
+    return lanes, threads, pools
+
+
+@pytest.mark.parametrize("rows, affinity, expected", [
+    (5000, 8, 4), (5000, 2, 2), (5000, 1, 1), (2000, 8, 2), (1999, 8, 1), (20, 8, 1)])
+def test_thread_count_is_bounded_by_cores_and_blocks(rows, affinity, expected, monkeypatch):
+    # 64 * 128 + 128 * 2 multiply-adds a row: a block of 1000 rows or more is
+    # above nn.THREAD_MACS
+    spec = nn.mlp_spec(64, (128,), 2)
+    assert spec.macs_per_row * metrics.MIN_BLOCK_ROWS >= nn.THREAD_MACS
+    lanes, threads, pools = count_threads(monkeypatch, spec, rows, affinity)
     # the calling thread is one of them; a pool may hand a finished worker another share
     assert len(lanes) == expected and threading.get_ident() in threads and len(threads) <= expected
     assert pools == ([] if expected == 1 else [expected - 1])
 
 
+def test_blocks_below_the_work_threshold_run_on_the_calling_thread(monkeypatch):
+    spec = nn.mlp_spec(3, (4,), 2)
+    assert spec.macs_per_row * 1250 < nn.THREAD_MACS
+    lanes, threads, pools = count_threads(monkeypatch, spec, 5000, 8)
+    assert len(lanes) == 1 and threads == {threading.get_ident()} and pools == []
+
+
 def test_more_threads_than_cores_lose_no_block(monkeypatch):
     """8 threads over 8 blocks of 16000 rows, switching every few µs: every
-    block's hits and buffer rows must land, for every state."""
-    spec = nn.mlp_spec(3, (4,), 2)
-    ds = data.LabeledDataset(stream(23, "x").normal(size=(16000, 3)), np.arange(16000) % 2, 2, "stress")
+    block's hits must land, for every state."""
+    spec = nn.mlp_spec(32, (64,), 2)       # 2176 multiply-adds a row
+    assert spec.macs_per_row * 2000 >= nn.THREAD_MACS
+    ds = data.LabeledDataset(stream(23, "x").normal(size=(16000, 32)), np.arange(16000) % 2, 2, "stress")
     states = [nn.init_state(spec, stream(s, "init")) for s in range(24, 30)]
     expected = np.stack([metrics.accuracy_from_logits(nn.forward_logits(s, spec, ds.inputs), ds)
                          for s in states])
@@ -313,8 +338,9 @@ def test_more_threads_than_cores_lose_no_block(monkeypatch):
 
 
 def test_conv_blocks_use_a_column_scratch_per_thread(monkeypatch):
+    # 9 * 64 * 16 + 256 * 3 multiply-adds a row: a 1000-row block is above nn.THREAD_MACS
     spec = nn.NetworkSpec(
-        (nn.Conv2d(1, 2, 3), nn.Relu(), nn.MaxPool(2), nn.Flatten(), nn.Dense(8, 3)), (1, 6, 6), 3)
+        (nn.Conv2d(1, 64, 3), nn.Relu(), nn.MaxPool(2), nn.Flatten(), nn.Dense(256, 3)), (1, 6, 6), 3)
     rng = stream(20, "conv")
     labels = rng.integers(0, 3, size=2000)
     ds = data.LabeledDataset(rng.normal(size=(2000, 1, 6, 6)) + labels[:, None, None, None], labels,
@@ -323,14 +349,61 @@ def test_conv_blocks_use_a_column_scratch_per_thread(monkeypatch):
     cores(monkeypatch, 1)
     serial = metrics.classwise_accuracies(states, spec, ds)
     cores(monkeypatch, 2)
+    taken = []
+    original = nn.Workspace.take
+    monkeypatch.setattr(nn.Workspace, "take",
+                        lambda self, size: taken.append((self, size)) or original(self, size))
     workspace = nn.Workspace()
     threaded = metrics.classwise_accuracies(states, spec, ds, workspace)
     assert threaded.tobytes() == serial.tobytes()
     lanes = workspace.lanes(2)
-    # one block's column matrix: C*k*k rows by 1000 images of 4x4 outputs
-    assert [lane._columns.size for lane in lanes] == [9 * 1000 * 16] * 2
-    assert lanes[0]._columns is not lanes[1]._columns
+    # each lane takes one block's column matrix from a region of its own:
+    # C*k*k rows by 1000 images of 4x4 outputs
+    assert all((lane, 9 * 1000 * 16) in taken for lane in lanes)
+    assert lanes[0]._memory is not lanes[1]._memory
     assert lanes == workspace.lanes(2)           # kept for the next call
+
+
+def test_one_block_of_t_cnn_states_runs_on_every_core(monkeypatch):
+    """20 rows make one block, but 3 states make 3 units of 85M
+    multiply-adds each: 2 cores run them on 2 threads, with the bytes of 1."""
+    spec = nn.tcnn_spec((1, 28, 28), 10, conv_kernel=5)
+    assert spec.macs_per_row == 4_267_008
+    labels = np.arange(20) % 10
+    ds = data.LabeledDataset(stream(30, "images").normal(size=(20, 1, 28, 28)) + labels[:, None, None, None],
+                             labels, 10, "images")
+    assert len(metrics.row_blocks(len(ds))) == 1
+    states = [nn.init_state(spec, stream(s, "init")) for s in (31, 32, 33)]
+    cores(monkeypatch, 1)
+    serial = metrics.classwise_accuracies(states, spec, ds)
+    cores(monkeypatch, 2)
+    passes = {}
+    original = nn.forward_rows
+
+    def recorder(spec, params, inputs, rows, workspace):
+        logits = original(spec, params, inputs, rows, workspace)
+        passes[id(params)] = (threading.get_ident(), workspace, logits.copy())
+        return logits
+
+    monkeypatch.setattr(nn, "forward_rows", recorder)
+    workspace = nn.Workspace()
+    threaded = metrics.classwise_accuracies(states, spec, ds, workspace)
+    assert threaded.tobytes() == serial.tobytes()
+    # units 0 and 2 on the calling thread through lane 0, unit 1 on a worker through lane 1
+    (t0, w0, _), (t1, w1, _), (t2, w2, _) = (passes[id(s.params)] for s in states)
+    assert t0 == t2 == threading.get_ident() != t1
+    assert [w0, w1] == workspace.lanes(2) and w2 is w0
+    for state in states:
+        fresh = nn.forward_logits(state, spec, ds.inputs)
+        assert passes[id(state.params)][2].tobytes() == fresh.tobytes()
+
+
+def test_work_rule_counts_multiply_adds():
+    assert nn.mlp_spec(64, (128,), 10).macs_per_row == 9472
+    assert nn.mlp_spec(8, (8,), 4).macs_per_row == 96
+    assert nn.tcnn_spec((1, 28, 28), 10, conv_kernel=5).macs_per_row == (
+        1 * 25 * 32 * 24 * 24 + 32 * 25 * 64 * 8 * 8 + 1024 * 512 + 512 * 10)
+    assert nn.THREAD_MACS == 1 << 22
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")   # errstate is per thread
@@ -351,8 +424,9 @@ def test_overflow_in_a_block_is_raised_with_its_layer(threads, monkeypatch):
     _, _, failures = record_lanes(monkeypatch)
     with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(128->10\)\)"):
         metrics.classwise_accuracies(states, spec, ds)
-    # block 1 is thread 1's, a worker, unless one thread runs them all
-    owner = [t for t, rows in failures if rows == block]
+    # unit (state 0, block 1) is thread 1's, a worker, unless one thread
+    # runs them all
+    owner = [t for t, params, rows in failures if params is states[0].params and rows == block]
     assert len(owner) == 1 and (owner[0] == threading.get_ident()) == (threads == 1)
     assert threading.active_count() == 1
 

@@ -7,6 +7,7 @@ before it became im2col GEMMs, central differences for gradients).
 """
 
 import math
+import resource
 import struct
 import tracemalloc
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fedka import data, metrics, nn
+from fedka import anchor, data, metrics, nn
 from fedka.rng import stream
 
 # ln(4): CE of a uniform predictor over 4 classes
@@ -417,6 +418,50 @@ def test_workspace_reports_layer_of_overflow():
     state = nn.ModelState(params, np.zeros(6), spec.spec_hash)
     with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match="layer 0"):
         nn.forward_rows(spec, state.params, np.full((1, 2), 1e30), slice(0, 1), nn.Workspace())
+
+
+def test_workspace_region_grows_to_the_largest_pass(monkeypatch):
+    """A pass larger than the region maps one of its size before it takes
+    anything: a second pass as large faults in no pages, a smaller one
+    keeps the region, and no pass, forward or backward, takes more than
+    NetworkSpec.workspace_size promised."""
+    used = []
+    original = nn.Workspace.take
+
+    def take(self, size):
+        memory = original(self, size)
+        used.append(self._used <= self._memory.size and memory.size == size)
+        return memory
+
+    monkeypatch.setattr(nn.Workspace, "take", take)
+    spec = nn.tcnn_spec((1, 16, 16), 4, conv_kernel=3)
+    state = nn.init_state(spec, stream(40, "init"))
+    x = stream(41, "x").normal(size=(100, 1, 16, 16))
+    workspace = nn.Workspace()
+
+    def faulted_bytes(rows: int) -> int:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        logits = nn.forward_rows(spec, state.params, x, slice(0, rows), workspace)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        assert logits.tobytes() == nn.forward_logits(state, spec, x[:rows]).tobytes()
+        return faults * resource.getpagesize()
+
+    faulted_bytes(10)
+    small = workspace._memory
+    assert small.size == spec.workspace_size(10)
+    conv0 = 100 * 32 * 14 * 14 * 8
+    assert faulted_bytes(100) >= conv0
+    grown = workspace._memory
+    assert grown.size == spec.workspace_size(100)
+    assert faulted_bytes(100) < conv0 // 8
+    assert faulted_bytes(30) < conv0 // 8 and workspace._memory is grown
+    # a training step after the largest pass takes its gradients from the same region
+    labels = np.arange(100) % 4
+    rows = anchor.fused_rows((60, 40), [None, None])
+    params = np.repeat(state.params[None], 2, axis=0)
+    anchor.fused_gradient(spec, params, x, labels, rows, 0.0, np.empty_like(params),
+                          workspace=workspace)
+    assert workspace._memory is grown and used and all(used)
 
 
 @pytest.mark.parametrize("spec", [
