@@ -17,7 +17,6 @@ import json
 import math
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -337,18 +336,17 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
               global_state: nn.ModelState, spec: nn.NetworkSpec, train: LabeledDataset,
               shared: anchor.SharedDataset | None, workspace: nn.Workspace) -> list[ClientUpdate]:
     """Round r's local stages: the sampled participants train on their
-    shards in lockstep, split into k stacks, stack i on thread i and through
-    lane i of the ``workspace`` (Workspace.lanes), so a caller that keeps one
-    workspace across rounds reuses its memory. k is
+    shards in lockstep, split into k stacks, stack i the unit i of
+    nn.on_lanes on k threads, so a caller that keeps one ``workspace``
+    across rounds reuses its lanes' memory. k is
     ``training.parallel_clients`` when that is set, else nn.thread_count for
     one client's forward pass over a batch, at most CHOSEN_STACKS; never
     more than the participants. The stacks hold about as many samples
     each: the largest shard goes first, each to the stack with the fewest
-    samples so far.
-    The calling thread trains stack 0. The stacks' parameter, momentum and
-    gradient rows are allocated here, one array each, a contiguous range of
-    rows per stack. Returns the updates in client order; a failure raises
-    RunError naming the round (and the client, when one is at fault).
+    samples so far. The stacks' parameter, momentum and gradient rows are
+    allocated here, one array each, a contiguous range of rows per stack.
+    Returns the updates in client order; a failure raises RunError naming
+    the round (and the client, when one is at fault).
     """
     t = cfg.training
     participants = sample_participants(
@@ -364,28 +362,18 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
         samples[i] += len(shards[cid])
     bounds = np.cumsum([0] + [len(ids) for ids in stacks])
     arrays = [np.empty((len(participants), spec.param_count)) for _ in range(3)]
-    lanes = workspace.lanes(k)
 
-    def train_stack(i: int) -> list[ClientUpdate]:
+    def train_stack(i: int, lane: nn.Workspace) -> list[ClientUpdate]:
         rows = slice(bounds[i], bounds[i + 1])
         try:
             return local_train(cfg, r, [shards[cid] for cid in stacks[i]], global_state, spec,
-                               train, shared, lanes[i], tuple(a[rows] for a in arrays))
+                               train, shared, lane, tuple(a[rows] for a in arrays))
         except RunError:
             raise
         except Exception as exc:
             raise RunError(f"round {r}: {exc}") from exc
 
-    if k == 1:
-        updates = train_stack(0)
-    else:
-        with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            others = [pool.submit(train_stack, i) for i in range(1, k)]
-            # a failure in stack 0 is raised once the others have stopped
-            updates = train_stack(0)
-            for future in others:
-                updates += future.result()
-    return sorted(updates, key=lambda u: u.client_id)
+    return sorted(sum(nn.on_lanes(workspace, k, k, train_stack), []), key=lambda u: u.client_id)
 
 
 def _clear_outputs(out: Path) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -83,18 +82,11 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
                          test_set: LabeledDataset, workspace: nn.Workspace | None = None) -> np.ndarray:
     """Per-class accuracy of each state on the test set, one row per state.
 
-    The test inputs are checked once per call. Every pass then runs over
-    the fixed row_blocks of the test set: the (state, block) units, state
-    after state, go round-robin to nn.thread_count threads, each unit one
-    nn.forward_rows pass. Thread t takes units t, t + k, ... and works
-    through lane t of the ``workspace`` (a fresh one when None), so no
-    thread waits for another. A unit yields its block's per-class hit
-    counts, integers whose sums are exact in any order, so no result
-    depends on k. The calling thread is thread 0, and a unit of fewer than
-    nn.THREAD_MACS multiply-adds, or a single unit, runs on it alone. The
-    other threads are gone when this returns; a failure in a unit is raised
-    then, the one of the earliest (state, block), as a single thread would
-    meet it first."""
+    The test inputs are checked once per call. The (state, block) units over
+    the fixed row_blocks, state after state, are nn.forward_rows passes run
+    by nn.on_lanes on nn.thread_count threads (a fresh ``workspace`` when
+    None). A unit yields its block's per-class hit counts, integers whose
+    sums are exact in any order, so no result depends on the thread count."""
     if spec.class_count != test_set.class_count:
         raise ValueError(
             f"model emits {spec.class_count} classes, test set has {test_set.class_count}"
@@ -104,32 +96,16 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
     workspace = nn.Workspace() if workspace is None else workspace
     inputs, labels = nn.check_inputs(spec, test_set.inputs), test_set.labels
     blocks = row_blocks(len(inputs))
-    units = [(s, b) for s in range(len(states)) for b in range(len(blocks))]
-    k = nn.thread_count(spec.macs_per_row * (len(inputs) // len(blocks)), len(units))
-    hits = np.empty((len(states), len(blocks), spec.class_count), dtype=np.int64)
-    failures: list[tuple[tuple[int, int], Exception]] = []
 
-    def evaluate(t: int, lane: nn.Workspace) -> None:
-        for s, b in units[t::k]:
-            try:
-                logits = nn.forward_rows(spec, states[s].params, inputs, blocks[b], lane)
-            except Exception as exc:
-                failures.append(((s, b), exc))
-                return
-            hits[s, b] = _class_hits(logits, labels[blocks[b]], spec.class_count)
+    def evaluate(u: int, lane: nn.Workspace) -> np.ndarray:
+        s, b = divmod(u, len(blocks))
+        logits = nn.forward_rows(spec, states[s].params, inputs, blocks[b], lane)
+        return _class_hits(logits, labels[blocks[b]], spec.class_count)
 
-    lanes = workspace.lanes(k)
-    if k > 1:
-        with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            others = [pool.submit(evaluate, t, lanes[t]) for t in range(1, k)]
-            evaluate(0, lanes[0])
-            for future in others:
-                future.result()
-    else:
-        evaluate(0, lanes[0])
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return _accuracy(hits.sum(axis=1), test_set)
+    units = len(states) * len(blocks)
+    k = nn.thread_count(spec.macs_per_row * (len(inputs) // len(blocks)), units)
+    hits = np.array(nn.on_lanes(workspace, k, units, evaluate), dtype=np.int64)
+    return _accuracy(hits.reshape(len(states), len(blocks), spec.class_count).sum(axis=1), test_set)
 
 
 def classwise_accuracy(state: nn.ModelState, spec: nn.NetworkSpec, test_set: LabeledDataset,

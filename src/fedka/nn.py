@@ -40,10 +40,11 @@ import math
 import mmap
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -116,7 +117,39 @@ def thread_count(macs: int, units: int) -> int:
     per unit up to the usable cores from THREAD_MACS on, else one."""
     if macs < THREAD_MACS:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), units))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cores, units))
+
+
+def on_lanes(workspace: Workspace, k: int, units: int, work: Callable[[int, Workspace], object]) -> list:
+    """``work(u, lane)`` for every unit u < ``units`` on k threads, the
+    results in unit order. Thread t runs units t, t + k, ... in order
+    through lane t of the ``workspace`` (Workspace.lanes), so no thread
+    waits for another; the calling thread is thread 0, and with k = 1 no
+    other thread starts. The others are gone when this returns. A thread
+    stops at its first failure, and the failure of the earliest unit is
+    raised, as a single thread would meet it first."""
+    lanes, results, failures = workspace.lanes(k), [None] * units, []
+
+    def run(t: int) -> None:
+        for u in range(t, units, k):
+            try:
+                results[u] = work(u, lanes[t])
+            except Exception as exc:
+                failures.append((u, exc))
+                return
+
+    if k == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=k - 1) as pool:
+            others = [pool.submit(run, t) for t in range(1, k)]
+            run(0)
+        for future in others:
+            future.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def _first_bad_row(values: np.ndarray) -> int:

@@ -472,6 +472,35 @@ def test_overflow_in_one_client_names_round_client_and_layer(preset):
         federation.local_train(lockstep_cfg("fedavg"), 3, shards[2:], state, spec, huge)
 
 
+def test_failing_clients_in_two_stacks_raise_the_earlier_stack(monkeypatch):
+    """Three stacks on three threads: the stacks of 5 clients by samples are
+    [2], [0, 3] and [1, 4]. Clients 0 (stack 1) and 4 (stack 2) hold a NaN;
+    the round raises stack 1's failure once no worker thread is left."""
+    ds, spec, state, shards = lockstep_setup("t_cnn")
+    inputs = ds.inputs.copy()
+    for cid in (0, 4):
+        inputs[shards[cid].indices[0]] = np.nan
+    poisoned = data.LabeledDataset(inputs, ds.labels, ds.class_count, "poisoned")
+    cfg = lockstep_cfg("fedavg")
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, parallel_clients=3))
+    stacks = {}
+    original = federation.local_train
+
+    def recorder(cfg, r, group, global_state, spec, dataset, shared, lane, stack):
+        stacks[lane] = [s.client_id for s in group]
+        return original(cfg, r, group, global_state, spec, dataset, shared, lane, stack)
+
+    monkeypatch.setattr(federation, "local_train", recorder)
+    workspace = nn.Workspace()
+    with pytest.raises(federation.RunError,
+                       match="round 2, client 0: non-finite values in network inputs") as info:
+        federation.run_round(cfg, 2, {s.client_id: s for s in shards}, state, spec, poisoned, None,
+                             workspace)
+    assert isinstance(info.value.__cause__, nn.NonFiniteError)
+    assert [stacks[lane] for lane in workspace.lanes(3)] == [[2], [0, 3], [1, 4]]
+    assert threading.active_count() == 1
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------

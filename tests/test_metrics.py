@@ -287,12 +287,12 @@ def count_threads(monkeypatch, spec, rows, affinity):
     lanes, threads, _ = record_lanes(monkeypatch)
     pools = []
 
-    class Pool(metrics.ThreadPoolExecutor):
+    class Pool(nn.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", Pool)
     metrics.classwise_accuracy(nn.init_state(spec, stream(19, "init")), spec, ds)
     return lanes, threads, pools
 

@@ -7,8 +7,10 @@ before it became im2col GEMMs, central differences for gradients).
 """
 
 import math
+import os
 import resource
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -494,6 +496,82 @@ def test_workspace_checks_every_new_input_array():
         evaluate(np.full((2, 6), np.nan))
     with pytest.raises(nn.ShapeError):
         evaluate(np.zeros((2, 5)))
+
+
+# ---------------------------------------------------------------------------
+# units of work on threads, each thread through its own workspace lane
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+def test_thread_count_without_cpu_affinity_counts_the_cpus(cpus, expected, monkeypatch):
+    """Hosts without os.sched_getaffinity (macOS, Windows) take
+    os.cpu_count, which is None when it cannot tell."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert nn.thread_count(nn.THREAD_MACS, 8) == expected
+    assert nn.thread_count(nn.THREAD_MACS - 1, 8) == 1
+
+
+def record_pools(monkeypatch):
+    """The max_workers of every pool on_lanes starts."""
+    pools = []
+
+    class Pool(nn.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_on_lanes_runs_stripes_of_units_through_their_lanes(k, monkeypatch):
+    """7 units, a multiple of neither 2 nor 3: thread t runs units t, t + k,
+    ... in order through lane t, the calling thread is thread 0, and the
+    results come back in unit order."""
+    pools = record_pools(monkeypatch)
+    workspace = nn.Workspace()
+    runs = []
+
+    def work(u, lane):
+        runs.append((u, threading.get_ident(), lane))
+        return u * u
+
+    assert nn.on_lanes(workspace, k, 7, work) == [u * u for u in range(7)]
+    lanes = workspace.lanes(k)
+    for t in range(k):
+        stripe = [(u, thread) for u, thread, lane in runs if lane is lanes[t]]
+        assert [u for u, _ in stripe] == list(range(t, 7, k))
+        # a pool may hand a finished worker the next thread's stripe
+        assert {thread == threading.get_ident() for _, thread in stripe} == {t == 0}
+    assert len(runs) == 7
+    assert pools == ([] if k == 1 else [k - 1])
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("planted, raised, ran", [
+    ((1, 4), 1, [0, 1, 2, 3, 5, 6]),
+    ((3, 2), 2, [0, 1, 2, 3, 4, 7]),
+], ids=["one-thread", "calling-thread-later"])
+def test_on_lanes_raises_the_earliest_failure_once_every_thread_stops(planted, raised, ran):
+    """8 units on 3 threads: thread 0 runs 0, 3, 6, thread 1 runs 1, 4, 7 and
+    thread 2 runs 2, 5. A thread stops at its first failure, the others
+    run on, and the failure of the earliest unit is raised, also when the
+    calling thread fails at a later one."""
+    done = []
+
+    def work(u, lane):
+        done.append(u)
+        if u in planted:
+            raise ValueError(f"unit {u}")
+        return u
+
+    with pytest.raises(ValueError, match=rf"unit {raised}$"):
+        nn.on_lanes(nn.Workspace(), 3, 8, work)
+    assert sorted(done) == ran
+    assert threading.active_count() == 1
 
 
 # ---------------------------------------------------------------------------
