@@ -17,6 +17,7 @@ import json
 import math
 import platform
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,7 @@ class ClientUpdate:
     sample_count: int
     loss_trace: tuple[float, ...]
     anchor_log: tuple[tuple, ...] = ()       # (class, source, sample_id) rows
-    epoch_states: tuple[nn.ModelState, ...] = ()
+    epoch_states: tuple[nn.ModelState, ...] = ()   # after epochs 1..E-1, with epoch_forgetting
 
     def __post_init__(self):
         if self.sample_count <= 0:
@@ -224,7 +225,7 @@ def local_train(
         s += 1
         if cfg.metrics.epoch_forgetting:
             for p, c in enumerate(training):
-                if s % c.per_epoch == 0:
+                if s % c.per_epoch == 0 and s < len(c.steps):   # the last ends in the update's state
                     epoch_states[p].append(nn.ModelState(
                         params[p].copy(), momentum[p].copy(), global_state.spec_hash))
         while active and len(clients[active - 1].steps) == s:
@@ -256,8 +257,6 @@ def aggregate(updates: list[ClientUpdate]) -> nn.ModelState:
     if any(u.state.spec_hash != spec_hash for u in updates):
         raise nn.ShapeError("cannot aggregate states built for different specs")
     total = sum(u.sample_count for u in updates)
-    if total <= 0:
-        raise ValueError("total sample count is zero")
     weights = [u.sample_count / total for u in updates]
     drift = abs(sum(weights) - 1.0)
     if drift > 1e-12:
@@ -379,16 +378,64 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
 def _clear_outputs(out: Path) -> None:
     """Delete every file an earlier run wrote to ``out``, its manifest
     first, so that a run which fails part-way leaves no finished-run marker
-    over its partial files, and no file its own config does not write.
-    Other files are left alone."""
+    over its partial files, and no file its own config does not write, nor
+    the temporary of a cut checkpoint write. Other files are left alone."""
     checkpoints, metrics_dir = out / "checkpoints", out / "metrics"
     for path in [out / "manifest.json", out / "summary.json", out / "config.json",
                  out / "model.json", out / "anchors.csv", checkpoints / "final.bin",
-                 *checkpoints.glob("round_*.bin"),
+                 *checkpoints.glob("round_*.bin"), *checkpoints.glob(".*.bin.tmp"),
                  *(metrics_dir / f"{name}.csv"
                    for name in ("rounds", "forgetting", "clients", "forgetting_epochs"))]:
         if path.is_file():
             path.unlink()
+
+
+# What no round of a run changes, as start builds it: the config, the train
+# and test sets, the model spec, the shared dataset (fedka), shards_by_round,
+# and the workspace through whose lane t thread t trains and evaluates.
+RunInputs = namedtuple("RunInputs", "cfg train test spec shared changes workspace")
+
+
+@dataclass(frozen=True)
+class RunState:
+    """A run after ``round`` rounds; ``teacher_acc`` is ``global_state``'s per-class accuracy."""
+
+    round: int
+    global_state: nn.ModelState
+    shards: dict[int, ClientShard]
+    teacher_acc: np.ndarray
+
+
+def start(cfg: ExperimentConfig) -> tuple[RunInputs, RunState]:
+    """The run's inputs and its state before round 1; writes nothing."""
+    train, test = build_datasets(cfg)
+    spec = build_model_spec(cfg, train.inputs.shape[1:], train.class_count)
+    changes = shards_by_round(cfg, train)
+    global_state = nn.init_state(spec, stream(cfg.master_seed, "init"))
+    shared = anchor.build_shared_dataset(train, cfg.master_seed) if cfg.strategy.kind == "fedka" else None
+    run = RunInputs(cfg, train, test, spec, shared, changes, nn.Workspace())
+    return run, RunState(0, global_state, dict(changes[0]),
+                         classwise_accuracy(global_state, spec, test, run.workspace))
+
+
+def round_step(run: RunInputs, state: RunState) -> tuple[RunState, RoundRecord, list[tuple]]:
+    """Round ``state.round + 1``. Returns the state after it, its record and,
+    per participant, (anchor log, per-class accuracies of its states after
+    each epoch with epoch_forgetting, its final state last). No
+    participant's model state outlives the call."""
+    r = state.round + 1
+    shards = {**state.shards, **run.changes.get(r, {})}
+    updates = run_round(run.cfg, r, shards, state.global_state, run.spec, run.train, run.shared,
+                        run.workspace)
+    global_state = aggregate(updates)
+    states = [global_state] + [s for u in updates for s in (*u.epoch_states, u.state)]
+    accs = classwise_accuracies(states, run.spec, run.test, run.workspace)
+    rows = np.split(accs[1:], np.cumsum([len(u.epoch_states) + 1 for u in updates])[:-1])
+    record = RoundRecord(r, global_accuracy(accs[0], run.test), tuple(accs[0]),
+                         tuple(u.client_id for u in updates),
+                         {u.client_id: float(np.mean(u.loss_trace)) for u in updates if u.loss_trace})
+    stages = [(u.anchor_log, a) for u, a in zip(updates, rows)]
+    return RunState(r, global_state, shards, accs[0]), record, stages
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) -> Path:
@@ -402,95 +449,49 @@ def run_experiment(cfg: ExperimentConfig, progress=None, force: bool = False) ->
     if (out / "manifest.json").exists() and not force:
         raise RunError(f"{out} already holds a finished run (use force to overwrite)")
     _clear_outputs(out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-
-    train, test = build_datasets(cfg)
-    spec = build_model_spec(cfg, train.inputs.shape[1:], train.class_count)
-    changes = shards_by_round(cfg, train)
-    shards = changes.pop(0)
-
-    global_state = nn.init_state(spec, stream(cfg.master_seed, "init"))
-    shared = None
-    if cfg.strategy.kind == "fedka":
-        shared = anchor.build_shared_dataset(train, cfg.master_seed)
-
-    (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-    spec.save(out / "model.json")
+    run, state = start(cfg)
     checkpoints = out / "checkpoints"
-    checkpoints.mkdir(exist_ok=True)
-
-    t = cfg.training
-    history: list[RoundRecord] = []
+    checkpoints.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    run.spec.save(out / "model.json")
     try:
         writer = MetricsWriter(
-            out, train.class_count,
+            out, run.train.class_count,
             anchor_selection=cfg.strategy.selection if cfg.strategy.kind == "fedka" else None,
             epoch_forgetting=cfg.metrics.epoch_forgetting)
     except OSError as exc:
         raise RunError(f"cannot open metric files: {exc}") from None
-    # one region of memory per thread for the whole run: thread t trains and
-    # evaluates through lane t, as evaluation never overlaps training
-    workspace = nn.Workspace()
+
+    t, record, curve = cfg.training, None, []
     with writer:
-        teacher_acc = classwise_accuracy(global_state, spec, test, workspace)
         for r in range(1, t.rounds + 1):
-            shards.update(changes.get(r, {}))
-            updates = run_round(cfg, r, shards, global_state, spec, train, shared, workspace)
-            global_state = aggregate(updates)
-            # the round's states, in one evaluation: the new global model, then
-            # per client its final local model and its model after every epoch
-            # but the last
-            states = [global_state]
-            for u in updates:
-                states += [u.state, *u.epoch_states[:-1]]
-            accs = iter(classwise_accuracies(states, spec, test, workspace))
-            post_acc = next(accs)
-            acc = global_accuracy(post_acc, test)
-
-            for u in updates:
-                shard = shards[u.client_id]
-                records = measure_local_forgetting(shard, teacher_acc, next(accs), r, cfg.metrics.xi)
-                writer.write_forgetting(records)
-                writer.write_anchors(r, u.client_id, u.anchor_log)
-                for e in range(1, len(u.epoch_states)):
-                    writer.write_epoch_forgetting(e, measure_local_forgetting(
-                        shard, teacher_acc, next(accs), r, cfg.metrics.xi))
-                if u.epoch_states:
-                    # the last epoch ends in the final state, whose records are above
-                    writer.write_epoch_forgetting(len(u.epoch_states), records)
-
-            record = RoundRecord(
-                round=r, global_acc=acc, class_acc=tuple(post_acc),
-                participants=tuple(u.client_id for u in updates),
-                client_losses={u.client_id: float(np.mean(u.loss_trace)) for u in updates
-                               if u.loss_trace},
-            )
-            writer.write_round(record, [(cid, len(s)) for cid, s in shards.items()])
-            history.append(record)
+            teacher_acc = state.teacher_acc
+            state, record, stages = round_step(run, state)
+            for cid, (anchor_log, accs) in zip(record.participants, stages):
+                records = [measure_local_forgetting(state.shards[cid], teacher_acc, acc, r, cfg.metrics.xi)
+                           for acc in accs]
+                writer.write_forgetting(records[-1])
+                writer.write_anchors(r, cid, anchor_log)
+                if cfg.metrics.epoch_forgetting and t.local_epochs:
+                    for e, epoch_records in enumerate(records, 1):
+                        writer.write_epoch_forgetting(e, epoch_records)
+            writer.write_round(record, [(cid, len(s)) for cid, s in state.shards.items()])
+            curve.append((r, record.global_acc))
             if cfg.metrics.checkpoint_interval and r % cfg.metrics.checkpoint_interval == 0:
-                nn.save_state(global_state, checkpoints / f"round_{r:05d}.bin")
-            teacher_acc = post_acc
-            # the updates are views of the round's parameter stack: free it
-            # before the next round allocates its own
-            del updates, u, states
+                nn.save_state(state.global_state, checkpoints / f"round_{r:05d}.bin")
             if progress is not None:
-                progress(r, t.rounds, acc)
+                progress(r, t.rounds, record.global_acc)
 
-    nn.save_state(global_state, checkpoints / "final.bin")
-    write_summary(out / "summary.json", history[-1] if history else None,
-                  [(h.round, h.global_acc) for h in history],
+    nn.save_state(state.global_state, checkpoints / "final.bin")
+    write_summary(out / "summary.json", record, curve,
                   targets=[round(0.1 * k, 1) for k in range(1, 10)])
     manifest = {
         "config": cfg.to_dict(),
-        "versions": {
-            "package": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "dataset_hash": train.content_hash(),
-        "test_hash": test.content_hash(),
-        "model_spec_hash": spec.spec_hash,
+        "versions": {"package": __version__, "numpy": np.__version__, "python": platform.python_version()},
+        "dataset_hash": run.train.content_hash(),
+        "test_hash": run.test.content_hash(),
+        "model_spec_hash": run.spec.spec_hash,
         "completed_rounds": t.rounds,
         "wall_time_s": round(time.time() - started, 3),
     }

@@ -294,8 +294,9 @@ def test_lockstep_matches_serial_reference_byte_for_byte(preset, kind, strategy)
         assert update.state.momentum.tobytes() == ref.momentum.tobytes()
         assert np.array(update.loss_trace).tobytes() == np.array(trace).tobytes()
         assert update.anchor_log == anchor_log
-        assert len(update.epoch_states) == len(epoch_states) == 3
-        for got, want in zip(update.epoch_states, epoch_states):
+        # the last epoch's state is the update's own
+        assert len(update.epoch_states) + 1 == len(epoch_states) == 3
+        for got, want in zip([*update.epoch_states, update.state], epoch_states):
             assert got.params.tobytes() == want.params.tobytes()
             assert got.momentum.tobytes() == want.momentum.tobytes()
     # a different grouping of the same clients gives the same updates
@@ -616,6 +617,30 @@ def test_zero_rounds_leaves_initial_model(tmp_path):
     spec = federation.build_model_spec(cfg, train.inputs.shape[1:], train.class_count)
     init = nn.init_state(spec, stream(cfg.master_seed, "init"))
     assert np.array_equal(final.params, init.params)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final_round"] is None
+    assert summary["final_global_acc"] is None and summary["final_class_acc"] is None
+    assert len(summary["rounds_to_target"]) == 9
+    assert all(reached is None for reached in summary["rounds_to_target"].values())
+
+
+def test_zero_local_epochs_record_no_epoch_no_loss_and_no_forgetting(tmp_path):
+    out, _ = run_cfg(tmp_path, **{"training.local_epochs": 0, "metrics.epoch_forgetting": True})
+    epochs = (out / "metrics" / "forgetting_epochs.csv").read_text().splitlines()
+    assert epochs == ["round,epoch,client,class,role,acc_global,acc_local,tau"]
+    clients = [line.split(",") for line in (out / "metrics" / "clients.csv").read_text().splitlines()[1:]]
+    assert len(clients) == 3 * 3 and all(c[2] == "1" and c[4] == "" for c in clients)
+    forg = metrics.read_forgetting(out / "metrics" / "forgetting.csv")
+    assert forg and all(rec.tau == 0.0 for rec in forg)
+
+
+def test_one_local_epoch_records_the_final_state_as_epoch_1(tmp_path):
+    out, _ = run_cfg(tmp_path, **{"training.local_epochs": 1, "metrics.epoch_forgetting": True})
+    final = (out / "metrics" / "forgetting.csv").read_text().splitlines()[1:]
+    epochs = [line.split(",") for line in
+              (out / "metrics" / "forgetting_epochs.csv").read_text().splitlines()[1:]]
+    assert final and {cells[1] for cells in epochs} == {"1"}
+    assert [",".join(cells[:1] + cells[2:]) for cells in epochs] == final
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -686,6 +711,17 @@ def test_forced_rerun_that_fails_leaves_no_file_of_the_old_run(tmp_path, monkeyp
                     "metrics/forgetting.csv", "metrics/rounds.csv", "model.json", "notes.txt"]
     assert len((old / "metrics" / "rounds.csv").read_text().splitlines()) == 2
     assert json.loads((old / "config.json").read_text())["strategy"]["kind"] == "fedavg"
+
+
+def test_forced_rerun_deletes_the_temporaries_of_cut_checkpoint_writes(tmp_path):
+    old, cfg = run_cfg(tmp_path)
+    planted = [old / "checkpoints" / ".round_00002.bin.tmp", old / "checkpoints" / ".final.bin.tmp"]
+    for path in planted:
+        path.write_bytes(b"cut short")
+    (old / "notes.txt").write_text("kept\n")
+    federation.run_experiment(cfg, force=True)
+    assert not any(path.exists() for path in planted)
+    assert (old / "notes.txt").read_text() == "kept\n"
 
 
 def test_metric_files_opened_before_a_failure_are_closed(tmp_path, monkeypatch):

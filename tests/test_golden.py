@@ -22,6 +22,7 @@ import pytest
 from fedka import federation, nn
 from fedka.config import resolve
 from fedka.federation import run_experiment
+from fedka.metrics import global_accuracy
 
 BLOB = {
     "dataset": {"kind": "synth", "classes": 4, "per_class": 30, "dims": 4,
@@ -268,3 +269,30 @@ def test_digests_hold_on_any_number_of_cores(case, cores, tmp_path, monkeypatch)
     monkeypatch.setattr(federation, "local_train", recorder)
     assert run_digests(case, tmp_path) == DIGESTS[case]
     assert set(stacks.values()) == {cores}
+
+
+@pytest.mark.parametrize("case", ["mlp-fedka-reduction", "tcnn-fedavg-parallel"])
+def test_round_steps_reach_the_runs_checkpoints_without_writing(case, tmp_path):
+    """start and k round steps write no file; their global state holds the
+    bytes of the run's round-k checkpoint, and its accuracies format to the
+    run's rounds.csv row k."""
+    raw = {"name": case, "master_seed": 11, "output_dir": str(tmp_path / "run"), **CASES[case],
+           "metrics": {"checkpoint_interval": 1}}
+    if "dataset" not in raw:
+        raw["dataset"] = {"kind": "idx", **write_idx_images(tmp_path)}
+    cfg = resolve(raw)
+    run, state = federation.start(cfg)
+    states, rows = [], []
+    for k in range(1, cfg.training.rounds + 1):
+        state, _, _ = federation.round_step(run, state)
+        assert state.round == k
+        acc = state.teacher_acc
+        states.append(state.global_state)
+        rows.append(",".join(f"{v:.10g}" for v in (k, global_accuracy(acc, run.test), *acc)))
+    assert not (tmp_path / "run").exists()
+    out = run_experiment(cfg)
+    for k, want in enumerate(states, 1):
+        got = nn.load_state(out / "checkpoints" / f"round_{k:05d}.bin")
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got.momentum.tobytes() == want.momentum.tobytes()
+    assert (out / "metrics" / "rounds.csv").read_text().splitlines()[1:] == rows
