@@ -22,8 +22,12 @@ stack. A flat parameter vector with no offsets is the single-model case.
 
 A convolution is an explicit GEMM over an im2col column matrix
 (Chellapilla et al. 2006), and its input gradient a GEMM followed by col2im.
-The column matrices, and the activations and input gradients a pass makes,
-can live in a Workspace, which a caller keeps from pass to pass.
+The forward pass builds its column matrix in chunks of rows that fit
+COLUMN_BUDGET, and a forward-only pass of one model runs the layers before
+Flatten in such chunks of rows too (NetworkSpec.conv_stage), so that its
+memory does not grow with the rows it evaluates. The column matrices, and
+the activations and input gradients a pass makes, can live in a Workspace,
+which a caller keeps from pass to pass.
 
 How many threads a job gets follows from its multiply-adds (thread_count):
 a unit of work below THREAD_MACS runs on the calling thread, since starting
@@ -110,6 +114,10 @@ def _mapped(size: int) -> np.ndarray:
 # a unit of work (a forward pass over some rows) of this many multiply-adds
 # or more is worth a thread of its own
 THREAD_MACS = 1 << 22
+
+# a forward pass's im2col column matrix holds at most this many entries
+# (2 MiB) at a time, unless one row needs more (Conv2d.chunk_rows)
+COLUMN_BUDGET = 1 << 18
 
 
 def thread_count(macs: int, units: int) -> int:
@@ -301,30 +309,47 @@ class Conv2d:
         """The (batch, C, oh, ow, k, k) view of x's sliding windows."""
         return sliding_window_view(x, (self.kernel, self.kernel), axis=(2, 3))
 
+    def chunk_rows(self, hw: int) -> int:
+        """Rows of one chunk of the forward pass's column matrix, over
+        outputs of ``hw`` = oh*ow positions: the largest power of two whose
+        C*k*k*hw-entry rows fit COLUMN_BUDGET, and at least one. Powers of
+        two make the chunks of any two conv layers divide one another."""
+        fitting = max(COLUMN_BUDGET // (self.in_channels * self.kernel**2 * hw), 1)
+        return 1 << (fitting.bit_length() - 1)
+
     def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, workspace=None,
                 out=None) -> np.ndarray:
-        """One (C*k*k, rows*oh*ow) column matrix for the whole stack, then
-        ``W @ cols`` per client into its own columns of the output. That is
-        the product einsum forms for this contraction, so the output is
-        bit-for-bit einsum's. ``out``, when given, is a channel-major
-        (batch, O, oh, ow) array, as this returns."""
+        """Per client, ``W @ cols`` into its own columns of the output, over
+        a (C*k*k, rows*oh*ow) column matrix built chunk_rows rows at a time,
+        counted from the client's first row: so a client's outputs never
+        depend on the clients beside it. A chunk's product has fewer
+        columns than the whole one. At t_cnn's 1x28x28, k=5 shapes the
+        split products are bit-for-bit the whole product (einsum's); at
+        other shapes they can differ from it in the last bit. ``out``, when
+        given, is a channel-major (batch, O, oh, ow) array, as this
+        returns."""
         slices, params = _clients(offsets, len(x), params)
         w, b = self._split(params)
         n, c, h, wd = x.shape
         k, o = self.kernel, self.out_channels
         oh, ow = h - k + 1, wd - k + 1
         hw, ckk = oh * ow, c * k * k
-        memory = None if workspace is None else workspace.take(ckk * n * hw)
-        cols = _layout(memory, (ckk, n * hw))
-        cols.reshape(c, k, k, n, oh, ow)[...] = self._windows(x).transpose(1, 4, 5, 0, 2, 3)
+        chunk = self.chunk_rows(hw)
+        size = ckk * min(chunk, max(rows.stop - rows.start for rows in slices)) * hw
+        memory = np.empty(size) if workspace is None else workspace.take(size)
         if out is None:
             out = _layout(None, (n, o, oh, ow), (1, 0, 2, 3))
         y = out.transpose(1, 0, 2, 3).reshape(o, n * hw)
+        windows = self._windows(x)
         for p, rows in enumerate(slices):
-            cs = slice(rows.start * hw, rows.stop * hw)
-            yp = y[:, cs]
-            np.matmul(w[p].reshape(o, ckk), cols[:, cs], out=yp)
-            yp += b[p][:, None]
+            wp = w[p].reshape(o, ckk)
+            for lo in range(rows.start, rows.stop, chunk):
+                m = min(chunk, rows.stop - lo)
+                cols = memory[:ckk * m * hw].reshape(ckk, m * hw)
+                cols.reshape(c, k, k, m, oh, ow)[...] = windows[lo:lo + m].transpose(1, 4, 5, 0, 2, 3)
+                yp = y[:, lo * hw:(lo + m) * hw]
+                np.matmul(wp, cols, out=yp)
+                yp += b[p][:, None]
         if workspace is not None:
             workspace.give_back(memory)
         return out
@@ -577,9 +602,24 @@ class NetworkSpec:
         return widths[0], widths[1]
 
     @cached_property
+    def conv_stage(self) -> tuple[int, int]:
+        """How a forward-only pass of one model runs in row chunks: the
+        number of layers before the first Flatten, and the rows of a chunk,
+        the largest of their conv layers' Conv2d.chunk_rows, which every
+        other one divides. (0, 0) for a spec without conv layers, whose
+        layers before Flatten, if any, are cheap and narrow."""
+        if not any(isinstance(layer, Conv2d) for layer in self.layers):
+            return 0, 0
+        stage = next(i for i, layer in enumerate(self.layers) if isinstance(layer, Flatten))
+        return stage, max(layer.chunk_rows(math.prod(shape[1:]))
+                          for layer, shape in zip(self.layers[:stage], self.layer_shapes[1:])
+                          if isinstance(layer, Conv2d))
+
+    @cached_property
     def _workspace_row(self) -> int:
         # every output but Flatten's (a view), the two gradient areas and the
-        # largest im2col column matrix
+        # largest im2col column matrix, whole, as a client's kernel gradient
+        # takes it
         outputs = sum(math.prod(shape) for layer, shape in zip(self.layers, self.layer_shapes[1:])
                       if not isinstance(layer, Flatten))
         columns = max((layer.in_channels * layer.kernel**2 * math.prod(shape[1:])
@@ -591,7 +631,10 @@ class NetworkSpec:
         """Entries a forward pass over ``rows`` rows and the backward pass
         after it can take from a Workspace at most: every layer's output,
         the two gradient areas and one column matrix, each rounded up to a
-        64-byte line."""
+        64-byte line. A forward-only pass takes less: the stage before
+        Flatten's output over all rows (no wider than a gradient area),
+        every other output only for one chunk of rows, and column matrices
+        of at most COLUMN_BUDGET entries, unless one row needs more."""
         return rows * self._workspace_row + 8 * (len(self.layers) + 2)
 
     @cached_property
@@ -706,8 +749,12 @@ class Workspace:
     after another from one region of memory: every layer's output, the conv
     layers' im2col column matrices (given back once the layer is done with
     them), and in a backward pass two areas that the input gradients take
-    turns in. A forward pass starts again at the start of the region, and a
-    backward pass goes on after the arrays of the forward pass before it.
+    turns in. A forward-only pass of one model takes the outputs of the
+    layers before Flatten for one chunk of rows, and every chunk takes the
+    same memory again (NetworkSpec.conv_stage); the chunks' last outputs
+    are copied into one array over all rows. A forward pass starts again at
+    the start of the region, and a backward pass goes on after the arrays
+    of the forward pass before it.
     The region is mapped outside the malloc heaps, and the kernel maps its
     pages in as a pass first touches them. It only grows: a forward pass
     that could take more than the region holds (NetworkSpec.workspace_size)
@@ -760,17 +807,42 @@ def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: 
     output instead, when it works in place). With a ``workspace``, the
     layers write their outputs into its region (see Workspace). With
     ``rows`` (a pass that keeps no caches) the pass runs on those rows of x
-    alone."""
+    alone. A pass of one model that keeps no caches runs the layers before
+    Flatten in chunks of rows (NetworkSpec.conv_stage); the dense layers
+    run on all rows at once, as a product split by rows rounds differently."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
     h = x if rows is None else x[rows]
-    owned = False   # h was written by this pass: not x, nor a view of it
     if workspace is not None:
         workspace.restart(spec.workspace_size(len(h)))
-    for i, (layer, sl) in enumerate(zip(spec.layers, spec.param_slices)):
+    stage, chunk = spec.conv_stage if caches is None and offsets is None else (0, 0)
+    if stage:
+        shape = (len(h), *spec.layer_shapes[stage])
+        staged = _layout(None if workspace is None else workspace.take(math.prod(shape)), shape)
+        used = None if workspace is None else workspace._used
+        for lo in range(0, len(h), chunk):
+            staged[lo:lo + chunk] = _layers(spec, params, h[lo:lo + chunk], range(stage), None,
+                                            None, workspace, False)
+            if workspace is not None:
+                # the next chunk takes the same memory
+                workspace._used = used
+        h = staged
+    h = _layers(spec, params, h, range(stage, len(spec.layers)), caches, offsets, workspace,
+                rows is not None, owned=stage > 0)
+    return h, caches
+
+
+def _layers(spec: NetworkSpec, params: np.ndarray, h: np.ndarray, layers: range, caches, offsets,
+            workspace: Workspace | None, dense_in_workspace: bool, owned: bool = False) -> np.ndarray:
+    """``layers`` of the spec, in order, from their input ``h``, as _forward
+    runs them; the Dense layers write into the ``workspace`` when
+    ``dense_in_workspace``. ``owned``: h was written by this pass, not x
+    nor a view of it."""
+    for i in layers:
+        layer, sl = spec.layers[i], spec.param_slices[i]
         if caches is not None:
             caches.append(h)
         out = None
-        if workspace is None or isinstance(layer, Flatten) or (rows is None and isinstance(layer, Dense)):
+        if workspace is None or isinstance(layer, Flatten) or (isinstance(layer, Dense) and not dense_in_workspace):
             pass
         elif isinstance(layer, Relu) and owned:
             out = h
@@ -789,7 +861,7 @@ def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: 
         if isinstance(layer, (Dense, Conv2d)) and not np.isfinite(h).all():
             client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(h)) - 1
             raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})", client)
-    return h, caches
+    return h
 
 
 def check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:

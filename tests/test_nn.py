@@ -264,7 +264,77 @@ def test_conv1_backward_peak_memory():
     assert peak < 24e6
 
 
-@pytest.mark.parametrize("layer, in_shape", [(nn.Dense(6, 4), (6,)), (nn.Conv2d(2, 3, 3), (2, 6, 5))])
+def test_conv1_forward_peak_memory():
+    """The same conv's forward pass without a workspace builds its column
+    matrix in chunks of at most nn.COLUMN_BUDGET entries (2 MiB), not as
+    one 13.1 MB matrix; the output is 1 MB."""
+    layer = nn.Conv2d(32, 64, 5)
+    rng = stream(13, "conv1")
+    params = rng.normal(size=layer.param_count())
+    x = rng.normal(size=(32, 32, 12, 12))
+    tracemalloc.start()
+    try:
+        layer.forward(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def whole_product_reference(layer, params, x):
+    """``W @ cols + b`` over one column matrix of all of x's rows, in the
+    channel-major layout Conv2d.forward returns."""
+    k, o = layer.kernel, layer.out_channels
+    w, b = layer._split(params)
+    n, c, h, wd = x.shape
+    oh, ow = h - k + 1, wd - k + 1
+    cols = np.ascontiguousarray(sliding_window_view(x, (k, k), axis=(2, 3)).transpose(1, 4, 5, 0, 2, 3))
+    y = w.reshape(o, c * k * k) @ cols.reshape(c * k * k, n * oh * ow)
+    y += b[:, None]
+    return y.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 20, 333, 1250])
+@pytest.mark.parametrize("layer, side", [(nn.Conv2d(1, 32, 5), 28), (nn.Conv2d(32, 64, 5), 12)],
+                         ids=["conv0", "conv1"])
+def test_column_chunks_give_the_whole_product_at_t_cnn_28x28_shapes(layer, side, rows):
+    """t_cnn's two conv layers on 1x28x28 inputs (k=5; chunks of 16 and 4
+    rows): a forward pass in column chunks gives the bytes of one product
+    over all rows."""
+    assert layer.chunk_rows((side - 4) ** 2) == {1: 16, 32: 4}[layer.in_channels]
+    rng = stream(14, "chunks", layer.in_channels, rows)
+    params = rng.normal(size=layer.param_count())
+    x = rng.normal(size=(rows, layer.in_channels, side, side))
+    assert layer.forward(params, x).tobytes() == whole_product_reference(layer, params, x).tobytes()
+
+
+def test_stack_clients_beyond_one_chunk_get_the_bytes_of_their_own_passes():
+    """3x32x32 t_cnn's second conv (32 -> 64, k=5 on 14x14: 100 output
+    positions, chunks of 2 rows) is a shape where a split product can round
+    differently from the whole one. A client's chunks count from its first
+    row, so each client of a stack gets the bytes of a pass over its rows
+    alone, the layer's and the whole network's, whose forward-only pass
+    runs the layers before Flatten in chunks of 4 rows."""
+    layer = nn.Conv2d(32, 64, 5)
+    assert layer.chunk_rows(100) == 2
+    offsets = (0, 3, 10, 15)
+    slices = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    rng = stream(15, "stack chunks")
+    params = rng.normal(size=(3, layer.param_count()))
+    x = rng.normal(size=(15, 32, 14, 14))
+    y = layer.forward(params, x, offsets)
+    for p, rows in enumerate(slices):
+        assert y[rows].tobytes() == layer.forward(params[p], x[rows]).tobytes()
+    spec = nn.tcnn_spec((3, 32, 32), 10, conv_kernel=5)
+    assert spec.conv_stage == (6, 4)
+    states = [nn.init_state(spec, stream(16, "init", p)) for p in range(3)]
+    inputs = rng.normal(size=(15, 3, 32, 32))
+    logits, _ = nn.forward_stack(spec, np.stack([s.params for s in states]), inputs, offsets)
+    for state, rows in zip(states, slices):
+        assert logits[rows].tobytes() == nn.forward_logits(state, spec, inputs[rows]).tobytes()
+
+
+@pytest.mark.parametrize("layer, in_shape",[(nn.Dense(6, 4), (6,)), (nn.Conv2d(2, 3, 3), (2, 6, 5))])
 def test_backward_without_input_grad_keeps_param_grad(layer, in_shape):
     rng = stream(5, "layer")
     params = rng.normal(size=layer.param_count())
@@ -464,6 +534,24 @@ def test_workspace_region_grows_to_the_largest_pass(monkeypatch):
     anchor.fused_gradient(spec, params, x, labels, rows, 0.0, np.empty_like(params),
                           workspace=workspace)
     assert workspace._memory is grown and used and all(used)
+
+
+def test_paper_scale_block_faults_in_a_bounded_workspace():
+    """A 1250-row block of 1x28x28 t_cnn inputs, as evaluation runs a
+    5000-row test set. The layers before Flatten run in chunks of 16 rows
+    and the column matrices in chunks of at most 2 MiB, so the pass faults
+    in at most 64 MiB (756 MiB with whole column matrices and activations),
+    and its logits are forward_logits' bytes."""
+    spec = nn.tcnn_spec((1, 28, 28), 10, conv_kernel=5)
+    assert spec.conv_stage == (6, 16)
+    state = nn.init_state(spec, stream(42, "init"))
+    x = stream(43, "x").normal(size=(1250, 1, 28, 28))
+    workspace = nn.Workspace()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    logits = nn.forward_rows(spec, state.params, x, slice(0, 1250), workspace)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    assert faults * resource.getpagesize() <= 64 << 20
+    assert logits.tobytes() == nn.forward_logits(state, spec, x).tobytes()
 
 
 @pytest.mark.parametrize("spec", [
