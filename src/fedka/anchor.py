@@ -203,8 +203,8 @@ def ka_losses(student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.n
     the ``kept`` entries (a boolean mask of the anchor rows' logits), summed
     per row and averaged over the client's counts[p] rows. The rows are the
     anchors of the clients one after another, entries[p] kept entries for
-    client p; leading axes of ``student_logits`` (steps) are kept."""
-    gap = (student_logits - teacher_logits)[..., kept]
+    client p."""
+    gap = (student_logits - teacher_logits)[kept]
     return nn.segment_sums(gap * gap, entries) / counts
 
 
@@ -227,14 +227,31 @@ class AnchorTarget:
     teacher: np.ndarray
 
 
+def anchor_targets(anchors: Sequence[KnowledgeAnchor], global_state: nn.ModelState,
+                   spec: nn.NetworkSpec) -> list[AnchorTarget]:
+    """The round's target of each (non-empty) anchor, with the global model
+    as the teacher: one pass of it over all the anchors' inputs, each anchor
+    on its own rows (nn.forward_copies), so each teacher gets the logits of
+    a pass over its anchor alone. A NonFiniteError names the position of
+    the anchor at fault."""
+    if not anchors:
+        return []
+    inputs = [a.inputs() for a in anchors]
+    offsets = np.cumsum([0] + [len(x) for x in inputs]).tolist()
+    teacher = nn.forward_copies(global_state, spec, np.concatenate(inputs), offsets)
+    targets = []
+    for a, x, start in zip(anchors, inputs, offsets):
+        kept = np.zeros(spec.class_count, dtype=bool)
+        kept[kept_classes(a.dominant, spec.class_count)] = True
+        targets.append(AnchorTarget(x, kept, teacher[start:start + len(x)]))
+    return targets
+
+
 def anchor_target(
     anchor: KnowledgeAnchor, global_state: nn.ModelState, spec: nn.NetworkSpec
 ) -> AnchorTarget:
     """The round's anchor target, with the global model as the teacher."""
-    inputs = anchor.inputs()
-    kept = np.zeros(spec.class_count, dtype=bool)
-    kept[kept_classes(anchor.dominant, spec.class_count)] = True
-    return AnchorTarget(inputs, kept, nn.forward_logits(global_state, spec, inputs))
+    return anchor_targets([anchor], global_state, spec)[0]
 
 
 @dataclass(frozen=True)
@@ -245,43 +262,88 @@ class FusedRows:
 
     offsets: tuple[int, ...]
     batch: np.ndarray                  # the batch rows, client after client
-    batch_counts: tuple[int, ...]      # batch rows per client
+    batch_counts: np.ndarray           # batch rows per client
     divisor: np.ndarray                # per row: its client's batch size (1 on anchor rows)
     anchor: np.ndarray | None          # the anchor rows; None when no client has any
-    anchored: list[int]                # the clients with anchor rows
-    anchor_counts: tuple[int, ...]     # anchor rows per anchored client
-    entries: tuple[int, ...]           # kept logit entries per anchored client
+    anchored: np.ndarray               # the clients with anchor rows
+    anchor_counts: np.ndarray          # anchor rows per anchored client
+    entries: np.ndarray                # kept logit entries per anchored client
     kept: np.ndarray | None            # per anchor row: the mask of kept columns
     scale: np.ndarray | None           # per anchor row: 2 / its client's anchor rows
     teacher: np.ndarray | None         # per anchor row: the teacher's logits
+
+
+@dataclass(frozen=True)
+class AnchorRows:
+    """The anchor rows of a stack's clients, one client after another, and
+    what the anchor term needs of each row: built once a round, for the
+    layouts of all its steps. Client p owns rows ``starts[p]:starts[p] +
+    counts[p]``; a client without an anchor term has none."""
+
+    counts: np.ndarray                 # anchor rows per client
+    starts: np.ndarray                 # each client's first row
+    entries: np.ndarray                # kept logit entries per client
+    inputs: np.ndarray | None          # the rows' inputs; None when no client has any
+    kept: np.ndarray | None            # per row: the mask of kept columns
+    scale: np.ndarray | None           # per row: 2 / its client's anchor rows
+    teacher: np.ndarray | None         # per row: the teacher's logits
+
+    def layout(self, batch_counts, clients: np.ndarray | None = None) -> FusedRows:
+        """The layout of a pass whose stack row j is client ``clients[j]``,
+        with a batch of batch_counts[j] rows followed by the client's anchor
+        rows; without ``clients``, the stack is the first len(batch_counts)
+        clients, whose anchor rows are the first rows here. A client may
+        come more than once: over the rows of many steps, a stack row for
+        each (step, client), fused_losses gives every step's losses at once."""
+        m = np.array(batch_counts, dtype=np.intp)
+        if clients is None:
+            a, entries = self.counts[:len(m)], self.entries[:len(m)]
+        else:
+            a, entries = self.counts[clients], self.entries[clients]
+        # runs of rows: stack row j's batch rows in run 2j, its anchor rows in 2j + 1
+        runs = np.empty(2 * len(m), dtype=np.intp)
+        runs[0::2], runs[1::2] = m, a
+        run_of_row = np.arange(len(runs)).repeat(runs)
+        in_anchor = (run_of_row & 1).astype(bool)
+        sizes = runs.astype(np.float64)
+        sizes[1::2] = 1.0
+        batch, anchor, anchored = (~in_anchor).nonzero()[0], in_anchor.nonzero()[0], a.nonzero()[0]
+        offsets, divisor = (0, *runs.cumsum()[1::2].tolist()), sizes[run_of_row][:, None]
+        counts, entries = a[anchored], entries[anchored]
+        if not len(anchor):
+            return FusedRows(offsets, batch, m, divisor, None, anchored, counts, entries, None, None, None)
+        if clients is None:
+            source = slice(0, len(anchor))
+        else:
+            # the rows of each anchored stack row's client, one client after another
+            ends = counts.cumsum()
+            source = np.arange(len(anchor)) + (self.starts[clients[anchored]] - ends + counts).repeat(counts)
+        return FusedRows(offsets, batch, m, divisor, anchor, anchored, counts, entries,
+                         self.kept[source], self.scale[source], self.teacher[source])
+
+
+def anchor_rows(targets: Sequence[AnchorTarget | None]) -> AnchorRows:
+    """The AnchorRows of a stack whose client p has the target targets[p]
+    (None for no anchor term)."""
+    counts = np.array([0 if t is None else len(t.inputs) for t in targets], dtype=np.intp)
+    starts = counts.cumsum() - counts
+    used = [t for t in targets if t is not None and len(t.inputs)]
+    if not used:
+        return AnchorRows(counts, starts, counts, None, None, None, None)
+    rows = counts[counts > 0]
+    kept = np.stack([t.kept for t in used])
+    entries = np.zeros_like(counts)
+    entries[counts > 0] = rows * kept.sum(axis=1)
+    return AnchorRows(counts, starts, entries, np.concatenate([t.inputs for t in used]),
+                      np.repeat(kept, rows, axis=0), np.repeat(2.0 / rows, rows)[:, None],
+                      np.concatenate([t.teacher for t in used]))
 
 
 def fused_rows(batch_counts: tuple[int, ...], targets) -> FusedRows:
     """The layout of a pass in which client p takes a batch of
     batch_counts[p] rows, followed by the rows of targets[p] (an
     AnchorTarget, or None for no anchor term)."""
-    offsets, batch, divisor, anchor, anchored = [0], [], [], [], []
-    for p, (m, target) in enumerate(zip(batch_counts, targets)):
-        start = offsets[-1]
-        a = 0 if target is None else len(target.inputs)
-        batch += range(start, start + m)
-        divisor += [m] * m + [1] * a
-        anchor += range(start + m, start + m + a)
-        if a:
-            anchored.append(p)
-        offsets.append(start + m + a)
-    batch_rows, divisor = np.array(batch), np.array(divisor, dtype=np.float64)[:, None]
-    if not anchored:
-        return FusedRows(tuple(offsets), batch_rows, batch_counts, divisor,
-                         None, [], (), (), None, None, None)
-    used = [targets[p] for p in anchored]
-    counts = tuple(len(t.inputs) for t in used)
-    return FusedRows(
-        tuple(offsets), batch_rows, batch_counts, divisor, np.array(anchor), anchored, counts,
-        tuple(a * int(t.kept.sum()) for a, t in zip(counts, used)),
-        np.repeat(np.stack([t.kept for t in used]), counts, axis=0),
-        np.array([2.0 / a for a in counts for _ in range(a)])[:, None],
-        np.concatenate([t.teacher for t in used]))
+    return anchor_rows(targets).layout(batch_counts)
 
 
 def fused_grad_logits(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, beta: float) -> np.ndarray:
@@ -294,12 +356,14 @@ def fused_grad_logits(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, b
 
 
 def fused_losses(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, beta: float) -> np.ndarray:
-    """Those objectives per client, for logits (..., N, C) and labels
-    (..., batch rows); leading axes (steps) are kept."""
+    """Those objectives per client, for (N, C) logits and the labels of the
+    batch rows. Over the rows of many steps, laid out by AnchorRows.layout
+    with a stack row for each (step, client), each loss is the one its
+    step alone gives."""
     losses = nn.ce_losses(logits, labels, rows.batch, rows.batch_counts)
     if rows.anchor is not None:
-        losses[..., rows.anchored] += beta * ka_losses(
-            logits[..., rows.anchor, :], rows.teacher, rows.kept, rows.anchor_counts, rows.entries)
+        losses[rows.anchored] += beta * ka_losses(
+            logits[rows.anchor], rows.teacher, rows.kept, rows.anchor_counts, rows.entries)
     return losses
 
 

@@ -66,20 +66,22 @@ class _Client:
     """One client's round, planned before the first step."""
 
     shard: ClientShard
-    steps: list[np.ndarray]            # dataset rows of each batch, in step order
+    order: np.ndarray                  # the dataset rows its steps take, in step order
     per_epoch: int                     # steps an epoch
+    steps: int                         # steps in the round
     anchor_log: tuple[tuple, ...]
-    target: anchor.AnchorTarget | None
+    anchor: anchor.KnowledgeAnchor | None   # the anchor of its anchor term, if it has one
+    target: anchor.AnchorTarget | None = None   # that anchor's target, once the teacher ran
 
 
 def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
                  global_state: nn.ModelState, spec: nn.NetworkSpec, dataset: LabeledDataset,
                  shared: anchor.SharedDataset | None) -> _Client:
-    """The client's anchor target and every batch of its round, drawn from
-    its own ``anchor`` and ``batch`` streams; its labels and inputs are
-    checked here, once, rather than at every step."""
+    """The client's anchor and every batch of its round, drawn from its own
+    ``anchor`` and ``batch`` streams; its labels and inputs are checked
+    here, once, rather than at every step."""
     strategy, t = cfg.strategy, cfg.training
-    target = None
+    term = None
     anchor_log: tuple[tuple, ...] = ()
     if strategy.kind == "fedka":
         arng = stream(cfg.master_seed, "anchor", round_index, shard.client_id)
@@ -91,19 +93,18 @@ def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
         built = anchor.downsample_anchor(built, strategy.mu_anchor, arng)
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
         if strategy.beta > 0.0 and len(built) > 0:
-            target = anchor.anchor_target(built, global_state, spec)
+            term = built
 
-    n = len(shard)
+    n, epochs = len(shard), t.local_epochs
     brng = stream(cfg.master_seed, "batch", round_index, shard.client_id)
-    steps = []
-    for _ in range(t.local_epochs):
-        rows = shard.indices[brng.permutation(n)]
-        steps += [rows[start:start + t.batch_size] for start in range(0, n, t.batch_size)]
-    if steps:
+    # each epoch a permutation of the shard, cut into batches
+    order = shard.indices[np.array([brng.permutation(n) for _ in range(epochs)], dtype=np.intp).reshape(-1)]
+    per_epoch = -(-n // t.batch_size)
+    if n and epochs:
         inputs, labels = dataset.take(shard.indices)
         nn.batch_labels(spec, labels)
         nn.check_inputs(spec, inputs)
-    return _Client(shard, steps, -(-n // t.batch_size), anchor_log, target)
+    return _Client(shard, order, per_epoch, per_epoch * epochs, anchor_log, term)
 
 
 # the most stacks training.parallel_clients = 0 chooses: the most measured
@@ -111,8 +112,8 @@ def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
 # lane's memory, a cost never weighed against their speed
 CHOSEN_STACKS = 2
 
-# logit entries that lockstep training keeps for the loss trace before it
-# computes their losses
+# logit entries (32 MiB) that lockstep training keeps for the loss trace
+# before it computes their losses
 _PENDING_LOSS_ENTRIES = 1 << 22
 
 
@@ -144,9 +145,14 @@ def local_train(
     that still has batches, and a client leaves the stack when they run out.
     Every client draws from its own streams and every GEMM runs on its own
     rows, so each update is the one the client would get training alone.
-    The losses of the trace are computed from the kept logits in bulk, not
-    at every step. A failure in a client raises RunError naming the round
-    and the client.
+
+    What the steps share is planned once: one pass of the teacher over
+    every anchor, the clients' anchor rows (anchor.AnchorRows), and the
+    dataset rows and labels of every batch. A step keeps its logits, and
+    the losses of the trace are settled in bulk: one fused_losses call over
+    all the kept steps, a stack row for each (step, client), at the end of
+    the round, or earlier once the kept logits exceed _PENDING_LOSS_ENTRIES.
+    A failure in a client raises RunError naming the round and the client.
     """
     strategy, t = cfg.strategy, cfg.training
     if strategy.kind not in ("fedavg", "fedprox", "fedka"):
@@ -154,6 +160,8 @@ def local_train(
     if strategy.kind == "fedka" and shared is None:
         raise ValueError("fedka training needs the shared one-per-class dataset")
     nn.check_state(global_state, spec)
+    if not shards:
+        return []
 
     def failed(cid: int, exc: Exception) -> RunError:
         return RunError(f"round {round_index}, client {cid}: {exc}")
@@ -164,81 +172,107 @@ def local_train(
             planned.append(_plan_client(cfg, round_index, shard, global_state, spec, dataset, shared))
         except Exception as exc:
             raise failed(shard.client_id, exc) from exc
+    # one pass of the teacher over every anchor, in the order of ``shards``
+    anchored = [c for c in planned if c.anchor is not None]
+    try:
+        targets = anchor.anchor_targets([c.anchor for c in anchored], global_state, spec)
+    except nn.NonFiniteError as exc:
+        raise failed(anchored[exc.client].shard.client_id, exc) from exc
+    for c, target in zip(anchored, targets):
+        c.target = target
     # longest first, so that the clients still training are always a prefix
-    order = sorted(range(len(planned)), key=lambda i: -len(planned[i].steps))
+    order = sorted(range(len(planned)), key=lambda i: -planned[i].steps)
     clients = [planned[i] for i in order]
-    targets = [c.target for c in clients]
+    blocks = anchor.anchor_rows([c.target for c in clients])
     center = global_state.params if strategy.kind == "fedprox" and strategy.mu > 0.0 else None
+
+    # The round's (step, client) pairs, step after step and each step's
+    # clients in stack order: the batch rows of each, and the dataset rows
+    # and labels of all their batches. A client's batches cut its order in
+    # step order; a stable sort by (step, stack row) interleaves them.
+    counts = np.zeros((len(clients), max([c.steps for c in clients], default=0)), dtype=np.intp)
+    for p, c in enumerate(clients):
+        epoch = np.minimum(t.batch_size, len(c.shard) - t.batch_size * np.arange(c.per_epoch))
+        counts[p, :c.steps] = np.tile(epoch, t.local_epochs)
+    step_of, stack_row = np.nonzero(counts.T)
+    batch_counts = counts[stack_row, step_of]
+    pair_key = np.concatenate([np.repeat(np.arange(c.steps) * len(clients) + p, counts[p, :c.steps])
+                               for p, c in enumerate(clients)])
+    rows_taken = np.concatenate([c.order for c in clients])[np.argsort(pair_key, kind="stable")]
+    labels = dataset.labels[rows_taken]
+    # step s's pairs and rows start at pair_start[s] and row_start[s]
+    pair_start = [0, *np.cumsum(np.count_nonzero(counts, axis=0)).tolist()]
+    row_start = [0, *np.cumsum(counts.sum(axis=0)).tolist()]
+    sizes_of = batch_counts.tolist()
 
     if stack is None:
         stack = tuple(np.empty((len(clients), spec.param_count)) for _ in range(3))
     params, momentum, grad = stack
     params[...] = global_state.params
     momentum[...] = 0.0
-    losses = [np.empty(len(c.steps)) for c in clients]
+    losses = np.empty(counts.shape)
     epoch_states: list[list[nn.ModelState]] = [[] for _ in clients]
     layouts: dict[tuple[int, ...], tuple[anchor.FusedRows, np.ndarray | None]] = {}
-    pending: dict[tuple[int, ...], tuple[anchor.FusedRows, list]] = {}
+    # the logits and proximal losses of the steps whose losses are still to
+    # be computed, from step ``settled`` on
+    logits_kept, prox_kept = [], []
 
-    def settle_losses() -> None:
-        for rows, records in pending.values():
-            steps, logits, labels, prox_losses = zip(*records)
-            step_losses = anchor.fused_losses(np.stack(logits), np.stack(labels), rows, strategy.beta)
-            if center is not None:
-                step_losses += np.stack(prox_losses)
-            for p in range(step_losses.shape[1]):
-                losses[p][list(steps)] = step_losses[:, p]
-        pending.clear()
+    def settle_losses(start: int, end: int) -> None:
+        """The losses of steps start to end - 1, whose logits are kept."""
+        pairs = slice(pair_start[start], pair_start[end])
+        rows = blocks.layout(batch_counts[pairs], stack_row[pairs])
+        step_losses = anchor.fused_losses(np.concatenate(logits_kept),
+                                          labels[row_start[start]:row_start[end]], rows, strategy.beta)
+        if center is not None:
+            step_losses += np.concatenate(prox_kept)
+        losses[stack_row[pairs], step_of[pairs]] = step_losses
+        logits_kept.clear()
+        prox_kept.clear()
 
-    active = sum(1 for c in clients if c.steps)
-    s = pending_entries = 0
-    while active:
-        training = clients[:active]
-        sizes = tuple([len(c.steps[s]) for c in training])
+    settled = pending_entries = 0
+    for s in range(counts.shape[1]):
+        sizes = tuple(sizes_of[pair_start[s]:pair_start[s + 1]])
+        active = len(sizes)
         layout = layouts.get(sizes)
         if layout is None:
-            rows = anchor.fused_rows(sizes, targets[:active])
+            rows = blocks.layout(sizes)
             buffer = None
             if rows.anchor is not None:
                 # the anchor rows stay put; each step fills in the batch rows
                 buffer = np.empty((rows.offsets[-1], *spec.input_shape))
-                buffer[rows.anchor] = np.concatenate(
-                    [tg.inputs for tg in targets[:active] if tg is not None])
+                buffer[rows.anchor] = blocks.inputs[:len(rows.anchor)]
             layout = layouts[sizes] = (rows, buffer)
         rows, inputs = layout
-        batch = np.concatenate([c.steps[s] for c in training])
+        batch = slice(row_start[s], row_start[s + 1])
         if inputs is None:
-            inputs = dataset.inputs[batch]
+            inputs = dataset.inputs.take(rows_taken[batch], axis=0)
         else:
-            inputs[rows.batch] = dataset.inputs[batch]
-        labels = dataset.labels[batch]
+            inputs[rows.batch] = dataset.inputs.take(rows_taken[batch], axis=0)
         stack_params, stack_grad = params[:active], grad[:active]
         try:
             logits, prox_loss = anchor.fused_gradient(
-                spec, stack_params, inputs, labels, rows, strategy.beta, stack_grad,
+                spec, stack_params, inputs, labels[batch], rows, strategy.beta, stack_grad,
                 center, strategy.mu, workspace)
             nn.sgd_update(stack_params, momentum[:active], stack_grad, t.lr, t.momentum, t.weight_decay)
         except nn.NonFiniteError as exc:
-            raise failed(training[exc.client].shard.client_id, exc) from exc
-        pending.setdefault(sizes, (rows, []))[1].append((s, logits, labels, prox_loss))
+            raise failed(clients[exc.client].shard.client_id, exc) from exc
+        logits_kept.append(logits)
+        prox_kept.append(prox_loss)
         pending_entries += logits.size
-        s += 1
         if cfg.metrics.epoch_forgetting:
-            for p, c in enumerate(training):
-                if s % c.per_epoch == 0 and s < len(c.steps):   # the last ends in the update's state
+            for p, c in enumerate(clients[:active]):
+                # the last epoch ends in the update's state
+                if (s + 1) % c.per_epoch == 0 and s + 1 < c.steps:
                     epoch_states[p].append(nn.ModelState(
                         params[p].copy(), momentum[p].copy(), global_state.spec_hash))
-        while active and len(clients[active - 1].steps) == s:
-            active -= 1
-        if pending_entries > _PENDING_LOSS_ENTRIES:
-            settle_losses()
-            pending_entries = 0
-    settle_losses()
+        if pending_entries > _PENDING_LOSS_ENTRIES or s + 1 == counts.shape[1]:
+            settle_losses(settled, s + 1)
+            settled, pending_entries = s + 1, 0
 
     updates = {}
     for p, c in enumerate(clients):
         # an epoch's trace entry is the mean of its step losses
-        trace = np.mean(losses[p].reshape(-1, c.per_epoch), axis=1).tolist() if c.steps else []
+        trace = np.mean(losses[p, :c.steps].reshape(-1, c.per_epoch), axis=1).tolist() if c.steps else []
         state = nn.ModelState(params[p], momentum[p], global_state.spec_hash)
         updates[order[p]] = ClientUpdate(c.shard.client_id, state, len(c.shard), tuple(trace),
                                          c.anchor_log, tuple(epoch_states[p]))

@@ -76,6 +76,15 @@ def _row_slices(offsets: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(slice(offsets[p], offsets[p + 1]) for p in range(len(offsets) - 1))
 
 
+# a round's layouts, a few dozen, stay cached; each entry holds an index a row
+@functools.lru_cache(maxsize=256)
+def _row_clients(offsets: tuple[int, ...]) -> np.ndarray:
+    """The stack row of the client that owns each row."""
+    clients = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    clients.flags.writeable = False
+    return clients
+
+
 def _clients(offsets, n_rows: int, *arrays) -> tuple:
     """Each client's row slice, then ``arrays`` as (P, ...) stacks: a single
     model (``offsets`` None) is a stack of one that owns all ``n_rows`` rows."""
@@ -189,21 +198,20 @@ class Dense:
     def fans(self) -> tuple[int, int]:
         return self.in_features, self.out_features
 
-    def _split(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weight and bias views of a flat vector or of a (P, n) stack."""
-        n = self.in_features * self.out_features
-        w = params[..., :n].reshape(*params.shape[:-1], self.in_features, self.out_features)
-        return w, params[..., n:]
-
     def forward(self, params: np.ndarray, x: np.ndarray, offsets=None, out=None) -> np.ndarray:
-        """``x @ W + b``, written into ``out`` (allocated when None)."""
-        slices, params = _clients(offsets, len(x), params)
-        w, b = self._split(params)
+        """``x @ W + b``, written into ``out`` (allocated when None): in a
+        stack, each client's product on its own rows, then every row's bias
+        in one add."""
+        n = self.in_features * self.out_features
         y = np.empty((len(x), self.out_features)) if out is None else out
-        for p, rows in enumerate(slices):
-            yp = y[rows]
-            np.matmul(x[rows], w[p], out=yp)
-            yp += b[p]
+        if offsets is None:
+            np.matmul(x, params[:n].reshape(self.in_features, self.out_features), out=y)
+            y += params[n:]
+            return y
+        w = params[:, :n].reshape(len(params), self.in_features, self.out_features)
+        for p, rows in enumerate(_row_slices(offsets)):
+            np.matmul(x[rows], w[p], out=y[rows])
+        y += params[:, n:].take(_row_clients(offsets), axis=0)
         return y
 
     def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, grad_into=None):
@@ -212,12 +220,15 @@ class Dense:
         (see _layout). Every layer's backward takes these arguments."""
         if out is None:
             out = np.empty(params.shape)
-        slices, params, stack_out = _clients(offsets, len(x), params, out)
-        w, _ = self._split(params)
-        grad_w, grad_b = self._split(stack_out)
         grad_x = None
         if input_grad:
             grad_x = np.empty_like(x) if grad_into is None else _layout(grad_into, x.shape, _order(x))
+        if offsets is None:
+            params, stack_out, slices = params[None], out[None], (slice(None),)
+        else:
+            stack_out, slices = out, _row_slices(offsets)
+        n, shape = self.in_features * self.out_features, (len(params), self.in_features, self.out_features)
+        w, grad_w, grad_b = params[:, :n].reshape(shape), stack_out[:, :n].reshape(shape), stack_out[:, n:]
         for p, rows in enumerate(slices):
             g = grad_out[rows]
             np.matmul(x[rows].T, g, out=grad_w[p])
@@ -864,14 +875,18 @@ def _layers(spec: NetworkSpec, params: np.ndarray, h: np.ndarray, layers: range,
     return h
 
 
-def check_inputs(spec: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
+def check_inputs(spec: NetworkSpec, inputs: np.ndarray, offsets=None) -> np.ndarray:
+    """The inputs as float64, checked for the spec's sample shape and for
+    finiteness; with ``offsets``, a NonFiniteError names the stack row of the
+    first client whose rows hold a non-finite value."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[1:] != spec.input_shape:
         raise ShapeError(
             f"inputs have sample shape {inputs.shape[1:]}, spec wants {spec.input_shape}"
         )
     if not np.isfinite(inputs).all():
-        raise NonFiniteError("non-finite values in network inputs")
+        client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(inputs)) - 1
+        raise NonFiniteError("non-finite values in network inputs", client)
     return inputs
 
 
@@ -890,6 +905,17 @@ def forward_rows(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, rows
     from a pass through the ``workspace``, where they live until its next
     forward pass. The inputs are not checked here."""
     return _forward(spec, params, inputs, False, workspace=workspace, rows=rows)[0]
+
+
+def forward_copies(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, offsets) -> np.ndarray:
+    """The logits of the checked ``inputs`` under copies of one model, the
+    rows ``offsets[i]:offsets[i + 1]`` through copy i (see forward_stack):
+    so each run of rows gets bit for bit the logits of forward_logits over
+    that run alone."""
+    check_state(state, spec)
+    offsets = tuple(offsets)
+    params = np.broadcast_to(state.params, (len(offsets) - 1, spec.param_count))
+    return _forward(spec, params, check_inputs(spec, inputs, offsets), False, offsets)[0]
 
 
 def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray):
@@ -980,29 +1006,44 @@ class Batch:
 
 
 def segment_sums(values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
-    """Along the last axis, the sum of each run of ``counts[i]`` consecutive
-    entries, each run reduced on its own exactly as np.sum reduces a vector.
-    (np.add.reduceat adds in another order, and rounds differently.)"""
+    """The sum of each run of ``counts[i]`` consecutive entries of the vector
+    ``values``, each run reduced on its own exactly as np.sum reduces a
+    vector. (np.add.reduceat adds in another order, and rounds differently.)
+    The runs of one length are gathered into the rows of one matrix and
+    reduced in one call."""
     # in C order the last axis is the inner loop of the reduction, which
     # numpy sums pairwise as it sums a vector; along another axis it adds
     # one entry after another
-    values = np.ascontiguousarray(values)
-    if len(counts) and min(counts) == max(counts) > 0:
-        return np.add.reduce(values.reshape(*values.shape[:-1], len(counts), counts[0]), axis=-1)
-    sums = np.empty((*values.shape[:-1], len(counts)))
-    start = 0
-    for i, c in enumerate(counts):
-        sums[..., i] = np.add.reduce(values[..., start:start + c], axis=-1)
-        start += c
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    sums = np.empty(len(counts))
+    # (a set, not np.unique: that imports numpy.ma, 1.6 MB, on its first call)
+    for c in set(counts.tolist()):
+        runs = np.flatnonzero(counts == c)
+        sums[runs] = np.add.reduce(values[starts[runs, None] + np.arange(c)], axis=-1)
     return sums
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """The (N, 1) maxima of the rows of the (N, C) ``x``, taken column by
+    column: numpy's max along a short last axis costs about 60 ns a row
+    (numpy 2.4, x86-64). A maximum is exact, so this is the value a
+    reduction gives, up to the sign of a tie of zeros, which the softmax
+    cannot see: x - max is a zero of either sign at the tied entries, exp
+    gives 1 for both, and the log of the row's exp sum is then at least
+    log 2, so subtracting it from either zero gives the same."""
+    best = x[:, 0]
+    for j in range(1, x.shape[1]):
+        best = np.maximum(best, x[:, j])
+    return best[:, None]
 
 
 def ce_losses(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """Mean softmax CE of each client's batch: ``rows`` are the positions of
-    the labelled rows of ``logits`` (..., N, C), client after client,
-    counts[p] rows for client p. Leading axes (steps) are kept."""
-    z = logits[..., rows, :]
-    shifted = z - z.max(axis=-1, keepdims=True)
+    the labelled rows of the (N, C) ``logits``, client after client,
+    counts[p] rows for client p."""
+    z = logits[rows]
+    shifted = z - _row_max(z)
     log_total = np.log(np.add.reduce(np.exp(shifted), axis=-1))
     picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0] - log_total
     return -(segment_sums(picked, counts) / counts)
@@ -1012,7 +1053,7 @@ def ce_grad(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray, divisor) -
     """The gradient of those means w.r.t. (N, C) logits. Each row is divided
     by its ``divisor`` entry, its client's batch size; rows outside ``rows``
     come back as softmax / divisor, for the caller to overwrite."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     exp = np.exp(shifted, out=shifted)
     grad = exp / np.add.reduce(exp, axis=-1, keepdims=True)
     grad[rows, labels] -= 1.0
@@ -1024,14 +1065,12 @@ def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labe
                   offsets: Sequence[int] | None = None) -> np.ndarray:
     """Individual CE losses, used for hard / proficient sample mining. With
     ``offsets``, the rows ``offsets[i]:offsets[i + 1]`` go through the model
-    as a stack of copies of it (see forward_stack), so each run of rows
-    scores bit-for-bit as it would alone."""
+    as a stack of copies of it (forward_copies), so each run of rows scores
+    bit-for-bit as it would alone."""
     if offsets is None:
         logits = forward_logits(state, spec, inputs)
     else:
-        check_state(state, spec)
-        params = np.broadcast_to(state.params, (len(offsets) - 1, spec.param_count))
-        logits, _ = _forward(spec, params, check_inputs(spec, inputs), False, tuple(offsets))
+        logits = forward_copies(state, spec, inputs, offsets)
     n = len(logits)
     return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)
 
@@ -1082,13 +1121,14 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
     saved with the state."""
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
-    if not all(a.flags.c_contiguous for a in (params, momentum, grad)):
+    if not (params.flags.c_contiguous and momentum.flags.c_contiguous and grad.flags.c_contiguous):
         raise ValueError("sgd_update works in place on C-contiguous arrays")
     width = params.shape[-1] if params.ndim == 2 else None
-    flat = params.reshape(-1), momentum.reshape(-1), grad.reshape(-1)
+    flat_w, flat_m, flat_g = params.reshape(-1), momentum.reshape(-1), grad.reshape(-1)
     scratch = np.empty(min(CACHE_BLOCK, params.size))
     for lo in range(0, params.size, CACHE_BLOCK):
-        w, m, g = (a[lo:lo + CACHE_BLOCK] for a in flat)
+        hi = lo + CACHE_BLOCK
+        w, m, g = flat_w[lo:hi], flat_m[lo:hi], flat_g[lo:hi]
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite entries in gradient", _bad_client(g, lo, width))
         decay = scratch[:len(w)]

@@ -278,6 +278,25 @@ def test_teacher_logits_unchanged_by_workspace_evaluation():
     assert anchor.anchor_target(built, g_state, spec).teacher.tobytes() == teacher.tobytes()
 
 
+@pytest.mark.parametrize("name", ["mlp", "t_cnn"])
+def test_one_teacher_pass_gives_each_anchor_the_logits_of_its_own_pass(name):
+    """anchor_targets runs the teacher once over anchors of 2, 1 and 4
+    rows; each gets the bytes of forward_logits over its inputs alone. A
+    NaN in the third anchor's inputs is reported with its position."""
+    spec, teacher, _, _, built = fused_setup(name)
+    anchors = [built, anchor.KnowledgeAnchor(built.entries[1:], 0, 1, frozenset({0, 2})),
+               anchor.KnowledgeAnchor(built.entries * 2, 0, 1, frozenset())]
+    targets = anchor.anchor_targets(anchors, teacher, spec)
+    for a, target in zip(anchors, targets, strict=True):
+        assert target.teacher.tobytes() == nn.forward_logits(teacher, spec, a.inputs()).tobytes()
+        assert np.flatnonzero(target.kept).tolist() == anchor.kept_classes(a.dominant, 4).tolist()
+    bad = anchor.AnchorEntry(np.full_like(built.entries[0].input, np.nan), 1, "local", 0)
+    with pytest.raises(nn.NonFiniteError, match="network inputs") as info:
+        anchor.anchor_targets([*anchors[:2], anchor.KnowledgeAnchor((bad,), 0, 1, frozenset())],
+                              teacher, spec)
+    assert info.value.client == 2
+
+
 def test_ka_loss_rejects_mismatched_specs():
     spec_a = nn.mlp_spec(2, (4,), 3)
     spec_b = nn.mlp_spec(2, (5,), 3)

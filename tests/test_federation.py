@@ -299,8 +299,9 @@ def test_lockstep_matches_serial_reference_byte_for_byte(preset, kind, strategy)
         for got, want in zip([*update.epoch_states, update.state], epoch_states):
             assert got.params.tobytes() == want.params.tobytes()
             assert got.momentum.tobytes() == want.momentum.tobytes()
-    # a different grouping of the same clients gives the same updates
+    # a different grouping of the same clients gives the same updates, and an empty group none
     halves = (federation.local_train(cfg, 2, shards[:2], state, spec, ds, shared)
+              + federation.local_train(cfg, 2, [], state, spec, ds, shared)
               + federation.local_train(cfg, 2, shards[2:], state, spec, ds, shared))
     for a, b in zip(updates, halves):
         assert a.state.params.tobytes() == b.state.params.tobytes()
@@ -326,6 +327,53 @@ def test_training_workspace_changes_no_bit():
             assert a.state.momentum.tobytes() == b.state.momentum.tobytes()
             assert a.loss_trace == b.loss_trace
     assert workspace._memory.size > 0
+
+
+@pytest.mark.parametrize("kind, strategy", [("fedka", {"beta": 0.3}), ("fedprox", {"mu": 0.2})])
+def test_losses_settled_after_every_step_equal_one_settle_a_round(kind, strategy, monkeypatch):
+    """With the bound on kept logits at one entry, the losses are settled
+    after every step instead of once at the end of the round. The traces
+    are byte for byte the same: uneven shards with partial last batches
+    give the steps several layouts, anchors of 3, 1, 2 and 1 rows (fedka)
+    and proximal losses (fedprox) join each settle."""
+    ds, spec, state, shards = lockstep_setup("mlp")
+    shared = anchor.build_shared_dataset(ds, seed=9)
+    cfg = lockstep_cfg(kind, **strategy)
+    step_layouts, settles = set(), []
+    original = anchor.AnchorRows.layout
+
+    def recording(blocks, batch_counts, clients=None):
+        if clients is None:
+            step_layouts.add(tuple(batch_counts))
+        else:
+            settles.append(len(clients))
+        return original(blocks, batch_counts, clients)
+
+    monkeypatch.setattr(anchor.AnchorRows, "layout", recording)
+    whole = federation.local_train(cfg, 2, shards, state, spec, ds, shared)
+    assert len(step_layouts) >= 3 and len(settles) == 1
+    monkeypatch.setattr(federation, "_PENDING_LOSS_ENTRIES", 1)
+    settles.clear()
+    stepwise = federation.local_train(cfg, 2, shards, state, spec, ds, shared)
+    assert len(settles) == 24                  # client 2's steps: 8 an epoch for 3 epochs
+    for a, b in zip(whole, stepwise, strict=True):
+        assert np.array(a.loss_trace).tobytes() == np.array(b.loss_trace).tobytes()
+        assert a.state.params.tobytes() == b.state.params.tobytes()
+
+
+def test_a_non_finite_anchor_input_names_the_first_client_it_reaches():
+    """Shared class 1 stands in the anchors of clients 1, 3 and 4, which
+    miss that class; a NaN in it is reported for client 1, the first of
+    them in shard order, before any step."""
+    ds, spec, state, shards = lockstep_setup("mlp")
+    shared = anchor.build_shared_dataset(ds, seed=9)
+    inputs = shared.inputs.copy()
+    inputs[1, 0] = np.nan
+    poisoned = anchor.SharedDataset(inputs, shared.sample_ids, shared.class_count)
+    with pytest.raises(federation.RunError,
+                       match="round 2, client 1: non-finite values in network inputs") as info:
+        federation.local_train(lockstep_cfg("fedka", beta=0.3), 2, shards, state, spec, ds, poisoned)
+    assert isinstance(info.value.__cause__, nn.NonFiniteError)
 
 
 def test_warmed_workspace_step_allocates_no_activation():

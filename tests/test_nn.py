@@ -81,6 +81,38 @@ def test_ce_grad_rows_sum_to_zero():
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-15)
 
 
+def test_ce_takes_row_maxima_by_column_with_the_bytes_of_a_max_reduction():
+    """ce_losses and ce_grad take each row's maximum column by column; the
+    results are those of the formula over numpy's max along the rows, also
+    in rows whose maximum is a tie of 0.0 and -0.0."""
+    rng = stream(4, "ties")
+    logits = rng.normal(size=(12, 5)) * 3.0
+    logits[:3] = [[0.0, -0.0, -1.5, -2.0, -0.5], [-1.0, -0.0, 0.0, -2.5, -3.0], [-0.0, -4.0, -1.0, -2.0, 0.0]]
+    labels, rows = rng.integers(0, 5, size=12), np.arange(12)
+    counts = (3, 1, 8)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = np.add.reduce(exp, axis=-1, keepdims=True)
+    picked = shifted[rows, labels] - np.log(total[:, 0])
+    expected = -np.array([np.add.reduce(picked[0:3]), picked[3], np.add.reduce(picked[4:])]) / counts
+    assert nn.ce_losses(logits, labels, rows, counts).tobytes() == expected.tobytes()
+    grad = exp / total
+    grad[rows, labels] -= 1.0
+    grad /= 4.0
+    assert nn.ce_grad(logits, labels, rows, 4.0).tobytes() == grad.tobytes()
+
+
+def test_segment_sums_reduce_each_run_as_a_vector():
+    """Runs of one length are reduced together, each as np.add.reduce sums
+    it alone: pairwise, in blocks of 128, from 8 entries on."""
+    rng = stream(5, "runs")
+    counts = [3, 130, 1, 0, 130, 9, 3, 257]
+    values = rng.normal(size=sum(counts)) * 10.0 ** rng.integers(-8, 8, size=sum(counts))
+    starts = np.cumsum([0, *counts])
+    expected = [np.add.reduce(values[a:b]) for a, b in zip(starts, starts[1:])]
+    assert nn.segment_sums(values, counts).tobytes() == np.array(expected).tobytes()
+
+
 def test_per_sample_ce_mean_matches_batch_loss():
     spec, state = small_mlp()
     batch = random_batch(spec, 9)
@@ -243,6 +275,34 @@ def test_conv_gemms_match_einsum(sizes, c, k):
             assert y[rows].tobytes() == ref_y.tobytes()
             assert gp[p].tobytes() == ref_gp.tobytes()
             assert np.max(np.abs(grad_x[rows] - ref_x)) <= 1e-12 * np.max(np.abs(ref_x))
+
+
+@pytest.mark.parametrize("sizes", [(1, 7, 19), (7,)], ids=["1-7-19", "one-client"])
+def test_dense_stack_matches_single_model_passes(sizes):
+    """Each client of a Dense stack gets byte for byte the output, the
+    parameter gradient (bias included) and the input gradient of a
+    single-model pass over its rows, which are ``x @ W + b``, ``x.T @ g``,
+    the column sums of g and ``g @ W.T``: the stack adds every row's bias
+    in one add."""
+    layer = nn.Dense(6, 5)
+    rng = stream(17, "dense", len(sizes))
+    offsets = tuple(np.cumsum([0, *sizes]).tolist())
+    params = rng.normal(size=(len(sizes), layer.param_count()))
+    x = rng.normal(size=(offsets[-1], 6))
+    grad_out = rng.normal(size=(offsets[-1], 5))
+    y = layer.forward(params, x, offsets)
+    gp, grad_x = layer.backward(params, x, grad_out, offsets=offsets)
+    for p, rows in enumerate(slice(a, b) for a, b in zip(offsets, offsets[1:])):
+        w, b = params[p, :30].reshape(6, 5), params[p, 30:]
+        single_y = layer.forward(params[p], x[rows])
+        single_gp, single_x = layer.backward(params[p], x[rows], grad_out[rows])
+        assert single_y.tobytes() == (x[rows] @ w + b).tobytes()
+        assert single_gp.tobytes() == np.concatenate(
+            [(x[rows].T @ grad_out[rows]).ravel(), np.add.reduce(grad_out[rows], axis=0)]).tobytes()
+        assert single_x.tobytes() == (grad_out[rows] @ w.T).tobytes()
+        assert y[rows].tobytes() == single_y.tobytes()
+        assert gp[p].tobytes() == single_gp.tobytes()
+        assert grad_x[rows].tobytes() == single_x.tobytes()
 
 
 def test_conv1_backward_peak_memory():
