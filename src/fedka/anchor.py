@@ -216,45 +216,6 @@ def ka_grad(student_logits: np.ndarray, teacher_logits: np.ndarray, kept: np.nda
 
 
 @dataclass(frozen=True)
-class AnchorTarget:
-    """What the anchor term needs at every step of a round: the stacked
-    anchor inputs, the mask of kept logit columns, and the frozen teacher's
-    logits. The teacher does not move within a round, so all three are
-    computed once per round."""
-
-    inputs: np.ndarray
-    kept: np.ndarray
-    teacher: np.ndarray
-
-
-def anchor_targets(anchors: Sequence[KnowledgeAnchor], global_state: nn.ModelState,
-                   spec: nn.NetworkSpec) -> list[AnchorTarget]:
-    """The round's target of each (non-empty) anchor, with the global model
-    as the teacher: one pass of it over all the anchors' inputs, each anchor
-    on its own rows (nn.forward_copies), so each teacher gets the logits of
-    a pass over its anchor alone. A NonFiniteError names the position of
-    the anchor at fault."""
-    if not anchors:
-        return []
-    inputs = [a.inputs() for a in anchors]
-    offsets = np.cumsum([0] + [len(x) for x in inputs]).tolist()
-    teacher = nn.forward_copies(global_state, spec, np.concatenate(inputs), offsets)
-    targets = []
-    for a, x, start in zip(anchors, inputs, offsets):
-        kept = np.zeros(spec.class_count, dtype=bool)
-        kept[kept_classes(a.dominant, spec.class_count)] = True
-        targets.append(AnchorTarget(x, kept, teacher[start:start + len(x)]))
-    return targets
-
-
-def anchor_target(
-    anchor: KnowledgeAnchor, global_state: nn.ModelState, spec: nn.NetworkSpec
-) -> AnchorTarget:
-    """The round's anchor target, with the global model as the teacher."""
-    return anchor_targets([anchor], global_state, spec)[0]
-
-
-@dataclass(frozen=True)
 class FusedRows:
     """Where the rows of one forward pass over several clients sit: each
     client's batch rows, then its anchor rows, one client after another.
@@ -322,28 +283,28 @@ class AnchorRows:
                          self.kept[source], self.scale[source], self.teacher[source])
 
 
-def anchor_rows(targets: Sequence[AnchorTarget | None]) -> AnchorRows:
-    """The AnchorRows of a stack whose client p has the target targets[p]
-    (None for no anchor term)."""
-    counts = np.array([0 if t is None else len(t.inputs) for t in targets], dtype=np.intp)
+def anchor_rows(anchors: Sequence[KnowledgeAnchor | None], teacher: nn.ModelState,
+                spec: nn.NetworkSpec) -> AnchorRows:
+    """The AnchorRows of a stack whose row p has the anchor term of
+    anchors[p] (None for none), against the frozen ``teacher``: one pass of
+    it over every anchor's inputs, each stack row's on rows of its own
+    (nn.forward_copies), so each anchor gets the logits of a pass over it
+    alone. A NonFiniteError names the stack row at fault."""
+    counts = np.array([0 if a is None else len(a) for a in anchors], dtype=np.intp)
     starts = counts.cumsum() - counts
-    used = [t for t in targets if t is not None and len(t.inputs)]
+    used = [a for a in anchors if a is not None and len(a)]
     if not used:
         return AnchorRows(counts, starts, counts, None, None, None, None)
+    inputs = np.concatenate([a.inputs() for a in used])
+    logits = nn.forward_copies(teacher, spec, inputs, [0, *counts.cumsum().tolist()])
     rows = counts[counts > 0]
-    kept = np.stack([t.kept for t in used])
+    kept = np.zeros((len(used), spec.class_count), dtype=bool)
+    for mask, a in zip(kept, used):
+        mask[kept_classes(a.dominant, spec.class_count)] = True
     entries = np.zeros_like(counts)
     entries[counts > 0] = rows * kept.sum(axis=1)
-    return AnchorRows(counts, starts, entries, np.concatenate([t.inputs for t in used]),
-                      np.repeat(kept, rows, axis=0), np.repeat(2.0 / rows, rows)[:, None],
-                      np.concatenate([t.teacher for t in used]))
-
-
-def fused_rows(batch_counts: tuple[int, ...], targets) -> FusedRows:
-    """The layout of a pass in which client p takes a batch of
-    batch_counts[p] rows, followed by the rows of targets[p] (an
-    AnchorTarget, or None for no anchor term)."""
-    return anchor_rows(targets).layout(batch_counts)
+    return AnchorRows(counts, starts, entries, inputs, np.repeat(kept, rows, axis=0),
+                      np.repeat(2.0 / rows, rows)[:, None], logits)
 
 
 def fused_grad_logits(logits: np.ndarray, labels: np.ndarray, rows: FusedRows, beta: float) -> np.ndarray:

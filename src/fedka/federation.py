@@ -29,7 +29,7 @@ from .data import (ClientShard, LabeledDataset, PartitionSpec, apply_reduction_s
                    dirichlet_partition, load_assignments, load_idx, synth_blobs)
 from .metrics import (MetricsWriter, RoundRecord, classwise_accuracies, classwise_accuracy,
                       global_accuracy, measure_local_forgetting, write_summary)
-from .rng import as_generator, stream
+from .rng import stream
 
 
 class RunError(RuntimeError):
@@ -50,13 +50,12 @@ class ClientUpdate:
             raise ValueError("client updates need a positive sample count")
 
 
-def sample_participants(client_ids, ratio: float, rng) -> tuple[int, ...]:
+def sample_participants(client_ids, ratio: float, rng: np.random.Generator) -> tuple[int, ...]:
     """ceil(ratio * N) distinct clients, uniform without replacement."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"participation ratio must lie in (0, 1], got {ratio}")
     ids = sorted(client_ids)
     count = min(len(ids), max(1, math.ceil(ratio * len(ids))))
-    rng = as_generator(rng)
     picked = rng.choice(len(ids), size=count, replace=False)
     return tuple(sorted(ids[i] for i in picked))
 
@@ -71,7 +70,6 @@ class _Client:
     steps: int                         # steps in the round
     anchor_log: tuple[tuple, ...]
     anchor: anchor.KnowledgeAnchor | None   # the anchor of its anchor term, if it has one
-    target: anchor.AnchorTarget | None = None   # that anchor's target, once the teacher ran
 
 
 def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
@@ -146,13 +144,16 @@ def local_train(
     Every client draws from its own streams and every GEMM runs on its own
     rows, so each update is the one the client would get training alone.
 
-    What the steps share is planned once: one pass of the teacher over
-    every anchor, the clients' anchor rows (anchor.AnchorRows), and the
-    dataset rows and labels of every batch. A step keeps its logits, and
-    the losses of the trace are settled in bulk: one fused_losses call over
-    all the kept steps, a stack row for each (step, client), at the end of
-    the round, or earlier once the kept logits exceed _PENDING_LOSS_ENTRIES.
-    A failure in a client raises RunError naming the round and the client.
+    What the steps share is planned once: the clients' anchor rows, from
+    one anchor.anchor_rows call (one pass of the teacher over every anchor),
+    and the dataset rows and labels of every batch. A step keeps its logits,
+    and the losses of the trace are settled in bulk: one fused_losses call
+    over all the kept steps, a stack row for each (step, client), at the end
+    of the round, or earlier once the kept logits exceed
+    _PENDING_LOSS_ENTRIES. A failure in a client raises RunError naming the
+    round and the client; a non-finite anchor input is reported for the
+    first client it reaches in stack order (most steps first, ties in the
+    order of ``shards``), before any step.
     """
     strategy, t = cfg.strategy, cfg.training
     if strategy.kind not in ("fedavg", "fedprox", "fedka"):
@@ -172,18 +173,13 @@ def local_train(
             planned.append(_plan_client(cfg, round_index, shard, global_state, spec, dataset, shared))
         except Exception as exc:
             raise failed(shard.client_id, exc) from exc
-    # one pass of the teacher over every anchor, in the order of ``shards``
-    anchored = [c for c in planned if c.anchor is not None]
-    try:
-        targets = anchor.anchor_targets([c.anchor for c in anchored], global_state, spec)
-    except nn.NonFiniteError as exc:
-        raise failed(anchored[exc.client].shard.client_id, exc) from exc
-    for c, target in zip(anchored, targets):
-        c.target = target
     # longest first, so that the clients still training are always a prefix
     order = sorted(range(len(planned)), key=lambda i: -planned[i].steps)
     clients = [planned[i] for i in order]
-    blocks = anchor.anchor_rows([c.target for c in clients])
+    try:
+        blocks = anchor.anchor_rows([c.anchor for c in clients], global_state, spec)
+    except nn.NonFiniteError as exc:
+        raise failed(clients[exc.client].shard.client_id, exc) from exc
     center = global_state.params if strategy.kind == "fedprox" and strategy.mu > 0.0 else None
 
     # The round's (step, client) pairs, step after step and each step's

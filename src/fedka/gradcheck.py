@@ -81,17 +81,19 @@ def check_objective(
 def objective_loss(
     spec: nn.NetworkSpec,
     batch: nn.Batch,
-    target: anchor_mod.AnchorTarget | None = None,
+    anchor: anchor_mod.KnowledgeAnchor | None = None,
+    teacher: nn.ModelState | None = None,
     beta: float = 0.0,
     center: np.ndarray | None = None,
     mu: float = 0.0,
 ) -> LossOnly:
     """The forward-only loss of a client's objective as the loss trace
     computes it: cross-entropy on the batch, plus ``beta`` times the anchor
-    term on ``target``'s rows, plus the proximal term around ``center``."""
+    term on ``anchor`` against the ``teacher``, plus the proximal term
+    around ``center``."""
     labels = nn.batch_labels(spec, batch.labels)
-    rows = anchor_mod.fused_rows((len(labels),), [target])
-    inputs = _client_rows(batch, target)
+    rows = anchor_mod.anchor_rows([anchor], teacher, spec).layout((len(labels),))
+    inputs = _client_rows(batch, anchor)
 
     def loss(state: nn.ModelState) -> float:
         value = float(anchor_mod.fused_losses(
@@ -102,20 +104,20 @@ def objective_loss(
     return loss
 
 
-def _client_rows(batch: nn.Batch, target: anchor_mod.AnchorTarget | None) -> np.ndarray:
+def _client_rows(batch: nn.Batch, anchor: anchor_mod.KnowledgeAnchor | None) -> np.ndarray:
     """A client's rows of a pass: its batch, then its anchor rows."""
-    return batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+    return batch.inputs if anchor is None else np.concatenate([batch.inputs, anchor.inputs()])
 
 
-def _sample_away_from_kinks(spec, seed, batch_size, attempt_tokens, target=None, margin=KINK_MARGIN):
+def _sample_away_from_kinks(spec, seed, batch_size, attempt_tokens, anchor=None, margin=KINK_MARGIN):
     """Model state + batch whose forward pass over the batch rows and any
-    anchor rows of ``target`` clears every kink by `margin`."""
+    rows of ``anchor`` clears every kink by `margin`."""
     for attempt in range(RESAMPLE_ATTEMPTS):
         state = nn.init_state(spec, stream(seed, "gc-init", attempt, *attempt_tokens))
         rng = stream(seed, "gc-data", attempt, *attempt_tokens)
         x = rng.normal(size=(batch_size, *spec.input_shape))
         batch = nn.Batch(x, rng.integers(0, spec.class_count, size=batch_size))
-        if nn.activation_margin(state, spec, _client_rows(batch, target)) > margin:
+        if nn.activation_margin(state, spec, _client_rows(batch, anchor)) > margin:
             return state, batch
     raise RuntimeError(f"no kink-free draw found in {RESAMPLE_ATTEMPTS} attempts")
 
@@ -132,13 +134,13 @@ def _anchor_for(spec, seed, size=3):
 
 
 def _client_stack(spec, seed, batch_size):
-    """The teacher, the anchored objective's targets and three kink-free
+    """The teacher, the anchored objective's anchors and three kink-free
     (state, batch) clients of batch_size + 1, 1 and batch_size rows."""
     teacher = nn.init_state(spec, stream(seed, "gc-teacher"))
-    targets = [None, None, anchor_mod.anchor_target(_anchor_for(spec, seed), teacher, spec)]
-    clients = [_sample_away_from_kinks(spec, seed, m, (p,), targets[p])
+    anchors = [None, None, _anchor_for(spec, seed)]
+    clients = [_sample_away_from_kinks(spec, seed, m, (p,), anchors[p])
                for p, m in enumerate((batch_size + 1, 1, batch_size))]
-    return teacher, targets, clients
+    return teacher, anchors, clients
 
 
 def check_preset(
@@ -164,17 +166,18 @@ def check_preset(
         teacher, anchored, clients = _client_stack(spec, seed, batch_size)
         params = np.stack([state.params for state, _ in clients])
         labels = np.concatenate([batch.labels for _, batch in clients])
+        sizes = [len(batch) for _, batch in clients]
         grad = np.empty_like(params)
         coords = stream(seed, "gc-coords").choice(
             params.size, size=min(coords_per_seed, params.size), replace=False)
         plain = [None] * len(clients)
         objectives = [(plain, 0.0, None, 0.0), (plain, 0.0, teacher.params, mu), (anchored, beta, None, 0.0)]
-        for i, (targets, b, center, m) in enumerate(objectives):
-            rows = anchor_mod.fused_rows(tuple(len(batch) for _, batch in clients), targets)
-            inputs = np.concatenate([_client_rows(batch, t) for (_, batch), t in zip(clients, targets)])
+        for i, (anchors, b, center, m) in enumerate(objectives):
+            rows = anchor_mod.anchor_rows(anchors, teacher, spec).layout(sizes)
+            inputs = np.concatenate([_client_rows(batch, a) for (_, batch), a in zip(clients, anchors)])
             anchor_mod.fused_gradient(spec, params, inputs, labels, rows, b, grad, center, m, workspace)
-            for p, ((state, batch), t) in enumerate(zip(clients, targets)):
-                loss_only = objective_loss(spec, batch, t, b, center, m)
+            for p, ((state, batch), a) in enumerate(zip(clients, anchors)):
+                loss_only = objective_loss(spec, batch, a, teacher, b, center, m)
                 mine = coords[coords // n == p] % n    # client p's coordinates
                 worst[i] = max(worst[i], check_objective(grad[p], loss_only, state, mine, step))
     return [CheckResult(name, seeds, coords_per_seed, w, tol) for name, w in zip(names, worst)]

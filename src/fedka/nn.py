@@ -173,6 +173,12 @@ def _first_bad_row(values: np.ndarray) -> int:
     return int(np.argmin(np.isfinite(values.reshape(len(values), -1)).all(axis=1)))
 
 
+def _bad_stack_row(values: np.ndarray, offsets) -> int | None:
+    """The stack row that owns the first row of ``values`` holding a
+    non-finite value; None without ``offsets`` (a single model)."""
+    return None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(values)) - 1
+
+
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -870,8 +876,8 @@ def _layers(spec: NetworkSpec, params: np.ndarray, h: np.ndarray, layers: range,
         owned = owned or not isinstance(layer, Flatten)
         # ReLU, pooling and Flatten cannot turn finite values non-finite
         if isinstance(layer, (Dense, Conv2d)) and not np.isfinite(h).all():
-            client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(h)) - 1
-            raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})", client)
+            raise NonFiniteError(f"non-finite values after layer {i} ({layer.name})",
+                                 _bad_stack_row(h, offsets))
     return h
 
 
@@ -885,8 +891,7 @@ def check_inputs(spec: NetworkSpec, inputs: np.ndarray, offsets=None) -> np.ndar
             f"inputs have sample shape {inputs.shape[1:]}, spec wants {spec.input_shape}"
         )
     if not np.isfinite(inputs).all():
-        client = None if offsets is None else bisect.bisect_right(offsets, _first_bad_row(inputs)) - 1
-        raise NonFiniteError("non-finite values in network inputs", client)
+        raise NonFiniteError("non-finite values in network inputs", _bad_stack_row(inputs, offsets))
     return inputs
 
 

@@ -36,9 +36,3 @@ def derive_seed(master_seed: int, *tokens: int | str) -> int:
     """Stable non-negative integer seed for APIs that take a plain seed."""
     return int(stream(master_seed, *tokens).integers(0, 2**63))
 
-
-def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    """Accept either a ready generator or a plain integer seed."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return stream(int(seed))

@@ -267,7 +267,7 @@ def test_teacher_logits_unchanged_by_workspace_evaluation():
     built = anchor.KnowledgeAnchor(
         tuple(anchor.AnchorEntry(ds.inputs[i], int(ds.labels[i]), "local", int(i)) for i in range(6)),
         owner=0, round=1, dominant=frozenset({0}))
-    before = anchor.anchor_target(built, g_state, spec)
+    before = anchor.anchor_rows([built], g_state, spec)
     teacher = before.teacher.copy()
     workspace = nn.Workspace()
     for seed in (16, 17):
@@ -275,26 +275,38 @@ def test_teacher_logits_unchanged_by_workspace_evaluation():
         nn.forward_rows(spec, state.params, before.inputs, slice(0, len(before.inputs)), workspace)
         nn.forward_rows(spec, state.params, ds.inputs, slice(0, len(ds)), workspace)
     assert before.teacher.tobytes() == teacher.tobytes()
-    assert anchor.anchor_target(built, g_state, spec).teacher.tobytes() == teacher.tobytes()
+    assert anchor.anchor_rows([built], g_state, spec).teacher.tobytes() == teacher.tobytes()
 
 
 @pytest.mark.parametrize("name", ["mlp", "t_cnn"])
 def test_one_teacher_pass_gives_each_anchor_the_logits_of_its_own_pass(name):
-    """anchor_targets runs the teacher once over anchors of 2, 1 and 4
-    rows; each gets the bytes of forward_logits over its inputs alone. A
-    NaN in the third anchor's inputs is reported with its position."""
+    """anchor_rows runs the teacher once over anchors of 2, 1 and 4 rows,
+    stacked in another order than they were built in and between stack
+    rows without an anchor; each anchor's teacher, kept and scale rows are
+    the bytes of a pass over it alone. A NaN in an anchor's inputs is
+    reported with its stack row, which counts the rows without one."""
     spec, teacher, _, _, built = fused_setup(name)
     anchors = [built, anchor.KnowledgeAnchor(built.entries[1:], 0, 1, frozenset({0, 2})),
                anchor.KnowledgeAnchor(built.entries * 2, 0, 1, frozenset())]
-    targets = anchor.anchor_targets(anchors, teacher, spec)
-    for a, target in zip(anchors, targets, strict=True):
-        assert target.teacher.tobytes() == nn.forward_logits(teacher, spec, a.inputs()).tobytes()
-        assert np.flatnonzero(target.kept).tolist() == anchor.kept_classes(a.dominant, 4).tolist()
+    stack = [None, anchors[2], None, anchors[0], anchors[1], None]
+    blocks = anchor.anchor_rows(stack, teacher, spec)
+    assert blocks.counts.tolist() == [0, 4, 0, 2, 1, 0]
+    for p, a in enumerate(stack):
+        if a is None:
+            continue
+        alone = anchor.anchor_rows([a], teacher, spec)
+        mine = slice(blocks.starts[p], blocks.starts[p] + blocks.counts[p])
+        assert blocks.teacher[mine].tobytes() == nn.forward_logits(teacher, spec, a.inputs()).tobytes()
+        assert blocks.teacher[mine].tobytes() == alone.teacher.tobytes()
+        assert blocks.kept[mine].tobytes() == alone.kept.tobytes()
+        assert blocks.scale[mine].tobytes() == alone.scale.tobytes()
+        assert np.flatnonzero(alone.kept[0]).tolist() == anchor.kept_classes(a.dominant, 4).tolist()
     bad = anchor.AnchorEntry(np.full_like(built.entries[0].input, np.nan), 1, "local", 0)
     with pytest.raises(nn.NonFiniteError, match="network inputs") as info:
-        anchor.anchor_targets([*anchors[:2], anchor.KnowledgeAnchor((bad,), 0, 1, frozenset())],
-                              teacher, spec)
-    assert info.value.client == 2
+        # the bad anchor is the third with rows, on stack row 3
+        anchor.anchor_rows([anchors[0], None, anchors[1],
+                            anchor.KnowledgeAnchor((bad,), 0, 1, frozenset())], teacher, spec)
+    assert info.value.client == 3
 
 
 def test_ka_loss_rejects_mismatched_specs():
@@ -329,13 +341,14 @@ def fused_setup(name):
     return spec, teacher, student, nn.Batch(inputs, labels), built
 
 
-def fused_step(spec, state, batch, target, beta):
+def fused_step(spec, state, batch, anchored, beta):
     """The training step's loss and gradient for one client alone: a stack
-    of one, over the batch rows followed by the anchor rows."""
-    rows = anchor.fused_rows((len(batch),), [target])
+    of one, over the batch rows followed by the rows of ``anchored``, its
+    AnchorRows."""
+    rows = anchored.layout((len(batch),))
     grad = np.empty((1, spec.param_count))
     logits, _ = anchor.fused_gradient(spec, state.params[None],
-                                      np.concatenate([batch.inputs, target.inputs]),
+                                      np.concatenate([batch.inputs, anchored.inputs]),
                                       batch.labels, rows, beta, grad)
     return float(anchor.fused_losses(logits, batch.labels, rows, beta)[0]), grad[0]
 
@@ -344,8 +357,8 @@ def fused_step(spec, state, batch, target, beta):
 def test_fused_step_equals_ce_plus_beta_ka(name):
     spec, teacher, student, batch, built = fused_setup(name)
     beta = 0.3
-    target = anchor.anchor_target(built, teacher, spec)
-    loss, grad = fused_step(spec, student, batch, target, beta)
+    anchored = anchor.anchor_rows([built], teacher, spec)
+    loss, grad = fused_step(spec, student, batch, anchored, beta)
     ce, ce_grad = nn.ce_loss_and_grad(student, spec, batch)
     ka, ka_grad = anchor.ka_loss_and_grad(built, teacher, student, spec)
     assert ka > 0
@@ -359,14 +372,14 @@ def test_fused_step_keeps_label_and_finiteness_checks(name):
     # the step takes labels its callers checked once with nn.batch_labels
     # (local_train when it plans a client), and checks every layer's output
     spec, teacher, student, batch, built = fused_setup(name)
-    target = anchor.anchor_target(built, teacher, spec)
+    anchored = anchor.anchor_rows([built], teacher, spec)
     with pytest.raises(nn.ShapeError, match="labels must lie"):
         nn.batch_labels(spec, np.where(batch.labels == 3, spec.class_count, batch.labels))
     huge = nn.ModelState(np.full_like(student.params, 1e308), student.momentum, spec.spec_hash)
     positive = nn.Batch(np.abs(batch.inputs) + 1.0, batch.labels)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(nn.NonFiniteError, match=r"layer 0 \(") as info:
-        fused_step(spec, huge, positive, target, 0.3)
+        fused_step(spec, huge, positive, anchored, 0.3)
     assert info.value.client == 0
 
 

@@ -223,7 +223,7 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
     strategy, t = cfg.strategy, cfg.training
     state = nn.ModelState(global_state.params.copy(), np.zeros_like(global_state.params),
                           global_state.spec_hash)
-    target, anchor_log = None, ()
+    term, anchor_log = None, ()
     if strategy.kind == "fedka":
         arng = stream(cfg.master_seed, "anchor", r, shard.client_id)
         chooser = anchor.select_anchor_strategy(shard, strategy.selection, ds, global_state, spec)
@@ -232,7 +232,8 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
             strategy.mu_anchor, arng)
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
         if strategy.beta > 0.0 and len(built) > 0:
-            target = anchor.anchor_target(built, global_state, spec)
+            term = built
+    anchored = anchor.anchor_rows([term], global_state, spec)
     center = global_state.params if strategy.kind == "fedprox" and strategy.mu > 0.0 else None
     inputs, labels = ds.take(shard.indices)
     brng = stream(cfg.master_seed, "batch", r, shard.client_id)
@@ -242,8 +243,8 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
         losses = []
         for start in range(0, len(shard), t.batch_size):
             sel = order[start:start + t.batch_size]
-            rows = anchor.fused_rows((len(sel),), [target])
-            x = inputs[sel] if target is None else np.concatenate([inputs[sel], target.inputs])
+            rows = anchored.layout((len(sel),))
+            x = inputs[sel] if term is None else np.concatenate([inputs[sel], anchored.inputs])
             grad = np.empty((1, spec.param_count))
             logits, p_loss = anchor.fused_gradient(spec, state.params[None], x, labels[sel], rows,
                                                    strategy.beta, grad, center, strategy.mu)
@@ -362,18 +363,23 @@ def test_losses_settled_after_every_step_equal_one_settle_a_round(kind, strategy
 
 
 def test_a_non_finite_anchor_input_names_the_first_client_it_reaches():
-    """Shared class 1 stands in the anchors of clients 1, 3 and 4, which
-    miss that class; a NaN in it is reported for client 1, the first of
-    them in shard order, before any step."""
+    """A NaN in a shared sample is reported, before any step, for the first
+    client whose anchor holds it in stack order: most steps first (15, 12,
+    24, 3 and 6 steps for clients 0 to 4), ties in shard order. Shared
+    class 1 stands in the anchors of clients 1, 3 and 4, which miss that
+    class: client 1 comes first in both orders. Shared class 0 stands in
+    those of clients 2 and 3: with classes 0 and 1 poisoned, client 2 comes
+    first in stack order, client 1 in shard order."""
     ds, spec, state, shards = lockstep_setup("mlp")
     shared = anchor.build_shared_dataset(ds, seed=9)
-    inputs = shared.inputs.copy()
-    inputs[1, 0] = np.nan
-    poisoned = anchor.SharedDataset(inputs, shared.sample_ids, shared.class_count)
-    with pytest.raises(federation.RunError,
-                       match="round 2, client 1: non-finite values in network inputs") as info:
-        federation.local_train(lockstep_cfg("fedka", beta=0.3), 2, shards, state, spec, ds, poisoned)
-    assert isinstance(info.value.__cause__, nn.NonFiniteError)
+    for classes, client in [([1], 1), ([0, 1], 2)]:
+        inputs = shared.inputs.copy()
+        inputs[classes, 0] = np.nan
+        poisoned = anchor.SharedDataset(inputs, shared.sample_ids, shared.class_count)
+        with pytest.raises(federation.RunError,
+                           match=f"round 2, client {client}: non-finite values in network inputs") as info:
+            federation.local_train(lockstep_cfg("fedka", beta=0.3), 2, shards, state, spec, ds, poisoned)
+        assert isinstance(info.value.__cause__, nn.NonFiniteError)
 
 
 def test_warmed_workspace_step_allocates_no_activation():
@@ -384,8 +390,8 @@ def test_warmed_workspace_step_allocates_no_activation():
     spec = nn.tcnn_spec((1, 28, 28), 4, conv_kernel=5)
     flat = data.synth_blobs(4, 5, 784, 4.0, seed=3)
     inputs, labels = flat.inputs.reshape(-1, 1, 28, 28), flat.labels
-    rows = anchor.fused_rows((12, 8), [None, None])
     state = nn.init_state(spec, stream(5, "init"))
+    rows = anchor.anchor_rows([None, None], state, spec).layout((12, 8))
     params = np.repeat(state.params[None], 2, axis=0)
     momentum, grad = np.zeros_like(params), np.empty_like(params)
     workspace = nn.Workspace()

@@ -26,11 +26,11 @@ def _state_and_batch(seed=0):
     return _sample_away_from_kinks(SPEC, seed, batch_size=5, attempt_tokens=())
 
 
-def step_of_one(spec, state, batch, target=None, beta=0.0, center=None, mu=0.0):
+def step_of_one(spec, state, batch, built=None, teacher=None, beta=0.0, center=None, mu=0.0):
     """The training step on a stack of one: the gradient, and the loss the
     trace records for it."""
-    rows = anchor.fused_rows((len(batch),), [target])
-    inputs = batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+    rows = anchor.anchor_rows([built], teacher, spec).layout((len(batch),))
+    inputs = batch.inputs if built is None else np.concatenate([batch.inputs, built.inputs()])
     grad = np.empty((1, spec.param_count))
     logits, prox_losses = anchor.fused_gradient(spec, state.params[None], inputs, batch.labels,
                                                 rows, beta, grad, center, mu)
@@ -77,15 +77,15 @@ def test_loss_only_matches_objective_loss():
     for spec in (nn.mlp_spec(12, (16, 8), 5), nn.tcnn_spec()):
         state, batch = _sample_away_from_kinks(spec, 3, 2, ())
         teacher = nn.init_state(spec, stream(3, "teacher"))
-        target = anchor.anchor_target(_anchor_for(spec, 3), teacher, spec)
+        built = _anchor_for(spec, 3)
         center = teacher.params
 
         _, ce = step_of_one(spec, state, batch)
         assert objective_loss(spec, batch)(state) == ce
         _, prox = step_of_one(spec, state, batch, center=center, mu=0.1)
         assert objective_loss(spec, batch, center=center, mu=0.1)(state) == prox
-        _, anchored = step_of_one(spec, state, batch, target, 0.3)
-        assert objective_loss(spec, batch, target, 0.3)(state) == anchored
+        _, anchored = step_of_one(spec, state, batch, built, teacher, 0.3)
+        assert objective_loss(spec, batch, built, teacher, 0.3)(state) == anchored
         assert anchored != ce
 
 
@@ -100,11 +100,11 @@ def test_kink_avoidance_returns_clear_margin():
 def test_kink_margin_covers_every_differenced_row(spec, batch_size):
     # the anchored client's differenced pass also runs over the anchor rows
     for seed in range(5):
-        _, targets, clients = _client_stack(spec, seed, batch_size)
+        _, anchors, clients = _client_stack(spec, seed, batch_size)
         assert [len(batch) for _, batch in clients] == [batch_size + 1, 1, batch_size]
-        assert [t is None for t in targets] == [True, True, False]
-        for (state, batch), target in zip(clients, targets):
-            seen = batch.inputs if target is None else np.concatenate([batch.inputs, target.inputs])
+        assert [a is None for a in anchors] == [True, True, False]
+        for (state, batch), a in zip(clients, anchors):
+            seen = batch.inputs if a is None else np.concatenate([batch.inputs, a.inputs()])
             assert nn.activation_margin(state, spec, seen) > KINK_MARGIN
 
 

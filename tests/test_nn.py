@@ -589,7 +589,7 @@ def test_workspace_region_grows_to_the_largest_pass(monkeypatch):
     assert faulted_bytes(30) < conv0 // 8 and workspace._memory is grown
     # a training step after the largest pass takes its gradients from the same region
     labels = np.arange(100) % 4
-    rows = anchor.fused_rows((60, 40), [None, None])
+    rows = anchor.anchor_rows([None, None], state, spec).layout((60, 40))
     params = np.repeat(state.params[None], 2, axis=0)
     anchor.fused_gradient(spec, params, x, labels, rows, 0.0, np.empty_like(params),
                           workspace=workspace)
