@@ -27,7 +27,9 @@ COLUMN_BUDGET, and a forward-only pass of one model runs the layers before
 Flatten in such chunks of rows too (NetworkSpec.conv_stage), so that its
 memory does not grow with the rows it evaluates. The column matrices, and
 the activations and input gradients a pass makes, can live in a Workspace,
-which a caller keeps from pass to pass.
+which a caller keeps from pass to pass. A ReLU works in place, forward on an
+array the pass wrote, backward always: its input gradient is its output
+gradient, written over.
 
 How many threads a job gets follows from its multiply-adds (thread_count):
 a unit of work below THREAD_MACS runs on the calling thread, since starting
@@ -226,13 +228,8 @@ class Dense:
         (see _layout). Every layer's backward takes these arguments."""
         if out is None:
             out = np.empty(params.shape)
-        grad_x = None
-        if input_grad:
-            grad_x = np.empty_like(x) if grad_into is None else _layout(grad_into, x.shape, _order(x))
-        if offsets is None:
-            params, stack_out, slices = params[None], out[None], (slice(None),)
-        else:
-            stack_out, slices = out, _row_slices(offsets)
+        grad_x = _layout(grad_into, x.shape, _order(x)) if input_grad else None
+        slices, params, stack_out = _clients(offsets, len(x), params, out)
         n, shape = self.in_features * self.out_features, (len(params), self.in_features, self.out_features)
         w, grad_w, grad_b = params[:, :n].reshape(shape), stack_out[:, :n].reshape(shape), stack_out[:, n:]
         for p, rows in enumerate(slices):
@@ -263,19 +260,13 @@ class Relu:
         return np.maximum(x, 0.0, out=out)
 
     def backward(self, params, x, grad_out, input_grad=True, out=None, offsets=None, grad_into=None):
-        """``x`` may be the layer's input or its output: both are > 0 at
-        the same entries."""
+        """The input gradient ``grad_out * (x > 0)``, written over
+        ``grad_out``, which is returned. ``x`` may be the layer's input or
+        its output: both are > 0 at the same entries."""
         if not input_grad:
             return None, None
         # subgradient at 0 is fixed to 0
-        if grad_into is None:
-            return None, grad_out * (x > 0.0)
-        # laid out as numpy lays out that product: as both operands when
-        # they agree, else in C order
-        order = _order(x)
-        if order is not None and order != _order(grad_out):
-            order = None
-        return None, np.multiply(grad_out, x > 0.0, out=_layout(grad_into, x.shape, order))
+        return None, np.multiply(grad_out, x > 0.0, out=grad_out)
 
     def to_json(self) -> dict:
         return {"type": "relu"}
@@ -480,7 +471,7 @@ class MaxPool:
             best = self._max(views)
         # the loop below writes every cell of a full window: zero only the
         # ragged rows and columns beyond the last one
-        grad_x = np.empty_like(x) if grad_into is None else _layout(grad_into, x.shape, _order(x))
+        grad_x = _layout(grad_into, x.shape, _order(x))
         k = self.kernel
         grad_x[..., best.shape[-2] * k:, :] = 0.0
         grad_x[..., best.shape[-1] * k:] = 0.0
@@ -562,23 +553,21 @@ class NetworkSpec:
             raise ShapeError("a network needs at least one layer")
         if any(d < 1 for d in self.input_shape):
             raise ShapeError(f"invalid input shape {self.input_shape}")
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
-            try:
-                shape = layer.output_shape(shape)
-            except ShapeError as exc:
-                raise ShapeError(f"layer {i}: {exc}") from None
-        if shape != (self.class_count,):
+        if self.layer_shapes[-1] != (self.class_count,):
             raise ShapeError(
-                f"final layer emits shape {shape}, expected ({self.class_count},) logits"
+                f"final layer emits shape {self.layer_shapes[-1]}, expected ({self.class_count},) logits"
             )
 
     @cached_property
     def layer_shapes(self) -> tuple[Shape, ...]:
-        """Input shape of every layer, plus the final output shape."""
+        """Input shape of every layer, plus the final output shape; a
+        ShapeError names the layer that breaks the chain."""
         shapes = [self.input_shape]
-        for layer in self.layers:
-            shapes.append(layer.output_shape(shapes[-1]))
+        for i, layer in enumerate(self.layers):
+            try:
+                shapes.append(layer.output_shape(shapes[-1]))
+            except ShapeError as exc:
+                raise ShapeError(f"layer {i}: {exc}") from None
         return tuple(shapes)
 
     @cached_property
@@ -607,13 +596,14 @@ class NetworkSpec:
     @cached_property
     def gradient_areas(self) -> tuple[int, int]:
         """Entries per row of the two areas a backward pass's input gradients
-        take turns in: layer by layer from the last, each layer but Flatten
-        (whose input gradient is a view of its output's) and layer 0 (whose
-        input gradient nothing reads) writes into the one its output
-        gradient is not in."""
+        take turns in: layer by layer from the last, each Dense, Conv2d and
+        MaxPool layer but layer 0 (whose input gradient nothing reads)
+        writes into the one its output gradient is not in. Flatten's input
+        gradient is a view of its output's, and a ReLU's is its output's,
+        written over."""
         widths, turn = [0, 0], 0
         for layer, shape in zip(self.layers[:0:-1], self.layer_shapes[-2:0:-1]):
-            if not isinstance(layer, Flatten):
+            if isinstance(layer, (Dense, Conv2d, MaxPool)):
                 widths[turn] = max(widths[turn], math.prod(shape))
                 turn ^= 1
         return widths[0], widths[1]
@@ -765,11 +755,12 @@ class Workspace:
     pages in each time. Through a workspace, a pass takes its arrays one
     after another from one region of memory: every layer's output, the conv
     layers' im2col column matrices (given back once the layer is done with
-    them), and in a backward pass two areas that the input gradients take
-    turns in. A forward-only pass of one model takes the outputs of the
-    layers before Flatten for one chunk of rows, and every chunk takes the
-    same memory again (NetworkSpec.conv_stage); the chunks' last outputs
-    are copied into one array over all rows. A forward pass starts again at
+    them), and in a backward pass two areas that the input gradients of the
+    Dense, Conv2d and MaxPool layers take turns in. A forward-only pass of
+    one model takes the outputs of the layers before Flatten for one chunk
+    of rows, and every chunk takes the same memory again
+    (NetworkSpec.conv_stage); the chunks' last outputs are copied into one
+    array over all rows. A forward pass starts again at
     the start of the region, and a backward pass goes on after the arrays
     of the forward pass before it.
     The region is mapped outside the malloc heaps, and the kernel maps its
@@ -779,9 +770,10 @@ class Workspace:
     memory of its largest pass, be it training or evaluation, and faults
     each page in once. Two exceptions: the Dense layers of a forward_stack
     pass allocate their outputs, so that the logits a caller keeps are
-    arrays of their own, and ReLUs work in place on arrays the pass wrote (a
-    backward pass tells where they were positive from their outputs). What
-    a pass leaves in the region lives until the next forward pass.
+    arrays of their own, and ReLUs work in place, forward on arrays the pass
+    wrote (a backward pass tells where they were positive from their
+    outputs) and backward on their output gradients. What a pass leaves in
+    the region lives until the next forward pass.
 
     A workspace serves one pass at a time. Threads run passes at once
     through its lanes (Workspace.lanes), each with a region of its own."""
@@ -819,47 +811,47 @@ class Workspace:
 
 
 def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
-             workspace: Workspace | None = None, rows: slice | None = None):
+             workspace: Workspace | None = None):
     """Logits and, with ``keep_caches``, every layer's input (a ReLU's
     output instead, when it works in place). With a ``workspace``, the
-    layers write their outputs into its region (see Workspace). With
-    ``rows`` (a pass that keeps no caches) the pass runs on those rows of x
-    alone. A pass of one model that keeps no caches runs the layers before
-    Flatten in chunks of rows (NetworkSpec.conv_stage); the dense layers
-    run on all rows at once, as a product split by rows rounds differently."""
+    layers write their outputs into its region (see Workspace). A pass of
+    one model that keeps no caches runs the layers before Flatten in chunks
+    of rows (NetworkSpec.conv_stage); the dense layers run on all rows at
+    once, as a product split by rows rounds differently."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
-    h = x if rows is None else x[rows]
     if workspace is not None:
-        workspace.restart(spec.workspace_size(len(h)))
+        workspace.restart(spec.workspace_size(len(x)))
     stage, chunk = spec.conv_stage if caches is None and offsets is None else (0, 0)
     if stage:
-        shape = (len(h), *spec.layer_shapes[stage])
+        shape = (len(x), *spec.layer_shapes[stage])
         staged = _layout(None if workspace is None else workspace.take(math.prod(shape)), shape)
         used = None if workspace is None else workspace._used
-        for lo in range(0, len(h), chunk):
-            staged[lo:lo + chunk] = _layers(spec, params, h[lo:lo + chunk], range(stage), None,
-                                            None, workspace, False)
+        for lo in range(0, len(x), chunk):
+            staged[lo:lo + chunk] = _layers(spec, params, x[lo:lo + chunk], range(stage), None,
+                                            None, workspace)
             if workspace is not None:
                 # the next chunk takes the same memory
                 workspace._used = used
-        h = staged
-    h = _layers(spec, params, h, range(stage, len(spec.layers)), caches, offsets, workspace,
-                rows is not None, owned=stage > 0)
-    return h, caches
+        x = staged
+    logits = _layers(spec, params, x, range(stage, len(spec.layers)), caches, offsets, workspace,
+                     owned=stage > 0)
+    return logits, caches
 
 
 def _layers(spec: NetworkSpec, params: np.ndarray, h: np.ndarray, layers: range, caches, offsets,
-            workspace: Workspace | None, dense_in_workspace: bool, owned: bool = False) -> np.ndarray:
+            workspace: Workspace | None, owned: bool = False) -> np.ndarray:
     """``layers`` of the spec, in order, from their input ``h``, as _forward
-    runs them; the Dense layers write into the ``workspace`` when
-    ``dense_in_workspace``. ``owned``: h was written by this pass, not x
-    nor a view of it."""
+    runs them. With a ``workspace``, every output but Flatten's view goes
+    into its region, a ReLU's over its input when the pass wrote that, and
+    a Dense output only in a pass that keeps no ``caches``: a training
+    pass's logits are kept past the next pass. ``owned``: h was written by
+    this pass, not x nor a view of it."""
     for i in layers:
         layer, sl = spec.layers[i], spec.param_slices[i]
         if caches is not None:
             caches.append(h)
         out = None
-        if workspace is None or isinstance(layer, Flatten) or (isinstance(layer, Dense) and not dense_in_workspace):
+        if workspace is None or isinstance(layer, Flatten) or (isinstance(layer, Dense) and caches is not None):
             pass
         elif isinstance(layer, Relu) and owned:
             out = h
@@ -909,7 +901,7 @@ def forward_rows(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, rows
     """The logits of ``inputs[rows]``, bit-for-bit forward_logits' rows,
     from a pass through the ``workspace``, where they live until its next
     forward pass. The inputs are not checked here."""
-    return _forward(spec, params, inputs, False, workspace=workspace, rows=rows)[0]
+    return _forward(spec, params, inputs[rows], False, workspace=workspace)[0]
 
 
 def forward_copies(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, offsets) -> np.ndarray:
@@ -952,10 +944,13 @@ def backward_from_logits(
 ) -> np.ndarray:
     """Backpropagate an arbitrary dLoss/dlogits to the parameter gradient of
     a flat vector, or of a (P, n) stack with its row ``offsets``. Each layer
-    writes its part straight into ``out`` (allocated when None); the input
-    gradients (unless they are small) and conv column matrices are taken
-    from the ``workspace``, after the arrays of the forward pass that made
-    the ``caches``, and given back at the end.
+    writes its part straight into ``out`` (allocated when None). The input
+    gradients of the Dense, Conv2d and MaxPool layers (unless they are
+    small) and the conv column matrices are taken from the ``workspace``,
+    after the arrays of the forward pass that made the ``caches``, and given
+    back at the end. A ReLU writes its input gradient over its output
+    gradient, so a spec that ends in a ReLU (no built spec does) has its
+    ``grad_logits`` overwritten.
 
     Nothing reads the gradient with respect to the network inputs, so layer 0
     is not asked for it."""
@@ -981,7 +976,7 @@ def backward_from_logits(
             where = {"best": caches[i + 1]}
         _, g = layer.backward(params[..., sl], caches[i], g, input_grad=i > 0, out=out[..., sl],
                               offsets=offsets, grad_into=areas[turn], **where)
-        if not isinstance(layer, Flatten):
+        if isinstance(layer, (Dense, Conv2d, MaxPool)):
             turn ^= 1
     if memory is not None:
         workspace.give_back(memory)
@@ -1128,14 +1123,17 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
         raise ValueError("learning rate must be > 0")
     if not (params.flags.c_contiguous and momentum.flags.c_contiguous and grad.flags.c_contiguous):
         raise ValueError("sgd_update works in place on C-contiguous arrays")
-    width = params.shape[-1] if params.ndim == 2 else None
+    # blocks before a failed one hold finite values and blocks after it are
+    # not updated yet, so a stack's first row holding a non-finite entry is
+    # the failed entry's row
+    stack = params.ndim == 2
     flat_w, flat_m, flat_g = params.reshape(-1), momentum.reshape(-1), grad.reshape(-1)
     scratch = np.empty(min(CACHE_BLOCK, params.size))
     for lo in range(0, params.size, CACHE_BLOCK):
         hi = lo + CACHE_BLOCK
         w, m, g = flat_w[lo:hi], flat_m[lo:hi], flat_g[lo:hi]
         if not np.isfinite(g).all():
-            raise NonFiniteError("non-finite entries in gradient", _bad_client(g, lo, width))
+            raise NonFiniteError("non-finite entries in gradient", _first_bad_row(grad) if stack else None)
         decay = scratch[:len(w)]
         np.multiply(w, weight_decay, out=decay)
         g += decay                              # grad + wd*params
@@ -1144,13 +1142,8 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
         np.multiply(m, lr, out=g)               # the step
         w -= g
         if not np.isfinite(w).all():
-            raise NonFiniteError("parameters became non-finite after SGD step", _bad_client(w, lo, width))
-
-
-def _bad_client(block: np.ndarray, lo: int, width: int | None) -> int | None:
-    """The stack row of a block's first non-finite entry: the block starts
-    at flat index ``lo`` of a (P, width) stack; a flat vector has no rows."""
-    return None if width is None else (lo + _first_bad_row(block)) // width
+            raise NonFiniteError("parameters became non-finite after SGD step",
+                                 _first_bad_row(params) if stack else None)
 
 
 def sgd_step(

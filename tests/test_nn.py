@@ -305,6 +305,46 @@ def test_dense_stack_matches_single_model_passes(sizes):
         assert grad_x[rows].tobytes() == single_x.tobytes()
 
 
+POOL_RELU_CONV = nn.NetworkSpec((nn.Conv2d(2, 4, 3), nn.MaxPool(2), nn.Relu(), nn.Conv2d(4, 5, 3), nn.Relu(),
+                                 nn.Flatten(), nn.Dense(20, 3)), (2, 10, 10), 3)
+
+
+@pytest.mark.parametrize("spec", [nn.tcnn_spec((1, 12, 12), 4, 3), POOL_RELU_CONV],
+                         ids=["t_cnn", "pool-relu-conv"])
+def test_stack_backward_through_a_workspace_gives_single_model_bytes(spec, monkeypatch):
+    """A stack's parameter gradient, with its input gradients in a
+    workspace's areas (warmed by a step before) and allocated, is byte for
+    byte each client's single-model gradient over its rows. In the
+    pool-relu-conv spec the second ReLU's output gradient (the conv's,
+    channel-major) and its input (the pool's output, C order) lie in
+    different layouts."""
+    offsets = (0, 20, 45, 60)
+    assert offsets[-1] * sum(spec.gradient_areas) >= nn._SMALL_GRADIENTS
+    params = np.stack([nn.init_state(spec, stream(70, "init", p)).params for p in range(3)])
+    x = stream(71, "x").normal(size=(offsets[-1], *spec.input_shape))
+    grad_logits = stream(72, "grad").normal(size=(offsets[-1], spec.class_count))
+    layouts, backward = [], nn.Relu.backward
+
+    def recording(self, params, x, grad_out, *args, **kwargs):
+        layouts.append((x.flags.c_contiguous, grad_out.flags.c_contiguous))
+        return backward(self, params, x, grad_out, *args, **kwargs)
+
+    monkeypatch.setattr(nn.Relu, "backward", recording)
+    workspace = nn.Workspace()
+    stacked = []
+    for kept in (workspace, workspace, None):
+        _, caches = nn.forward_stack(spec, params, x, offsets, kept)
+        stacked.append(nn.backward_from_logits(spec, params, caches, grad_logits, offsets=offsets,
+                                               workspace=kept))
+    if spec is POOL_RELU_CONV:
+        assert (True, False) in layouts
+    for p, rows in enumerate(slice(a, b) for a, b in zip(offsets, offsets[1:])):
+        state = nn.ModelState(params[p], np.zeros_like(params[p]), spec.spec_hash)
+        _, caches = nn.forward_with_caches(state, spec, x[rows])
+        single = nn.backward_from_logits(spec, params[p], caches, grad_logits[rows]).tobytes()
+        assert [grad[p].tobytes() for grad in stacked] == [single] * 3
+
+
 def test_conv1_backward_peak_memory():
     """t_cnn's second conv at batch 32 on 32x12x12 inputs. The full
     correlation peaked at 65.2 MB on its padded windows; col2im needs one
@@ -444,6 +484,26 @@ def test_relu_subgradient_at_zero_is_zero():
     assert np.array_equal(grad_x, [[0.0, 0.0, 1.0]])
 
 
+@pytest.mark.parametrize("layout", ["C", "channel-major"])
+def test_relu_backward_writes_over_grad_out(layout):
+    """The input gradient is the very grad_out array, holding the bytes of
+    grad_out * (x > 0) (a negative entry over x <= 0 gives -0.0), in
+    grad_out's layout, with x in the other layout."""
+    rng = stream(18, "relu", layout)
+    shape = (3, 4, 5, 5)
+    grad_order, x_order = (None, (1, 0, 2, 3)) if layout == "C" else ((1, 0, 2, 3), None)
+    x = nn._layout(None, shape, x_order)
+    x[...] = rng.normal(size=shape)
+    x[0, 0, 0, :2] = 0.0, -0.0
+    grad_out = nn._layout(None, shape, grad_order)
+    grad_out[...] = rng.normal(size=shape)
+    want = (grad_out * (x > 0)).tobytes()
+    strides = grad_out.strides
+    _, grad_x = nn.Relu().backward(None, x, grad_out)
+    assert grad_x is grad_out and grad_x.strides == strides
+    assert grad_x.tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # spec plumbing
 # ---------------------------------------------------------------------------
@@ -461,10 +521,26 @@ def test_tcnn_shapes_and_param_count():
 def test_spec_rejects_shape_breaks():
     with pytest.raises(nn.ShapeError, match="layer 1"):
         nn.NetworkSpec((nn.Dense(4, 5), nn.Dense(4, 3)), (4,), 3)
+    with pytest.raises(nn.ShapeError, match=r"layer 2: conv2d\(2->2,k5\) kernel exceeds"):
+        nn.NetworkSpec((nn.Conv2d(1, 2, 3), nn.MaxPool(2), nn.Conv2d(2, 2, 5), nn.Flatten()), (1, 8, 8), 2)
     with pytest.raises(nn.ShapeError, match="logits"):
         nn.NetworkSpec((nn.Dense(4, 5),), (4,), 3)
     with pytest.raises(nn.ShapeError):
         nn.NetworkSpec((nn.Conv2d(3, 8, 40), nn.Flatten(), nn.Dense(8, 2)), (3, 32, 32), 2)
+
+
+@pytest.mark.parametrize("spec, areas, row", [
+    (nn.tcnn_spec((1, 28, 28), 10, 5), (18432, 4608), 125962),
+    (nn.mlp_spec(8, [8], 4), (8, 0), 28),
+], ids=["t_cnn-1x28x28", "mlp-8"])
+def test_gradient_areas_hold_dense_conv_and_pool_input_gradients(spec, areas, row):
+    """Only Dense, Conv2d and MaxPool layers beyond layer 0 write an input
+    gradient into an area: t_cnn's first pool (32x24x24) and second conv
+    (32x12x12) are the widest of each turn, and the mlp's one hidden
+    ReLU takes none. A workspace row holds them, the outputs and t_cnn's
+    largest column matrix."""
+    assert spec.gradient_areas == areas
+    assert spec.workspace_size(1) - spec.workspace_size(0) == row
 
 
 def test_spec_json_round_trip_and_softmax_rejection():
@@ -809,6 +885,30 @@ def test_sgd_rejects_bad_arguments():
         nn.sgd_step(state, np.zeros(3), lr=0.1)
     with pytest.raises(nn.NonFiniteError):
         nn.sgd_step(state, np.array([np.inf, 0.0]), lr=0.1)
+
+
+@pytest.mark.parametrize("fault, row, col", [
+    ("gradient", 1, 5), ("gradient", 1, 19_000), ("overflow", 1, 19_000), ("overflow", 2, 5),
+], ids=["gradient-row1-block0", "gradient-row1-block1", "overflow-row1-block1", "overflow-row2"])
+def test_sgd_update_names_the_stack_row_that_fails(fault, row, col):
+    """A (3, 20,000) stack walked in blocks of 2^15 entries: row 1 (flat
+    20,000 to 39,999) straddles the first boundary. A non-finite gradient
+    entry, or a parameter that the step overflows, is reported for its own
+    row, on either side of the boundary; a flat vector names no row."""
+    assert nn.CACHE_BLOCK == 1 << 15
+    rng = stream(19, "sgd rows")
+    params, grad = rng.normal(size=(3, 20_000)), rng.normal(size=(3, 20_000))
+    lr = 0.1
+    if fault == "gradient":
+        grad[row, col] = np.nan
+        message = "gradient"
+    else:
+        params[row, col], grad[row, col], lr = 1e308, -1e308, 10.0
+        message = "after SGD step"
+    for w, g, client in ((params, grad, row), (params[row], grad[row], None)):
+        with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match=message) as info:
+            nn.sgd_update(w.copy(), np.zeros_like(w), g.copy(), lr, 0.9, 1e-4)
+        assert info.value.client == client
 
 
 def test_training_reduces_loss_on_tiny_problem():
