@@ -291,14 +291,14 @@ def apply_reduction_schedule(
     shard: ClientShard,
     schedule: Iterable[tuple[int, int, int]],
     dataset: LabeledDataset,
-    upto_round: int | None = None,
 ) -> ClientShard:
     """Shrink classes per a (round, class, keep_count) schedule.
 
-    Entries are applied in round order; each truncates the class to its
-    ``keep_count`` lowest original indices and roles are recomputed. With
-    ``upto_round`` set, only entries scheduled at or before that round
-    apply, which gives the shard as the training loop sees it mid-run.
+    Entries are applied in round order; each truncates its class, which
+    must lie in [0, class_count), to its ``keep_count`` lowest original
+    indices, and roles are recomputed. federation.shards_by_round applies a
+    client's rows one round at a time, each round's rows to the shard the
+    round before left.
     """
     entries = sorted(schedule, key=lambda e: (e[0], e[1]))
     last_round: dict[int, int] = {}
@@ -308,8 +308,8 @@ def apply_reduction_schedule(
         if klass in last_round and rnd <= last_round[klass]:
             raise ValueError(f"rounds for class {klass} must be strictly increasing")
         last_round[klass] = rnd
-        if upto_round is not None and rnd > upto_round:
-            continue
+        if not 0 <= klass < dataset.class_count:
+            raise ValueError(f"round {rnd}: class {klass} outside [0, {dataset.class_count})")
         current = int((labels == klass).sum())
         if keep < 0 or keep > current:
             raise ValueError(
@@ -341,7 +341,7 @@ def export_assignments(shards: Sequence[ClientShard], path) -> None:
 
 def load_assignments(path, dataset: LabeledDataset, gamma: float) -> list[ClientShard]:
     """Rebuild shards from an assignment CSV, verifying labels against the
-    dataset."""
+    dataset; a file that assigns no sample is a ValueError."""
     by_client: dict[int, list[int]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -356,6 +356,8 @@ def load_assignments(path, dataset: LabeledDataset, gamma: float) -> list[Client
                 )
             by_client.setdefault(client, []).append(idx)
     all_ids = [i for members in by_client.values() for i in members]
+    if not all_ids:
+        raise ValueError(f"{path}: assigns no sample")
     if len(all_ids) != len(set(all_ids)):
         raise ValueError(f"{path}: duplicate sample assignments")
     return [

@@ -100,7 +100,7 @@ def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
     per_epoch = -(-n // t.batch_size)
     if n and epochs:
         inputs, labels = dataset.take(shard.indices)
-        nn.batch_labels(spec, labels)
+        nn.batch_labels(spec, labels, len(inputs))
         nn.check_inputs(spec, inputs)
     return _Client(shard, order, per_epoch, per_epoch * epochs, anchor_log, term)
 
@@ -339,23 +339,23 @@ def build_shards(cfg: ExperimentConfig, train: LabeledDataset) -> list[ClientSha
 def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, dict[int, ClientShard]]:
     """Each client's shard from the round it takes effect: key 0 holds the
     partition, each later key the clients that a reduction row shrinks at
-    that round (a row at round 0 takes effect in round 1). Every row is
-    applied here, before round 1, including rows due after the last round.
+    that round (a row at round 0 takes effect in round 1), each round's rows
+    applied to the client's shard of the round before. Every row is applied
+    here, before round 1, including rows due after the last round.
     """
     base = {s.client_id: s for s in build_shards(cfg, train)}
-    rows: dict[int, list[tuple[int, int, int]]] = {}
+    rows: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for client, rnd, klass, keep in cfg.reduction:
-        rows.setdefault(client, []).append((rnd, klass, keep))
+        rows.setdefault(client, {}).setdefault(max(rnd, 1), []).append((rnd, klass, keep))
     changes = {0: base}
-    for client, sched in rows.items():
+    for client, by_round in rows.items():
         if client not in base:
             raise RunError(f"reduction schedule names unknown client {client}")
-        # latest round first: that call applies every row, so a bad schedule
-        # fails on the same row as when the whole schedule is applied
+        shard = base[client]
         try:
-            for rnd in sorted({max(r, 1) for r, _, _ in sched}, reverse=True):
-                changes.setdefault(rnd, {})[client] = apply_reduction_schedule(
-                    base[client], sched, train, upto_round=rnd)
+            for rnd in sorted(by_round):
+                shard = changes.setdefault(rnd, {})[client] = apply_reduction_schedule(
+                    shard, by_round[rnd], train)
         except ValueError as exc:
             raise RunError(f"reduction schedule of client {client}: {exc}") from None
     return changes

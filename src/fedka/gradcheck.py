@@ -5,12 +5,13 @@ cross-entropy, the proximal and the anchored objective against central
 differences, over several seeds and both model presets. Each seed stacks
 three distinct clients of batch_size + 1, 1 (a matrix-vector product in
 OpenBLAS) and batch_size rows; only the last holds an anchor, as in a round
-that mixes anchored and plain clients. Sampled coordinates of the stack are
-differenced through their own client's loss as the loss trace computes it
-(anchor.fused_losses, nn.proximal_loss_and_grad), on that model alone.
-Draws whose pass over a client's rows, anchor rows included, comes within
-the probe step of a ReLU or pooling kink are resampled (central differences
-would straddle the kink)."""
+that mixes anchored and plain clients. A client's batch is an (inputs,
+labels) pair, as the training step takes it. Sampled coordinates of the
+stack are differenced through their own client's loss as the loss trace
+computes it (anchor.fused_losses, nn.proximal_loss_and_grad), on that model
+alone. Draws whose pass over a client's rows, anchor rows included, comes
+within the probe step of a ReLU or pooling kink are resampled (central
+differences would straddle the kink)."""
 
 from __future__ import annotations
 
@@ -80,7 +81,8 @@ def check_objective(
 
 def objective_loss(
     spec: nn.NetworkSpec,
-    batch: nn.Batch,
+    inputs: np.ndarray,
+    labels: np.ndarray,
     anchor: anchor_mod.KnowledgeAnchor | None = None,
     teacher: nn.ModelState | None = None,
     beta: float = 0.0,
@@ -88,12 +90,12 @@ def objective_loss(
     mu: float = 0.0,
 ) -> LossOnly:
     """The forward-only loss of a client's objective as the loss trace
-    computes it: cross-entropy on the batch, plus ``beta`` times the anchor
-    term on ``anchor`` against the ``teacher``, plus the proximal term
-    around ``center``."""
-    labels = nn.batch_labels(spec, batch.labels)
+    computes it: cross-entropy on the batch (inputs, labels), plus ``beta``
+    times the anchor term on ``anchor`` against the ``teacher``, plus the
+    proximal term around ``center``."""
+    labels = nn.batch_labels(spec, labels, len(inputs))
     rows = anchor_mod.anchor_rows([anchor], teacher, spec).layout((len(labels),))
-    inputs = _client_rows(batch, anchor)
+    inputs = _client_rows(inputs, anchor)
 
     def loss(state: nn.ModelState) -> float:
         value = float(anchor_mod.fused_losses(
@@ -104,21 +106,21 @@ def objective_loss(
     return loss
 
 
-def _client_rows(batch: nn.Batch, anchor: anchor_mod.KnowledgeAnchor | None) -> np.ndarray:
-    """A client's rows of a pass: its batch, then its anchor rows."""
-    return batch.inputs if anchor is None else np.concatenate([batch.inputs, anchor.inputs()])
+def _client_rows(inputs: np.ndarray, anchor: anchor_mod.KnowledgeAnchor | None) -> np.ndarray:
+    """A client's rows of a pass: its batch's inputs, then its anchor rows."""
+    return inputs if anchor is None else np.concatenate([inputs, anchor.inputs()])
 
 
 def _sample_away_from_kinks(spec, seed, batch_size, attempt_tokens, anchor=None, margin=KINK_MARGIN):
-    """Model state + batch whose forward pass over the batch rows and any
+    """(state, inputs, labels) whose forward pass over the inputs and any
     rows of ``anchor`` clears every kink by `margin`."""
     for attempt in range(RESAMPLE_ATTEMPTS):
         state = nn.init_state(spec, stream(seed, "gc-init", attempt, *attempt_tokens))
         rng = stream(seed, "gc-data", attempt, *attempt_tokens)
         x = rng.normal(size=(batch_size, *spec.input_shape))
-        batch = nn.Batch(x, rng.integers(0, spec.class_count, size=batch_size))
-        if nn.activation_margin(state, spec, _client_rows(batch, anchor)) > margin:
-            return state, batch
+        labels = rng.integers(0, spec.class_count, size=batch_size)
+        if nn.activation_margin(state, spec, _client_rows(x, anchor)) > margin:
+            return state, x, labels
     raise RuntimeError(f"no kink-free draw found in {RESAMPLE_ATTEMPTS} attempts")
 
 
@@ -135,7 +137,8 @@ def _anchor_for(spec, seed, size=3):
 
 def _client_stack(spec, seed, batch_size):
     """The teacher, the anchored objective's anchors and three kink-free
-    (state, batch) clients of batch_size + 1, 1 and batch_size rows."""
+    (state, inputs, labels) clients of batch_size + 1, 1 and batch_size
+    rows."""
     teacher = nn.init_state(spec, stream(seed, "gc-teacher"))
     anchors = [None, None, _anchor_for(spec, seed)]
     clients = [_sample_away_from_kinks(spec, seed, m, (p,), anchors[p])
@@ -164,9 +167,9 @@ def check_preset(
     n = spec.param_count
     for seed in range(seeds):
         teacher, anchored, clients = _client_stack(spec, seed, batch_size)
-        params = np.stack([state.params for state, _ in clients])
-        labels = np.concatenate([batch.labels for _, batch in clients])
-        sizes = [len(batch) for _, batch in clients]
+        params = np.stack([state.params for state, _, _ in clients])
+        labels = np.concatenate([y for _, _, y in clients])
+        sizes = [len(y) for _, _, y in clients]
         grad = np.empty_like(params)
         coords = stream(seed, "gc-coords").choice(
             params.size, size=min(coords_per_seed, params.size), replace=False)
@@ -174,10 +177,10 @@ def check_preset(
         objectives = [(plain, 0.0, None, 0.0), (plain, 0.0, teacher.params, mu), (anchored, beta, None, 0.0)]
         for i, (anchors, b, center, m) in enumerate(objectives):
             rows = anchor_mod.anchor_rows(anchors, teacher, spec).layout(sizes)
-            inputs = np.concatenate([_client_rows(batch, a) for (_, batch), a in zip(clients, anchors)])
+            inputs = np.concatenate([_client_rows(x, a) for (_, x, _), a in zip(clients, anchors)])
             anchor_mod.fused_gradient(spec, params, inputs, labels, rows, b, grad, center, m, workspace)
-            for p, ((state, batch), a) in enumerate(zip(clients, anchors)):
-                loss_only = objective_loss(spec, batch, a, teacher, b, center, m)
+            for p, ((state, x, y), a) in enumerate(zip(clients, anchors)):
+                loss_only = objective_loss(spec, x, y, a, teacher, b, center, m)
                 mine = coords[coords // n == p] % n    # client p's coordinates
                 worst[i] = max(worst[i], check_objective(grad[p], loss_only, state, mine, step))
     return [CheckResult(name, seeds, coords_per_seed, w, tol) for name, w in zip(names, worst)]

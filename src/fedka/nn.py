@@ -988,23 +988,6 @@ def backward_from_logits(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(self.inputs) != len(labels):
-            raise ShapeError(
-                f"batch has {len(self.inputs)} inputs but {len(labels)} labels"
-            )
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 def segment_sums(values: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     """The sum of each run of ``counts[i]`` consecutive entries of the vector
     ``values``, each run reduced on its own exactly as np.sum reduces a
@@ -1075,9 +1058,12 @@ def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labe
     return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)
 
 
-def batch_labels(spec: NetworkSpec, labels: np.ndarray) -> np.ndarray:
-    """A batch's labels, checked to be non-empty and in [0, class_count)."""
+def batch_labels(spec: NetworkSpec, labels: np.ndarray, rows: int) -> np.ndarray:
+    """The labels of a batch of ``rows`` inputs, checked to be one per
+    input, non-empty and in [0, class_count)."""
     labels = np.asarray(labels)
+    if len(labels) != rows:
+        raise ShapeError(f"batch has {rows} inputs but {len(labels)} labels")
     if len(labels) == 0:
         raise ValueError("empty batch")
     if labels.min() < 0 or labels.max() >= spec.class_count:
@@ -1085,10 +1071,11 @@ def batch_labels(spec: NetworkSpec, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, batch: Batch):
-    """Mean softmax cross-entropy and its exact flat parameter gradient."""
-    labels = batch_labels(spec, batch.labels)
-    logits, caches = forward_with_caches(state, spec, batch.inputs)
+def ce_loss_and_grad(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy of the batch (inputs, labels) and its exact
+    flat parameter gradient."""
+    labels = batch_labels(spec, labels, len(inputs))
+    logits, caches = forward_with_caches(state, spec, inputs)
     rows, m = np.arange(len(labels)), len(labels)
     grad = backward_from_logits(spec, state.params, caches, ce_grad(logits, labels, rows, m))
     return float(ce_losses(logits, labels, rows, (m,))[0]), grad

@@ -285,7 +285,7 @@ def test_one_teacher_pass_gives_each_anchor_the_logits_of_its_own_pass(name):
     rows without an anchor; each anchor's teacher, kept and scale rows are
     the bytes of a pass over it alone. A NaN in an anchor's inputs is
     reported with its stack row, which counts the rows without one."""
-    spec, teacher, _, _, built = fused_setup(name)
+    spec, teacher, _, _, _, built = fused_setup(name)
     anchors = [built, anchor.KnowledgeAnchor(built.entries[1:], 0, 1, frozenset({0, 2})),
                anchor.KnowledgeAnchor(built.entries * 2, 0, 1, frozenset())]
     stack = [None, anchors[2], None, anchors[0], anchors[1], None]
@@ -323,9 +323,9 @@ FUSED_SPECS = {"mlp": nn.mlp_spec(5, (7,), 4), "t_cnn": nn.tcnn_spec((1, 12, 12)
 
 
 def fused_setup(name):
-    """A spec, teacher and student states, a batch, and a round anchor with a
-    shared entry (class 0 missing), a local one (class 1 non-dominant) and
-    two dominant classes (2, 3)."""
+    """A spec, teacher and student states, a batch's inputs and labels, and a
+    round anchor with a shared entry (class 0 missing), a local one (class 1
+    non-dominant) and two dominant classes (2, 3)."""
     spec = FUSED_SPECS[name]
     flat = data.synth_blobs(4, 60, int(np.prod(spec.input_shape)), 4.0, seed=30)
     ds = data.LabeledDataset(flat.inputs.reshape(len(flat), *spec.input_shape),
@@ -338,28 +338,28 @@ def fused_setup(name):
     teacher = nn.init_state(spec, stream(33, "init"))
     student = nn.init_state(spec, stream(34, "init"))
     inputs, labels = ds.take(shard.indices[::9])
-    return spec, teacher, student, nn.Batch(inputs, labels), built
+    return spec, teacher, student, inputs, labels, built
 
 
-def fused_step(spec, state, batch, anchored, beta):
+def fused_step(spec, state, inputs, labels, anchored, beta):
     """The training step's loss and gradient for one client alone: a stack
     of one, over the batch rows followed by the rows of ``anchored``, its
     AnchorRows."""
-    rows = anchored.layout((len(batch),))
+    rows = anchored.layout((len(labels),))
     grad = np.empty((1, spec.param_count))
     logits, _ = anchor.fused_gradient(spec, state.params[None],
-                                      np.concatenate([batch.inputs, anchored.inputs]),
-                                      batch.labels, rows, beta, grad)
-    return float(anchor.fused_losses(logits, batch.labels, rows, beta)[0]), grad[0]
+                                      np.concatenate([inputs, anchored.inputs]),
+                                      labels, rows, beta, grad)
+    return float(anchor.fused_losses(logits, labels, rows, beta)[0]), grad[0]
 
 
 @pytest.mark.parametrize("name", sorted(FUSED_SPECS))
 def test_fused_step_equals_ce_plus_beta_ka(name):
-    spec, teacher, student, batch, built = fused_setup(name)
+    spec, teacher, student, inputs, labels, built = fused_setup(name)
     beta = 0.3
     anchored = anchor.anchor_rows([built], teacher, spec)
-    loss, grad = fused_step(spec, student, batch, anchored, beta)
-    ce, ce_grad = nn.ce_loss_and_grad(student, spec, batch)
+    loss, grad = fused_step(spec, student, inputs, labels, anchored, beta)
+    ce, ce_grad = nn.ce_loss_and_grad(student, spec, inputs, labels)
     ka, ka_grad = anchor.ka_loss_and_grad(built, teacher, student, spec)
     assert ka > 0
     ref_loss, ref_grad = ce + beta * ka, ce_grad + beta * ka_grad
@@ -371,15 +371,14 @@ def test_fused_step_equals_ce_plus_beta_ka(name):
 def test_fused_step_keeps_label_and_finiteness_checks(name):
     # the step takes labels its callers checked once with nn.batch_labels
     # (local_train when it plans a client), and checks every layer's output
-    spec, teacher, student, batch, built = fused_setup(name)
+    spec, teacher, student, inputs, labels, built = fused_setup(name)
     anchored = anchor.anchor_rows([built], teacher, spec)
     with pytest.raises(nn.ShapeError, match="labels must lie"):
-        nn.batch_labels(spec, np.where(batch.labels == 3, spec.class_count, batch.labels))
+        nn.batch_labels(spec, np.where(labels == 3, spec.class_count, labels), len(inputs))
     huge = nn.ModelState(np.full_like(student.params, 1e308), student.momentum, spec.spec_hash)
-    positive = nn.Batch(np.abs(batch.inputs) + 1.0, batch.labels)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(nn.NonFiniteError, match=r"layer 0 \(") as info:
-        fused_step(spec, huge, positive, anchored, 0.3)
+        fused_step(spec, huge, np.abs(inputs) + 1.0, labels, anchored, 0.3)
     assert info.value.client == 0
 
 

@@ -116,9 +116,8 @@ def test_blob_center_geometry():
 def train_linear(train, steps=300, lr=0.5):
     spec = nn.mlp_spec(train.inputs.shape[1], (), train.class_count)
     state = nn.init_state(spec, stream(7, "init"))
-    batch = nn.Batch(train.inputs, train.labels)
     for _ in range(steps):
-        _, grad = nn.ce_loss_and_grad(state, spec, batch)
+        _, grad = nn.ce_loss_and_grad(state, spec, train.inputs, train.labels)
         state = nn.sgd_step(state, grad, lr=lr, momentum_coef=0.9)
     return spec, state
 
@@ -241,14 +240,17 @@ def test_stepwise_reduction_to_zero():
     ds = blob_ds(k=3)
     shard = make_test_shard(ds)
     schedule = [(50, 1, 10), (60, 1, 5), (70, 1, 0)]
-    mid = data.apply_reduction_schedule(shard, schedule, ds, upto_round=55)
+    # round by round, each row applied to the shard the row before left
+    mid = data.apply_reduction_schedule(shard, schedule[:1], ds)
     assert mid.counts[1] == 10
     # kept samples are the lowest original indices of that class
     original = shard.class_members(1)
     assert np.array_equal(mid.class_members(1), original[:10])
-    late = data.apply_reduction_schedule(shard, schedule, ds, upto_round=65)
+    late = data.apply_reduction_schedule(mid, schedule[1:2], ds)
     assert late.counts[1] == 5
+    assert np.array_equal(late.class_members(1), original[:5])
     gone = data.apply_reduction_schedule(shard, schedule, ds)
+    assert np.array_equal(data.apply_reduction_schedule(late, schedule[2:], ds).indices, gone.indices)
     assert gone.counts[1] == 0
     assert 1 in gone.missing
     assert gone.counts[0] == shard.counts[0]
@@ -270,6 +272,10 @@ def test_reduction_validation():
         data.apply_reduction_schedule(shard, [(5, 1, 1000)], ds)
     with pytest.raises(ValueError, match="strictly increasing"):
         data.apply_reduction_schedule(shard, [(5, 1, 30), (5, 1, 20)], ds)
+    # a class outside the dataset, even with nothing to keep
+    for klass in (99, -1):
+        with pytest.raises(ValueError, match=rf"round 1: class {klass} outside \[0, 3\)"):
+            data.apply_reduction_schedule(shard, [(1, klass, 0)], ds)
 
 
 # ---------------------------------------------------------------------------

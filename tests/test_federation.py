@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import resource
 import sys
 import threading
@@ -163,7 +164,7 @@ def test_fedka_local_train_matches_two_pass_reference():
         losses = []
         for start in range(0, len(lopsided), t.batch_size):
             sel = order[start:start + t.batch_size]
-            loss, grad = nn.ce_loss_and_grad(ref, spec, nn.Batch(inputs[sel], labels[sel]))
+            loss, grad = nn.ce_loss_and_grad(ref, spec, inputs[sel], labels[sel])
             ka_loss, ka_grad = anchor.ka_loss_and_grad(built, state, ref, spec)
             ref = nn.sgd_step(ref, grad + strategy.beta * ka_grad,
                               t.lr, t.momentum, t.weight_decay)
@@ -845,9 +846,11 @@ def test_shard_timeline_matches_per_round_schedule(tmp_path):
     probe = config.resolve(raw_config(tmp_path, partition=BALANCED_PAIR))
     train, _ = federation.build_datasets(probe)
     c0, c1 = (s.counts.tolist() for s in federation.build_shards(probe, train))
-    # rows at round 0, two classes at round 2, and one after the last round (3)
+    # rows at round 0, two classes at round 2, one after the last round (3),
+    # and rows at rounds 0 and 1 on one class, both taking effect in round 1
     rows = [[0, 0, 0, c0[0] - 2], [0, 2, 1, c0[1] // 2], [1, 2, 2, c1[2] // 3],
-            [1, 2, 0, c1[0] - 1], [0, 5, 0, 1], [1, 3, 2, 0]]
+            [1, 2, 0, c1[0] - 1], [0, 5, 0, 1], [1, 3, 2, 0],
+            [1, 0, 1, c1[1] - 1], [1, 1, 1, c1[1] - 3]]
     cfg = config.resolve(raw_config(tmp_path, partition=BALANCED_PAIR,
                                     schedules={"reduction": rows}))
     changes = federation.shards_by_round(cfg, train)
@@ -858,8 +861,8 @@ def test_shard_timeline_matches_per_round_schedule(tmp_path):
         for k in sorted(k for k in changes if 0 < k <= r):
             shards.update(changes[k])
         for cid, shard in shards.items():
-            sched = [tuple(row[1:]) for row in rows if row[0] == cid]
-            want = data.apply_reduction_schedule(base[cid], sched, train, upto_round=r)
+            due = [tuple(row[1:]) for row in rows if row[0] == cid and row[1] <= r]
+            want = data.apply_reduction_schedule(base[cid], due, train)
             assert np.array_equal(shard.indices, want.indices), (r, cid)
             assert (shard.dominant, shard.non_dominant, shard.missing) == (
                 want.dominant, want.non_dominant, want.missing), (r, cid)
@@ -888,6 +891,30 @@ def test_every_schedule_row_checked_before_round_one(tmp_path):
     # keep exceeds the class count in a row due after the last (third) round
     cfg = config.resolve(raw_config(tmp_path, schedules={"reduction": [[0, 5, 0, 10000]]}))
     with pytest.raises(federation.RunError, match="schedule of client 0: round 5: cannot keep 10000"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "run" / "metrics").exists()
+    # a class the 3-class dataset lacks, with nothing to keep
+    cfg = config.resolve(raw_config(tmp_path / "class", schedules={"reduction": [[0, 1, 99, 0]]}))
+    with pytest.raises(federation.RunError, match=r"schedule of client 0: round 1: class 99 outside \[0, 3\)"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "class" / "run" / "metrics").exists()
+    # two bad rows, listed late first: the earlier round's row is named
+    rows = [[0, 4, 0, 10000], [0, 2, 1, 10000]]
+    cfg = config.resolve(raw_config(tmp_path / "two", schedules={"reduction": rows}))
+    with pytest.raises(federation.RunError, match="schedule of client 0: round 2: cannot keep 10000"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "two" / "run" / "metrics").exists()
+
+
+def test_partition_file_that_assigns_no_sample_fails_before_writing(tmp_path):
+    path = tmp_path / "assignments.csv"
+    path.write_text("sample_id,client_id,label\n")
+    probe = config.resolve(raw_config(tmp_path))
+    train, _ = federation.build_datasets(probe)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: assigns no sample")):
+        data.load_assignments(path, train, gamma=0.1)
+    cfg = config.resolve(raw_config(tmp_path, partition={"file": str(path), "gamma": 0.1}))
+    with pytest.raises(ValueError, match="assigns no sample"):
         federation.run_experiment(cfg)
     assert not (tmp_path / "run" / "metrics").exists()
 

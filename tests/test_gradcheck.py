@@ -26,44 +26,44 @@ def _state_and_batch(seed=0):
     return _sample_away_from_kinks(SPEC, seed, batch_size=5, attempt_tokens=())
 
 
-def step_of_one(spec, state, batch, built=None, teacher=None, beta=0.0, center=None, mu=0.0):
+def step_of_one(spec, state, x, y, built=None, teacher=None, beta=0.0, center=None, mu=0.0):
     """The training step on a stack of one: the gradient, and the loss the
     trace records for it."""
-    rows = anchor.anchor_rows([built], teacher, spec).layout((len(batch),))
-    inputs = batch.inputs if built is None else np.concatenate([batch.inputs, built.inputs()])
+    rows = anchor.anchor_rows([built], teacher, spec).layout((len(y),))
+    inputs = x if built is None else np.concatenate([x, built.inputs()])
     grad = np.empty((1, spec.param_count))
-    logits, prox_losses = anchor.fused_gradient(spec, state.params[None], inputs, batch.labels,
+    logits, prox_losses = anchor.fused_gradient(spec, state.params[None], inputs, y,
                                                 rows, beta, grad, center, mu)
-    loss = anchor.fused_losses(logits, batch.labels, rows, beta)
+    loss = anchor.fused_losses(logits, y, rows, beta)
     if center is not None:
         loss += prox_losses
     return grad[0], float(loss[0])
 
 
 def test_correct_gradient_passes():
-    state, batch = _state_and_batch()
+    state, x, y = _state_and_batch()
     coords = np.arange(min(40, SPEC.param_count))
-    grad, _ = step_of_one(SPEC, state, batch)
-    err = check_objective(grad, objective_loss(SPEC, batch), state, coords, step=1e-5)
+    grad, _ = step_of_one(SPEC, state, x, y)
+    err = check_objective(grad, objective_loss(SPEC, x, y), state, coords, step=1e-5)
     assert err < 1e-4
 
 
 def test_corrupted_gradient_fails():
-    state, batch = _state_and_batch()
+    state, x, y = _state_and_batch()
     coords = np.arange(20)
-    grad, _ = step_of_one(SPEC, state, batch)
+    grad, _ = step_of_one(SPEC, state, x, y)
     grad[coords] *= 1.5
-    err = check_objective(grad, objective_loss(SPEC, batch), state, coords, step=1e-5)
+    err = check_objective(grad, objective_loss(SPEC, x, y), state, coords, step=1e-5)
     assert err > 0.2
 
 
 def test_mismatched_loss_only_fails():
     # A loss-only path that disagrees with the objective must be detected,
     # not silently accepted.
-    state, batch = _state_and_batch()
+    state, x, y = _state_and_batch()
     coords = np.arange(20)
-    grad, _ = step_of_one(SPEC, state, batch)
-    loss_only = objective_loss(SPEC, batch)
+    grad, _ = step_of_one(SPEC, state, x, y)
+    loss_only = objective_loss(SPEC, x, y)
 
     def wrong_loss(s):
         return 2.0 * loss_only(s)
@@ -75,24 +75,24 @@ def test_mismatched_loss_only_fails():
 def test_loss_only_matches_objective_loss():
     # the central differences probe the very loss the training step records
     for spec in (nn.mlp_spec(12, (16, 8), 5), nn.tcnn_spec()):
-        state, batch = _sample_away_from_kinks(spec, 3, 2, ())
+        state, x, y = _sample_away_from_kinks(spec, 3, 2, ())
         teacher = nn.init_state(spec, stream(3, "teacher"))
         built = _anchor_for(spec, 3)
         center = teacher.params
 
-        _, ce = step_of_one(spec, state, batch)
-        assert objective_loss(spec, batch)(state) == ce
-        _, prox = step_of_one(spec, state, batch, center=center, mu=0.1)
-        assert objective_loss(spec, batch, center=center, mu=0.1)(state) == prox
-        _, anchored = step_of_one(spec, state, batch, built, teacher, 0.3)
-        assert objective_loss(spec, batch, built, teacher, 0.3)(state) == anchored
+        _, ce = step_of_one(spec, state, x, y)
+        assert objective_loss(spec, x, y)(state) == ce
+        _, prox = step_of_one(spec, state, x, y, center=center, mu=0.1)
+        assert objective_loss(spec, x, y, center=center, mu=0.1)(state) == prox
+        _, anchored = step_of_one(spec, state, x, y, built, teacher, 0.3)
+        assert objective_loss(spec, x, y, built, teacher, 0.3)(state) == anchored
         assert anchored != ce
 
 
 def test_kink_avoidance_returns_clear_margin():
     for seed in range(6):
-        state, batch = _sample_away_from_kinks(SPEC, seed, 5, ())
-        assert nn.activation_margin(state, SPEC, batch.inputs) > 1e-6
+        state, x, y = _sample_away_from_kinks(SPEC, seed, 5, ())
+        assert nn.activation_margin(state, SPEC, x) > 1e-6
 
 
 @pytest.mark.parametrize("spec, batch_size", [(nn.mlp_spec(12, (16, 8), 5), 6),
@@ -101,10 +101,10 @@ def test_kink_margin_covers_every_differenced_row(spec, batch_size):
     # the anchored client's differenced pass also runs over the anchor rows
     for seed in range(5):
         _, anchors, clients = _client_stack(spec, seed, batch_size)
-        assert [len(batch) for _, batch in clients] == [batch_size + 1, 1, batch_size]
+        assert [len(y) for _, _, y in clients] == [batch_size + 1, 1, batch_size]
         assert [a is None for a in anchors] == [True, True, False]
-        for (state, batch), a in zip(clients, anchors):
-            seen = batch.inputs if a is None else np.concatenate([batch.inputs, a.inputs()])
+        for (state, x, _), a in zip(clients, anchors):
+            seen = x if a is None else np.concatenate([x, a.inputs()])
             assert nn.activation_margin(state, spec, seen) > KINK_MARGIN
 
 

@@ -34,7 +34,7 @@ def random_batch(spec, n, seed=1):
     rng = stream(seed, "batch")
     x = rng.normal(size=(n, *spec.input_shape))
     y = rng.integers(0, spec.class_count, size=n)
-    return nn.Batch(x, y)
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,9 @@ def test_segment_sums_reduce_each_run_as_a_vector():
 
 def test_per_sample_ce_mean_matches_batch_loss():
     spec, state = small_mlp()
-    batch = random_batch(spec, 9)
-    loss, _ = nn.ce_loss_and_grad(state, spec, batch)
-    per = nn.per_sample_ce(state, spec, batch.inputs, batch.labels)
+    x, y = random_batch(spec, 9)
+    loss, _ = nn.ce_loss_and_grad(state, spec, x, y)
+    per = nn.per_sample_ce(state, spec, x, y)
     assert per.shape == (9,)
     assert per.mean() == pytest.approx(loss, rel=1e-13)
 
@@ -453,8 +453,8 @@ def test_backward_never_asks_layer_zero_for_input_grad(preset, monkeypatch):
     else:
         spec = nn.tcnn_spec((1, 10, 10), 3, conv_kernel=3)
     state = nn.init_state(spec, stream(6, "init"))
-    batch = random_batch(spec, 5)
-    _, caches = nn.forward_with_caches(state, spec, batch.inputs)
+    x, _ = random_batch(spec, 5)
+    _, caches = nn.forward_with_caches(state, spec, x)
     grad_logits = stream(7, "logits").normal(size=(5, spec.class_count))
     # reference: every layer computes its input gradient, the parameter
     # gradients are written into a zero-filled flat vector
@@ -589,6 +589,9 @@ def test_forward_rejects_bad_inputs():
         nn.forward_logits(state, spec, np.zeros((2, 5)))
     with pytest.raises(nn.NonFiniteError):
         nn.forward_logits(state, spec, np.full((1, 6), np.nan))
+    x, y = random_batch(spec, 5)
+    with pytest.raises(nn.ShapeError, match="batch has 5 inputs but 4 labels"):
+        nn.ce_loss_and_grad(state, spec, x, y[:4])
 
 
 def test_forward_reports_layer_of_overflow():
@@ -803,15 +806,15 @@ def test_on_lanes_raises_the_earliest_failure_once_every_thread_stops(planted, r
 # ---------------------------------------------------------------------------
 
 
-def numeric_grad(state, spec, batch, coords, step=1e-6):
+def numeric_grad(state, spec, x, y, coords, step=1e-6):
     out = {}
     params = state.params.copy()
     for c in coords:
         base = params[c]
         params[c] = base + step
-        plus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.momentum, state.spec_hash), spec, batch)
+        plus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.momentum, state.spec_hash), spec, x, y)
         params[c] = base - step
-        minus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.momentum, state.spec_hash), spec, batch)
+        minus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.momentum, state.spec_hash), spec, x, y)
         params[c] = base
         out[c] = (plus - minus) / (2 * step)
     return out
@@ -819,10 +822,10 @@ def numeric_grad(state, spec, batch, coords, step=1e-6):
 
 def test_mlp_gradient_matches_central_differences():
     spec, state = small_mlp(seed=5)
-    batch = random_batch(spec, 7, seed=6)
-    _, grad = nn.ce_loss_and_grad(state, spec, batch)
+    x, y = random_batch(spec, 7, seed=6)
+    _, grad = nn.ce_loss_and_grad(state, spec, x, y)
     coords = stream(8, "coords").choice(spec.param_count, size=25, replace=False)
-    for c, num in numeric_grad(state, spec, batch, coords).items():
+    for c, num in numeric_grad(state, spec, x, y, coords).items():
         assert abs(grad[c] - num) / max(abs(grad[c]), abs(num), 1e-12) < 1e-4
 
 
@@ -833,11 +836,11 @@ def test_conv_pool_gradient_matches_central_differences():
         3,
     )
     state = nn.init_state(spec, stream(9, "init"))
-    batch = random_batch(spec, 4, seed=10)
-    assert nn.activation_margin(state, spec, batch.inputs) > 1e-6
-    _, grad = nn.ce_loss_and_grad(state, spec, batch)
+    x, y = random_batch(spec, 4, seed=10)
+    assert nn.activation_margin(state, spec, x) > 1e-6
+    _, grad = nn.ce_loss_and_grad(state, spec, x, y)
     coords = stream(11, "coords").choice(spec.param_count, size=30, replace=False)
-    for c, num in numeric_grad(state, spec, batch, coords).items():
+    for c, num in numeric_grad(state, spec, x, y, coords).items():
         assert abs(grad[c] - num) / max(abs(grad[c]), abs(num), 1e-12) < 1e-4
 
 
@@ -913,12 +916,12 @@ def test_sgd_update_names_the_stack_row_that_fails(fault, row, col):
 
 def test_training_reduces_loss_on_tiny_problem():
     spec, state = small_mlp(seed=20)
-    batch = random_batch(spec, 16, seed=21)
-    first, _ = nn.ce_loss_and_grad(state, spec, batch)
+    x, y = random_batch(spec, 16, seed=21)
+    first, _ = nn.ce_loss_and_grad(state, spec, x, y)
     for _ in range(60):
-        _, grad = nn.ce_loss_and_grad(state, spec, batch)
+        _, grad = nn.ce_loss_and_grad(state, spec, x, y)
         state = nn.sgd_step(state, grad, lr=0.1, momentum_coef=0.9)
-    last, _ = nn.ce_loss_and_grad(state, spec, batch)
+    last, _ = nn.ce_loss_and_grad(state, spec, x, y)
     assert last < first * 0.5
 
 
