@@ -75,8 +75,6 @@ class AnchorEntry:
 @dataclass(frozen=True)
 class KnowledgeAnchor:
     entries: tuple[AnchorEntry, ...]
-    owner: int
-    round: int
     dominant: frozenset[int]
 
     def __len__(self) -> int:
@@ -150,7 +148,6 @@ def build_anchor(
     shard: ClientShard,
     shared: SharedDataset,
     dataset: LabeledDataset,
-    round_index: int,
     rng: np.random.Generator,
     *,
     variant: str = "full",
@@ -173,7 +170,7 @@ def build_anchor(
         else:
             sample_id = chooser(k, rng)
             entries.append(AnchorEntry(dataset.inputs[sample_id], k, "local", sample_id))
-    return KnowledgeAnchor(tuple(entries), shard.client_id, round_index, frozenset(shard.dominant))
+    return KnowledgeAnchor(tuple(entries), frozenset(shard.dominant))
 
 
 def downsample_anchor(anchor: KnowledgeAnchor, cap: int, rng: np.random.Generator) -> KnowledgeAnchor:
@@ -183,9 +180,7 @@ def downsample_anchor(anchor: KnowledgeAnchor, cap: int, rng: np.random.Generato
     if len(anchor) <= cap:
         return anchor
     keep = np.sort(rng.choice(len(anchor), size=cap, replace=False))
-    return KnowledgeAnchor(
-        tuple(anchor.entries[i] for i in keep), anchor.owner, anchor.round, anchor.dominant
-    )
+    return KnowledgeAnchor(tuple(anchor.entries[i] for i in keep), anchor.dominant)
 
 
 def kept_classes(dominant: Sequence[int] | frozenset[int], class_count: int) -> np.ndarray:
@@ -257,10 +252,8 @@ class AnchorRows:
         come more than once: over the rows of many steps, a stack row for
         each (step, client), fused_losses gives every step's losses at once."""
         m = np.array(batch_counts, dtype=np.intp)
-        if clients is None:
-            a, entries = self.counts[:len(m)], self.entries[:len(m)]
-        else:
-            a, entries = self.counts[clients], self.entries[clients]
+        clients = np.arange(len(m)) if clients is None else clients
+        a, entries = self.counts[clients], self.entries[clients]
         # runs of rows: stack row j's batch rows in run 2j, its anchor rows in 2j + 1
         runs = np.empty(2 * len(m), dtype=np.intp)
         runs[0::2], runs[1::2] = m, a
@@ -273,12 +266,9 @@ class AnchorRows:
         counts, entries = a[anchored], entries[anchored]
         if not len(anchor):
             return FusedRows(offsets, batch, m, divisor, None, anchored, counts, entries, None, None, None)
-        if clients is None:
-            source = slice(0, len(anchor))
-        else:
-            # the rows of each anchored stack row's client, one client after another
-            ends = counts.cumsum()
-            source = np.arange(len(anchor)) + (self.starts[clients[anchored]] - ends + counts).repeat(counts)
+        # the rows of each anchored stack row's client, one client after another
+        ends = counts.cumsum()
+        source = np.arange(len(anchor)) + (self.starts[clients[anchored]] - ends + counts).repeat(counts)
         return FusedRows(offsets, batch, m, divisor, anchor, anchored, counts, entries,
                          self.kept[source], self.scale[source], self.teacher[source])
 
@@ -337,7 +327,7 @@ def fused_gradient(spec: nn.NetworkSpec, params: np.ndarray, inputs: np.ndarray,
     backward pass over ``inputs`` (checked by the caller), conv columns in
     the ``workspace``. Returns the logits, for fused_losses, and the clients'
     proximal losses (None without a center)."""
-    logits, caches = nn.forward_stack(spec, params, inputs, rows.offsets, workspace)
+    logits, caches = nn.forward(spec, params, inputs, True, rows.offsets, workspace)
     grad_logits = fused_grad_logits(logits, labels, rows, beta)
     nn.backward_from_logits(spec, params, caches, grad_logits, out=out,
                             offsets=rows.offsets, workspace=workspace)

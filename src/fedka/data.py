@@ -341,7 +341,8 @@ def export_assignments(shards: Sequence[ClientShard], path) -> None:
 
 def load_assignments(path, dataset: LabeledDataset, gamma: float) -> list[ClientShard]:
     """Rebuild shards from an assignment CSV, verifying labels against the
-    dataset; a file that assigns no sample is a ValueError."""
+    dataset; a file that assigns no sample, or names a negative client, is
+    a ValueError."""
     by_client: dict[int, list[int]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -349,6 +350,8 @@ def load_assignments(path, dataset: LabeledDataset, gamma: float) -> list[Client
             idx, client, label = int(row["sample_id"]), int(row["client_id"]), int(row["label"])
             if idx < 0 or idx >= len(dataset):
                 raise ValueError(f"{path}: sample_id {idx} outside the dataset")
+            if client < 0:
+                raise ValueError(f"{path}: client_id {client} is negative")
             if dataset.labels[idx] != label:
                 raise ValueError(
                     f"{path}: sample {idx} is labeled {dataset.labels[idx]} in the "

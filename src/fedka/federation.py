@@ -86,8 +86,7 @@ def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
         chooser = anchor.select_anchor_strategy(
             shard, strategy.selection, dataset, global_state, spec)
         built = anchor.build_anchor(
-            shard, shared, dataset, round_index, arng,
-            variant=strategy.variant, chooser=chooser)
+            shard, shared, dataset, arng, variant=strategy.variant, chooser=chooser)
         built = anchor.downsample_anchor(built, strategy.mu_anchor, arng)
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
         if strategy.beta > 0.0 and len(built) > 0:

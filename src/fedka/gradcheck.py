@@ -132,7 +132,7 @@ def _anchor_for(spec, seed, size=3):
         for k in range(size)
     )
     dominant = frozenset({spec.class_count - 1})
-    return anchor_mod.KnowledgeAnchor(entries, owner=0, round=0, dominant=dominant)
+    return anchor_mod.KnowledgeAnchor(entries, dominant=dominant)
 
 
 def _client_stack(spec, seed, batch_size):

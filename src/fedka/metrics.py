@@ -83,7 +83,7 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
     """Per-class accuracy of each state on the test set, one row per state.
 
     The test inputs are checked once per call. The (state, block) units over
-    the fixed row_blocks, state after state, are nn.forward_rows passes run
+    the fixed row_blocks, state after state, are nn.forward passes run
     by nn.on_lanes on nn.thread_count threads (a fresh ``workspace`` when
     None). A unit yields its block's per-class hit counts, integers whose
     sums are exact in any order, so no result depends on the thread count."""
@@ -99,7 +99,7 @@ def classwise_accuracies(states: Sequence[nn.ModelState], spec: nn.NetworkSpec,
 
     def evaluate(u: int, lane: nn.Workspace) -> np.ndarray:
         s, b = divmod(u, len(blocks))
-        logits = nn.forward_rows(spec, states[s].params, inputs, blocks[b], lane)
+        logits = nn.forward(spec, states[s].params, inputs[blocks[b]], workspace=lane)[0]
         return _class_hits(logits, labels[blocks[b]], spec.class_count)
 
     units = len(states) * len(blocks)

@@ -19,6 +19,9 @@ model would use: OpenBLAS rounds a product's rows differently depending on
 how many rows it has, so padding clients to a common row count would move
 bits. Row-wise work (ReLU, pooling, the loss) and SGD run once for the whole
 stack. A flat parameter vector with no offsets is the single-model case.
+Every forward pass, of one model or of a stack, for training or for
+evaluation, is a call of forward; forward_logits, forward_copies and
+forward_with_caches only check a state and its inputs before it.
 
 A convolution is an explicit GEMM over an im2col column matrix
 (Chellapilla et al. 2006), and its input gradient a GEMM followed by col2im.
@@ -730,7 +733,8 @@ def init_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelState:
     return ModelState(params, np.zeros_like(params), spec.spec_hash)
 
 
-def check_state(state: ModelState, spec: NetworkSpec) -> None:
+def check_state(state: ModelState, spec: NetworkSpec) -> ModelState:
+    """The state, checked to be one of ``spec``'s."""
     if state.spec_hash != spec.spec_hash:
         raise ShapeError(
             f"model state was built for spec {state.spec_hash[:12]}..., "
@@ -740,6 +744,7 @@ def check_state(state: ModelState, spec: NetworkSpec) -> None:
         raise ShapeError(
             f"state holds {state.params.size} parameters, spec wants {spec.param_count}"
         )
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +773,8 @@ class Workspace:
     that could take more than the region holds (NetworkSpec.workspace_size)
     maps one of that size before it takes anything. So a thread holds the
     memory of its largest pass, be it training or evaluation, and faults
-    each page in once. Two exceptions: the Dense layers of a forward_stack
-    pass allocate their outputs, so that the logits a caller keeps are
+    each page in once. Two exceptions: the Dense layers of a pass that keeps
+    caches allocate their outputs, so that the logits a caller keeps are
     arrays of their own, and ReLUs work in place, forward on arrays the pass
     wrote (a backward pass tells where they were positive from their
     outputs) and backward on their output gradients. What a pass leaves in
@@ -810,11 +815,16 @@ class Workspace:
         return [self, *self._lanes[:count - 1]]
 
 
-def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool, offsets=None,
-             workspace: Workspace | None = None):
+def forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: bool = False, offsets=None,
+            workspace: Workspace | None = None):
     """Logits and, with ``keep_caches``, every layer's input (a ReLU's
-    output instead, when it works in place). With a ``workspace``, the
-    layers write their outputs into its region (see Workspace). A pass of
+    output instead, when it works in place), for a backward pass. ``params``
+    is a flat vector, or a (P, n) stack with client p on the rows
+    ``offsets[p]:offsets[p + 1]``. The inputs are not checked here
+    (check_inputs): a caller checks its data once, not at every pass.
+
+    With a ``workspace``, the layers write their outputs into its region
+    (see Workspace), where they live until its next forward pass. A pass of
     one model that keeps no caches runs the layers before Flatten in chunks
     of rows (NetworkSpec.conv_stage); the dense layers run on all rows at
     once, as a product split by rows rounds differently."""
@@ -840,7 +850,7 @@ def _forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: 
 
 def _layers(spec: NetworkSpec, params: np.ndarray, h: np.ndarray, layers: range, caches, offsets,
             workspace: Workspace | None, owned: bool = False) -> np.ndarray:
-    """``layers`` of the spec, in order, from their input ``h``, as _forward
+    """``layers`` of the spec, in order, from their input ``h``, as forward
     runs them. With a ``workspace``, every output but Flatten's view goes
     into its region, a ReLU's over its input when the pass wrote that, and
     a Dense output only in a pass that keeps no ``caches``: a training
@@ -891,45 +901,21 @@ def forward_logits(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) -> 
     """Raw (batch, class_count) logits, in arrays of their own: the inputs
     are checked and every activation is allocated. No softmax is ever
     applied."""
-    check_state(state, spec)
-    logits, _ = _forward(spec, state.params, check_inputs(spec, inputs), keep_caches=False)
-    return logits
-
-
-def forward_rows(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, rows: slice,
-                 workspace: Workspace) -> np.ndarray:
-    """The logits of ``inputs[rows]``, bit-for-bit forward_logits' rows,
-    from a pass through the ``workspace``, where they live until its next
-    forward pass. The inputs are not checked here."""
-    return _forward(spec, params, inputs[rows], False, workspace=workspace)[0]
+    return forward(spec, check_state(state, spec).params, check_inputs(spec, inputs))[0]
 
 
 def forward_copies(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, offsets) -> np.ndarray:
     """The logits of the checked ``inputs`` under copies of one model, the
-    rows ``offsets[i]:offsets[i + 1]`` through copy i (see forward_stack):
-    so each run of rows gets bit for bit the logits of forward_logits over
-    that run alone."""
-    check_state(state, spec)
-    offsets = tuple(offsets)
-    params = np.broadcast_to(state.params, (len(offsets) - 1, spec.param_count))
-    return _forward(spec, params, check_inputs(spec, inputs, offsets), False, offsets)[0]
+    rows ``offsets[i]:offsets[i + 1]`` through copy i (a stack pass, see
+    forward): so each run of rows gets bit for bit the logits of
+    forward_logits over that run alone."""
+    params = np.broadcast_to(check_state(state, spec).params, (len(offsets) - 1, spec.param_count))
+    return forward(spec, params, check_inputs(spec, inputs, offsets), False, tuple(offsets))[0]
 
 
 def forward_with_caches(state: ModelState, spec: NetworkSpec, inputs: np.ndarray):
     """Logits plus per-layer input caches for a subsequent backward pass."""
-    check_state(state, spec)
-    inputs = check_inputs(spec, inputs)
-    return _forward(spec, state.params, inputs, keep_caches=True)
-
-
-def forward_stack(spec: NetworkSpec, params: np.ndarray, inputs: np.ndarray, offsets,
-                  workspace: Workspace | None = None):
-    """Logits and caches of a (P, n) stack of models, client p on the input
-    rows ``offsets[p]:offsets[p + 1]``; the activations but the Dense
-    layers' live in the ``workspace``, until its next forward pass. The
-    inputs are not checked here: the caller checks each client's data once,
-    not at every step."""
-    return _forward(spec, params, inputs, True, offsets, workspace)
+    return forward(spec, check_state(state, spec).params, check_inputs(spec, inputs), True)
 
 
 # input gradients of fewer entries than this are allocated, not taken from a
@@ -1049,11 +1035,8 @@ def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labe
     """Individual CE losses, used for hard / proficient sample mining. With
     ``offsets``, the rows ``offsets[i]:offsets[i + 1]`` go through the model
     as a stack of copies of it (forward_copies), so each run of rows scores
-    bit-for-bit as it would alone."""
-    if offsets is None:
-        logits = forward_logits(state, spec, inputs)
-    else:
-        logits = forward_copies(state, spec, inputs, offsets)
+    bit-for-bit as it would alone; without them, all rows are one run."""
+    logits = forward_copies(state, spec, inputs, (0, len(inputs)) if offsets is None else offsets)
     n = len(logits)
     return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)
 
@@ -1162,7 +1145,7 @@ def activation_margin(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) 
     Pool windows that are entirely clamped (max == 0 directly after a ReLU)
     are locally constant, so their zero gap is not a kink; the ReLU term
     already guards the spots where a clamped unit could switch sign."""
-    _, caches = forward_with_caches(state, spec, inputs)
+    _, caches = forward(spec, check_state(state, spec).params, check_inputs(spec, inputs), True)
     margin = math.inf
     for i, (layer, cache) in enumerate(zip(spec.layers, caches)):
         if isinstance(layer, Relu):

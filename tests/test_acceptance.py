@@ -222,7 +222,7 @@ def test_criterion_03_role_and_anchor_oracle_equivalence():
             take.append(dataset.class_indices[0][:5])
         shard = make_shard(trial, np.concatenate(take), dataset,
                            gamma=float(trng.choice([0.05, 0.1, 0.2, 0.3])))
-        anchor = build_anchor(shard, shared, dataset, trial, stream(trial, "audit"))
+        anchor = build_anchor(shard, shared, dataset, stream(trial, "audit"))
 
         labels = [e.label for e in anchor.entries]
         anchor_ok &= len(anchor) == len(shard.missing) + len(shard.non_dominant)
@@ -444,7 +444,7 @@ def test_criterion_10_downsampling_uniformity():
     """Anchor cap retention is statistically uniform: chi-square over 2000
     seeds clears p > 0.01 for both entry and pair frequencies."""
     entries = tuple(AnchorEntry(np.full(2, float(k)), k % 3, "local", k) for k in range(5))
-    anchor = KnowledgeAnchor(entries, owner=0, round=1, dominant=frozenset())
+    anchor = KnowledgeAnchor(entries, dominant=frozenset())
 
     n_seeds = 2000
     entry_counts = np.zeros(5, dtype=np.int64)

@@ -4,6 +4,8 @@ Expectations are case-split by hand from the role definitions or checked
 against inline reference routes (central differences, frequency counts).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def test_case_split_missing_from_shared_nondominant_from_local():
     shard = shard_with_roles(ds, [0, 2, 60])
     assert (shard.missing, shard.non_dominant, shard.dominant) == ({0}, {1}, {2})
     shared = anchor.build_shared_dataset(ds, seed=3)
-    built = anchor.build_anchor(shard, shared, ds, 7, stream(0, "anchor", 7, 0))
+    built = anchor.build_anchor(shard, shared, ds, stream(0, "anchor", 7, 0))
     assert len(built) == 2
     by_label = {e.label: e for e in built.entries}
     assert by_label[0].source == "shared"
@@ -79,7 +81,6 @@ def test_case_split_missing_from_shared_nondominant_from_local():
     assert by_label[1].sample_id in set(shard.class_members(1))
     assert np.array_equal(by_label[1].input, ds.inputs[by_label[1].sample_id])
     assert built.dominant == {2}
-    assert built.round == 7 and built.owner == 0
 
 
 def test_anchor_empty_when_no_vulnerable_classes():
@@ -87,7 +88,7 @@ def test_anchor_empty_when_no_vulnerable_classes():
     shard = shard_with_roles(ds, [30, 30, 30])
     assert not shard.missing and not shard.non_dominant
     shared = anchor.build_shared_dataset(ds, seed=3)
-    built = anchor.build_anchor(shard, shared, ds, 0, stream(0, "anchor", 0, 0))
+    built = anchor.build_anchor(shard, shared, ds, stream(0, "anchor", 0, 0))
     assert len(built) == 0
 
 
@@ -100,7 +101,7 @@ def test_anchor_size_and_purity_over_random_shards():
         if counts.sum() == 0:
             counts[0] = 1
         shard = shard_with_roles(ds, counts, client_id=trial)
-        built = anchor.build_anchor(shard, shared, ds, trial, stream(11, "anchor", trial))
+        built = anchor.build_anchor(shard, shared, ds, stream(11, "anchor", trial))
         assert len(built) == len(shard.missing) + len(shard.non_dominant)
         for e in built.entries:
             assert e.label not in shard.dominant
@@ -123,7 +124,7 @@ def test_anchor_variants_select_role_subsets():
     # no missing classes: ka_m degenerates to an empty anchor
     balanced = shard_with_roles(ds, [30, 30, 30])
     shared = anchor.build_shared_dataset(ds, seed=3)
-    built = anchor.build_anchor(balanced, shared, ds, 0, stream(1, "a"), variant="ka_m")
+    built = anchor.build_anchor(balanced, shared, ds, stream(1, "a"), variant="ka_m")
     assert len(built) == 0
 
 
@@ -136,7 +137,7 @@ def big_anchor(n):
     entries = tuple(
         anchor.AnchorEntry(np.array([float(i)]), i, "local", i) for i in range(n)
     )
-    return anchor.KnowledgeAnchor(entries, owner=0, round=0, dominant=frozenset())
+    return anchor.KnowledgeAnchor(entries, dominant=frozenset())
 
 
 def test_downsample_caps_and_preserves_entries():
@@ -185,7 +186,7 @@ def test_kept_classes_is_ascending_complement_of_dominant():
 def one_entry_anchor(x, label, dominant):
     return anchor.KnowledgeAnchor(
         (anchor.AnchorEntry(np.asarray(x, dtype=float), label, "local", 0),),
-        owner=0, round=0, dominant=frozenset(dominant),
+        dominant=frozenset(dominant),
     )
 
 
@@ -212,7 +213,7 @@ def test_ka_loss_hand_example():
 def test_ka_loss_empty_anchor_contributes_nothing():
     spec = nn.mlp_spec(2, (4,), 3)
     state = nn.init_state(spec, stream(5, "init"))
-    empty = anchor.KnowledgeAnchor((), 0, 0, frozenset())
+    empty = anchor.KnowledgeAnchor((), frozenset())
     loss, grad = anchor.ka_loss_and_grad(empty, state, state, spec)
     assert loss == 0.0 and not grad.any()
 
@@ -225,7 +226,7 @@ def test_ka_grad_matches_central_differences():
         anchor.AnchorEntry(stream(8, "x", i).normal(size=3), i % 4, "local", i)
         for i in range(3)
     )
-    a = anchor.KnowledgeAnchor(entries, 0, 0, dominant=frozenset({2}))
+    a = anchor.KnowledgeAnchor(entries, dominant=frozenset({2}))
     loss, grad = anchor.ka_loss_and_grad(a, g_state, l_state, spec)
     assert loss > 0
     step = 1e-6
@@ -266,14 +267,14 @@ def test_teacher_logits_unchanged_by_workspace_evaluation():
     g_state = nn.init_state(spec, stream(15, "init"))
     built = anchor.KnowledgeAnchor(
         tuple(anchor.AnchorEntry(ds.inputs[i], int(ds.labels[i]), "local", int(i)) for i in range(6)),
-        owner=0, round=1, dominant=frozenset({0}))
+        dominant=frozenset({0}))
     before = anchor.anchor_rows([built], g_state, spec)
     teacher = before.teacher.copy()
     workspace = nn.Workspace()
     for seed in (16, 17):
         state = nn.init_state(spec, stream(seed, "init"))
-        nn.forward_rows(spec, state.params, before.inputs, slice(0, len(before.inputs)), workspace)
-        nn.forward_rows(spec, state.params, ds.inputs, slice(0, len(ds)), workspace)
+        nn.forward(spec, state.params, before.inputs, workspace=workspace)
+        nn.forward(spec, state.params, ds.inputs, workspace=workspace)
     assert before.teacher.tobytes() == teacher.tobytes()
     assert anchor.anchor_rows([built], g_state, spec).teacher.tobytes() == teacher.tobytes()
 
@@ -286,8 +287,8 @@ def test_one_teacher_pass_gives_each_anchor_the_logits_of_its_own_pass(name):
     the bytes of a pass over it alone. A NaN in an anchor's inputs is
     reported with its stack row, which counts the rows without one."""
     spec, teacher, _, _, _, built = fused_setup(name)
-    anchors = [built, anchor.KnowledgeAnchor(built.entries[1:], 0, 1, frozenset({0, 2})),
-               anchor.KnowledgeAnchor(built.entries * 2, 0, 1, frozenset())]
+    anchors = [built, anchor.KnowledgeAnchor(built.entries[1:], frozenset({0, 2})),
+               anchor.KnowledgeAnchor(built.entries * 2, frozenset())]
     stack = [None, anchors[2], None, anchors[0], anchors[1], None]
     blocks = anchor.anchor_rows(stack, teacher, spec)
     assert blocks.counts.tolist() == [0, 4, 0, 2, 1, 0]
@@ -305,8 +306,30 @@ def test_one_teacher_pass_gives_each_anchor_the_logits_of_its_own_pass(name):
     with pytest.raises(nn.NonFiniteError, match="network inputs") as info:
         # the bad anchor is the third with rows, on stack row 3
         anchor.anchor_rows([anchors[0], None, anchors[1],
-                            anchor.KnowledgeAnchor((bad,), 0, 1, frozenset())], teacher, spec)
+                            anchor.KnowledgeAnchor((bad,), frozenset())], teacher, spec)
     assert info.value.client == 3
+
+
+def test_layout_without_clients_is_the_layout_of_the_first_clients():
+    """layout(sizes) lays out the stack's first len(sizes) clients, as
+    layout(sizes, arange(len(sizes))) does, field by field: over anchors of
+    4, 2 and 1 rows between stack rows without one, over a prefix of the
+    stack, and over a prefix without anchor rows."""
+    spec, teacher, _, _, _, built = fused_setup("mlp")
+    stack = [None, anchor.KnowledgeAnchor(built.entries * 2, frozenset()), None, built,
+             anchor.KnowledgeAnchor(built.entries[1:], frozenset({0, 2})), None]
+    blocks = anchor.anchor_rows(stack, teacher, spec)
+    for sizes in ([3, 1, 2, 5, 4, 2], [3, 1, 2, 5], [3]):
+        prefix, chosen = blocks.layout(sizes), blocks.layout(sizes, np.arange(len(sizes)))
+        for field in dataclasses.fields(anchor.FusedRows):
+            a, b = getattr(prefix, field.name), getattr(chosen, field.name)
+            if a is None or b is None:
+                assert a is None and b is None, field.name
+            elif isinstance(a, tuple):
+                assert a == b, field.name
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+    assert blocks.layout([3]).anchor is None
 
 
 def test_ka_loss_rejects_mismatched_specs():
@@ -332,7 +355,7 @@ def fused_setup(name):
                              flat.labels, 4, "fused")
     shard = shard_with_roles(ds, [0, 1, 60, 40])
     shared = anchor.build_shared_dataset(ds, seed=31)
-    built = anchor.build_anchor(shard, shared, ds, 1, stream(32, "anchor"))
+    built = anchor.build_anchor(shard, shared, ds, stream(32, "anchor"))
     assert [e.source for e in built.entries] == ["shared", "local"]
     assert built.dominant == {2, 3}
     teacher = nn.init_state(spec, stream(33, "init"))
@@ -442,7 +465,7 @@ def test_scored_selection_makes_one_pass_per_anchor(strategy, monkeypatch):
     monkeypatch.setattr(nn, "per_sample_ce", lambda *args: calls.append(len(args[2])) or original(*args))
     shared = anchor.build_shared_dataset(ds, seed=29)
     chooser = anchor.select_anchor_strategy(shard, strategy, ds, state, spec)
-    built = anchor.build_anchor(shard, shared, ds, 1, stream(30, "anchor"), chooser=chooser)
+    built = anchor.build_anchor(shard, shared, ds, stream(30, "anchor"), chooser=chooser)
     assert {e.label: e.sample_id for e in built.entries if e.source == "local"} == {
         k: expected[k] for k in (1, 2, 3)}
     assert calls == [3 + 4 + 2]
@@ -484,7 +507,7 @@ def test_scored_selection_picks_as_per_class_passes(trial, monkeypatch):
     shared = anchor.build_shared_dataset(ds, seed=34)
     for strategy, pick in (("hard", np.argmax), ("proficient", np.argmin)):
         chooser = anchor.select_anchor_strategy(shard, strategy, ds, state, spec)
-        built = anchor.build_anchor(shard, shared, ds, 1, stream(35, "anchor"), chooser=chooser)
+        built = anchor.build_anchor(shard, shared, ds, stream(35, "anchor"), chooser=chooser)
         assert scored.pop().tobytes() == np.concatenate(alone).tobytes() and not scored
         assert {e.label: e.sample_id for e in built.entries if e.source == "local"} == {
             k: int(m[pick(losses)]) for k, m, losses in zip(classes_nd, members, alone)}

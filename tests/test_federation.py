@@ -152,7 +152,7 @@ def test_fedka_local_train_matches_two_pass_reference():
 
     arng = stream(cfg.master_seed, "anchor", 1, lopsided.client_id)
     built = anchor.downsample_anchor(
-        anchor.build_anchor(lopsided, shared, ds, 1, arng), strategy.mu_anchor, arng)
+        anchor.build_anchor(lopsided, shared, ds, arng), strategy.mu_anchor, arng)
     assert fused.anchor_log == tuple((e.label, e.source, e.sample_id) for e in built.entries)
     assert {e.source for e in built.entries} == {"shared", "local"} and built.dominant
     ref = nn.ModelState(state.params.copy(), np.zeros_like(state.params), state.spec_hash)
@@ -229,7 +229,7 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
         arng = stream(cfg.master_seed, "anchor", r, shard.client_id)
         chooser = anchor.select_anchor_strategy(shard, strategy.selection, ds, global_state, spec)
         built = anchor.downsample_anchor(
-            anchor.build_anchor(shard, shared, ds, r, arng, variant=strategy.variant, chooser=chooser),
+            anchor.build_anchor(shard, shared, ds, arng, variant=strategy.variant, chooser=chooser),
             strategy.mu_anchor, arng)
         anchor_log = tuple((e.label, e.source, e.sample_id) for e in built.entries)
         if strategy.beta > 0.0 and len(built) > 0:
@@ -285,7 +285,7 @@ def test_lockstep_matches_serial_reference_byte_for_byte(preset, kind, strategy)
     shared = anchor.build_shared_dataset(ds, seed=9)
     cfg = lockstep_cfg(kind, **strategy)
     if kind == "fedka":
-        sizes = [len(anchor.build_anchor(s, shared, ds, 2, stream(0, "a"))) for s in shards]
+        sizes = [len(anchor.build_anchor(s, shared, ds, stream(0, "a"))) for s in shards]
         assert sizes == [0, 3, 1, 2, 1]
     updates = federation.local_train(cfg, 2, shards, state, spec, ds, shared)
     assert [u.client_id for u in updates] == [s.client_id for s in shards]
@@ -481,16 +481,17 @@ def test_more_training_stacks_than_cores_lose_no_update():
 
 
 def recording_steps(monkeypatch):
-    """Count the SGD updates and stacked forward passes local_train makes."""
+    """Count the SGD updates and stacked training steps local_train makes
+    (not every nn.forward: the teacher's pass is one too)."""
     calls = []
-    for name in ("sgd_update", "forward_stack"):
-        original = getattr(nn, name)
+    for module, name in ((nn, "sgd_update"), (anchor, "fused_gradient")):
+        original = getattr(module, name)
 
         def recorder(*args, original=original, name=name, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(nn, name, recorder)
+        monkeypatch.setattr(module, name, recorder)
     return calls
 
 
@@ -915,6 +916,22 @@ def test_partition_file_that_assigns_no_sample_fails_before_writing(tmp_path):
         data.load_assignments(path, train, gamma=0.1)
     cfg = config.resolve(raw_config(tmp_path, partition={"file": str(path), "gamma": 0.1}))
     with pytest.raises(ValueError, match="assigns no sample"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "run" / "metrics").exists()
+
+
+def test_partition_file_with_a_negative_client_fails_before_writing(tmp_path):
+    """A reduction row names a client by a non-negative id, so a shard of a
+    negative client could never be reduced: the file is refused."""
+    probe = config.resolve(raw_config(tmp_path))
+    train, _ = federation.build_datasets(probe)
+    path = tmp_path / "assignments.csv"
+    path.write_text("sample_id,client_id,label\n" + "".join(
+        f"{i},{-1 if i == 0 else i % 2},{label}\n" for i, label in enumerate(train.labels.tolist())))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: client_id -1 is negative")):
+        data.load_assignments(path, train, gamma=0.1)
+    cfg = config.resolve(raw_config(tmp_path, partition={"file": str(path), "gamma": 0.1}))
+    with pytest.raises(ValueError, match="client_id -1 is negative"):
         federation.run_experiment(cfg)
     assert not (tmp_path / "run" / "metrics").exists()
 

@@ -147,7 +147,7 @@ def test_workspace_evaluation_matches_fresh_passes(preset):
     workspace = nn.Workspace()
     # back to the first state last: each pass must overwrite what the one before left
     for state in states + states[:1]:
-        logits = nn.forward_rows(spec, state.params, ds.inputs, slice(0, len(ds)), workspace).tobytes()
+        logits = nn.forward(spec, state.params, ds.inputs, workspace=workspace)[0].tobytes()
         acc = metrics.classwise_accuracy(state, spec, ds, workspace)
         fresh = nn.forward_logits(state, spec, ds.inputs)
         assert logits == fresh.tobytes()
@@ -218,21 +218,21 @@ def cores(monkeypatch, count):
 
 
 def record_lanes(monkeypatch):
-    """The workspace lanes that forward_rows runs through, the threads that
-    run it, and (thread, params, rows) of each failure."""
+    """The workspace lanes that nn.forward runs through, the threads that
+    run it, and (thread, params, inputs) of each failure."""
     lanes, threads, failures = set(), set(), []
-    original = nn.forward_rows
+    original = nn.forward
 
-    def recorder(spec, params, inputs, rows, workspace):
+    def recorder(spec, params, inputs, *args, workspace=None, **kwargs):
         lanes.add(id(workspace))
         threads.add(threading.get_ident())
         try:
-            return original(spec, params, inputs, rows, workspace)
+            return original(spec, params, inputs, *args, workspace=workspace, **kwargs)
         except nn.NonFiniteError:
-            failures.append((threading.get_ident(), params, rows))
+            failures.append((threading.get_ident(), params, inputs))
             raise
 
-    monkeypatch.setattr(nn, "forward_rows", recorder)
+    monkeypatch.setattr(nn, "forward", recorder)
     return lanes, threads, failures
 
 
@@ -259,7 +259,7 @@ def test_blocked_logits_equal_the_whole_set_pass():
         whole = nn.forward_logits(state, spec, ds.inputs)
         # the last block first: each block's pass writes its own rows only
         for rows in blocks[::-1]:
-            logits = nn.forward_rows(spec, state.params, ds.inputs, rows, workspace)
+            logits = nn.forward(spec, state.params, ds.inputs[rows], workspace=workspace)[0]
             assert logits.tobytes() == whole[rows].tobytes()
 
 
@@ -280,7 +280,7 @@ def test_accuracies_do_not_depend_on_the_thread_count(threads, monkeypatch):
 
 def count_threads(monkeypatch, spec, rows, affinity):
     """Evaluate one state on ``rows`` rows with ``affinity`` cores; returns
-    the lanes and threads forward_rows ran on and the pools' sizes."""
+    the lanes and threads nn.forward ran on and the pools' sizes."""
     shape = spec.input_shape
     ds = data.LabeledDataset(stream(18, "x").normal(size=(rows, *shape)), np.arange(rows) % 2, 2, "x")
     cores(monkeypatch, affinity)
@@ -376,16 +376,17 @@ def test_one_block_of_t_cnn_states_runs_on_every_core(monkeypatch):
     states = [nn.init_state(spec, stream(s, "init")) for s in (31, 32, 33)]
     cores(monkeypatch, 1)
     serial = metrics.classwise_accuracies(states, spec, ds)
+    fresh = [nn.forward_logits(state, spec, ds.inputs) for state in states]
     cores(monkeypatch, 2)
     passes = {}
-    original = nn.forward_rows
+    original = nn.forward
 
-    def recorder(spec, params, inputs, rows, workspace):
-        logits = original(spec, params, inputs, rows, workspace)
+    def recorder(spec, params, inputs, *args, workspace=None, **kwargs):
+        logits, caches = original(spec, params, inputs, *args, workspace=workspace, **kwargs)
         passes[id(params)] = (threading.get_ident(), workspace, logits.copy())
-        return logits
+        return logits, caches
 
-    monkeypatch.setattr(nn, "forward_rows", recorder)
+    monkeypatch.setattr(nn, "forward", recorder)
     workspace = nn.Workspace()
     threaded = metrics.classwise_accuracies(states, spec, ds, workspace)
     assert threaded.tobytes() == serial.tobytes()
@@ -393,9 +394,8 @@ def test_one_block_of_t_cnn_states_runs_on_every_core(monkeypatch):
     (t0, w0, _), (t1, w1, _), (t2, w2, _) = (passes[id(s.params)] for s in states)
     assert t0 == t2 == threading.get_ident() != t1
     assert [w0, w1] == workspace.lanes(2) and w2 is w0
-    for state in states:
-        fresh = nn.forward_logits(state, spec, ds.inputs)
-        assert passes[id(state.params)][2].tobytes() == fresh.tobytes()
+    for state, logits in zip(states, fresh):
+        assert passes[id(state.params)][2].tobytes() == logits.tobytes()
 
 
 def test_work_rule_counts_multiply_adds():
@@ -426,7 +426,8 @@ def test_overflow_in_a_block_is_raised_with_its_layer(threads, monkeypatch):
         metrics.classwise_accuracies(states, spec, ds)
     # unit (state 0, block 1) is thread 1's, a worker, unless one thread
     # runs them all
-    owner = [t for t, params, rows in failures if params is states[0].params and rows == block]
+    owner = [t for t, params, x in failures
+             if params is states[0].params and np.shares_memory(x, ds.inputs[block])]
     assert len(owner) == 1 and (owner[0] == threading.get_ident()) == (threads == 1)
     assert threading.active_count() == 1
 

@@ -122,6 +122,24 @@ def test_per_sample_ce_mean_matches_batch_loss():
     assert per.mean() == pytest.approx(loss, rel=1e-13)
 
 
+@pytest.mark.parametrize("preset", ["mlp", "t_cnn"])
+def test_per_sample_ce_without_offsets_scores_the_rows_as_one_run(preset):
+    """Without offsets, the rows are one run of a stack pass: the bytes of
+    offsets=(0, n), and of the losses of forward_logits' logits (which runs
+    t_cnn's conv stage in chunks of rows)."""
+    if preset == "mlp":
+        spec, state = small_mlp()
+    else:
+        spec = nn.tcnn_spec((1, 28, 28), 4, conv_kernel=5)
+        assert spec.conv_stage[1] < 40
+        state = nn.init_state(spec, stream(3, "init"))
+    x, y = random_batch(spec, 40)
+    per = nn.per_sample_ce(state, spec, x, y)
+    assert per.tobytes() == nn.per_sample_ce(state, spec, x, y, (0, 40)).tobytes()
+    losses = nn.ce_losses(nn.forward_logits(state, spec, x), y, np.arange(40), (1,) * 40)
+    assert per.tobytes() == losses.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # layers against explicit reference loops
 # ---------------------------------------------------------------------------
@@ -333,7 +351,7 @@ def test_stack_backward_through_a_workspace_gives_single_model_bytes(spec, monke
     workspace = nn.Workspace()
     stacked = []
     for kept in (workspace, workspace, None):
-        _, caches = nn.forward_stack(spec, params, x, offsets, kept)
+        _, caches = nn.forward(spec, params, x, True, offsets, kept)
         stacked.append(nn.backward_from_logits(spec, params, caches, grad_logits, offsets=offsets,
                                                workspace=kept))
     if spec is POOL_RELU_CONV:
@@ -429,7 +447,7 @@ def test_stack_clients_beyond_one_chunk_get_the_bytes_of_their_own_passes():
     assert spec.conv_stage == (6, 4)
     states = [nn.init_state(spec, stream(16, "init", p)) for p in range(3)]
     inputs = rng.normal(size=(15, 3, 32, 32))
-    logits, _ = nn.forward_stack(spec, np.stack([s.params for s in states]), inputs, offsets)
+    logits, _ = nn.forward(spec, np.stack([s.params for s in states]), inputs, True, offsets)
     for state, rows in zip(states, slices):
         assert logits[rows].tobytes() == nn.forward_logits(state, spec, inputs[rows]).tobytes()
 
@@ -612,9 +630,9 @@ def test_forward_reports_layer_of_overflow_beyond_layer_0():
         with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
             nn.forward_logits(state, spec, x)
         with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
-            nn.forward_rows(spec, params, x, slice(0, 2), nn.Workspace())
+            nn.forward(spec, params, x, workspace=nn.Workspace())
         with pytest.raises(nn.NonFiniteError, match="layer 2") as caught:
-            nn.forward_stack(spec, np.stack([params, params]), x, (0, 1, 2))
+            nn.forward(spec, np.stack([params, params]), x, True, (0, 1, 2))
     assert caught.value.client == 1
 
 
@@ -628,7 +646,7 @@ def test_workspace_reports_layer_of_overflow():
     params = np.array([1e308, 0.0, 0.0, 1e308, 0.0, 0.0])
     state = nn.ModelState(params, np.zeros(6), spec.spec_hash)
     with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match="layer 0"):
-        nn.forward_rows(spec, state.params, np.full((1, 2), 1e30), slice(0, 1), nn.Workspace())
+        nn.forward(spec, state.params, np.full((1, 2), 1e30), workspace=nn.Workspace())
 
 
 def test_workspace_region_grows_to_the_largest_pass(monkeypatch):
@@ -652,7 +670,7 @@ def test_workspace_region_grows_to_the_largest_pass(monkeypatch):
 
     def faulted_bytes(rows: int) -> int:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        logits = nn.forward_rows(spec, state.params, x, slice(0, rows), workspace)
+        logits = nn.forward(spec, state.params, x[:rows], workspace=workspace)[0]
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         assert logits.tobytes() == nn.forward_logits(state, spec, x[:rows]).tobytes()
         return faults * resource.getpagesize()
@@ -687,7 +705,7 @@ def test_paper_scale_block_faults_in_a_bounded_workspace():
     x = stream(43, "x").normal(size=(1250, 1, 28, 28))
     workspace = nn.Workspace()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    logits = nn.forward_rows(spec, state.params, x, slice(0, 1250), workspace)
+    logits = nn.forward(spec, state.params, x, workspace=workspace)[0]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     assert faults * resource.getpagesize() <= 64 << 20
     assert logits.tobytes() == nn.forward_logits(state, spec, x).tobytes()
@@ -705,7 +723,7 @@ def test_workspace_never_writes_the_inputs(spec):
     before = x.copy()
     workspace = nn.Workspace()
     for _ in range(2):
-        logits = nn.forward_rows(spec, state.params, x, slice(0, 9), workspace)
+        logits = nn.forward(spec, state.params, x, workspace=workspace)[0]
         assert x.tobytes() == before.tobytes()
         assert logits.tobytes() == nn.forward_logits(state, spec, before).tobytes()
 
