@@ -130,10 +130,11 @@ def local_train(
     the updates in the order of ``shards``. The passes run through the
     ``workspace``, which nothing else may use meanwhile.
 
-    Each copy starts with zeroed momentum. Proximal and anchor terms are
-    evaluated only when their weights are nonzero, so a zero-weight run is
-    bit-identical to plain averaging; the anchor itself is still built (it
-    has its own stream, and the audit trail stays meaningful).
+    Each copy starts with zeroed momentum, and its update holds its
+    parameters only. Proximal and anchor terms are evaluated only when their
+    weights are nonzero, so a zero-weight run is bit-identical to plain
+    averaging; the anchor itself is still built (it has its own stream, and
+    the audit trail stays meaningful).
 
     The copies' parameters, momentum and gradients are three (P, n) stacks,
     P = len(shards): the C-contiguous arrays of ``stack``, or arrays
@@ -258,8 +259,7 @@ def local_train(
             for p, c in enumerate(clients[:active]):
                 # the last epoch ends in the update's state
                 if (s + 1) % c.per_epoch == 0 and s + 1 < c.steps:
-                    epoch_states[p].append(nn.ModelState(
-                        params[p].copy(), momentum[p].copy(), global_state.spec_hash))
+                    epoch_states[p].append(nn.ModelState(params[p].copy(), global_state.spec_hash))
         if pending_entries > _PENDING_LOSS_ENTRIES or s + 1 == counts.shape[1]:
             settle_losses(settled, s + 1)
             settled, pending_entries = s + 1, 0
@@ -268,17 +268,15 @@ def local_train(
     for p, c in enumerate(clients):
         # an epoch's trace entry is the mean of its step losses
         trace = np.mean(losses[p, :c.steps].reshape(-1, c.per_epoch), axis=1).tolist() if c.steps else []
-        state = nn.ModelState(params[p], momentum[p], global_state.spec_hash)
+        state = nn.ModelState(params[p], global_state.spec_hash)
         updates[order[p]] = ClientUpdate(c.shard.client_id, state, len(c.shard), tuple(trace),
                                          c.anchor_log, tuple(epoch_states[p]))
     return [updates[i] for i in range(len(clients))]
 
 
 def aggregate(updates: list[ClientUpdate]) -> nn.ModelState:
-    """Sample-count-weighted mean of participant parameters.
-
-    Output momentum is zero: the server holds parameters, not optimizer
-    state. Weights must form a convex combination to 1e-12.
+    """Sample-count-weighted mean of participant parameters. Weights must
+    form a convex combination to 1e-12.
     """
     if not updates:
         raise ValueError("nothing to aggregate")
@@ -299,7 +297,7 @@ def aggregate(updates: list[ClientUpdate]) -> nn.ModelState:
         part = term[:len(block)]
         for w, u in zip(weights, updates):
             block += np.multiply(u.state.params[lo:lo + nn.CACHE_BLOCK], w, out=part)
-    return nn.ModelState(params, np.zeros_like(params), spec_hash)
+    return nn.ModelState(params, spec_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +370,10 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
     more than the participants. The stacks hold about as many samples
     each: the largest shard goes first, each to the stack with the fewest
     samples so far. The stacks' parameter, momentum and gradient rows are
-    allocated here, one array each, a contiguous range of rows per stack.
-    Returns the updates in client order; a failure raises RunError naming
-    the round (and the client, when one is at fault).
+    ``workspace.stacks``, a contiguous range of rows per stack; the updates'
+    states live there until the workspace's next round. Returns the
+    updates in client order; a failure raises RunError naming the round
+    (and the client, when one is at fault).
     """
     t = cfg.training
     participants = sample_participants(
@@ -389,7 +388,7 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
         stacks[i].append(cid)
         samples[i] += len(shards[cid])
     bounds = np.cumsum([0] + [len(ids) for ids in stacks])
-    arrays = [np.empty((len(participants), spec.param_count)) for _ in range(3)]
+    arrays = workspace.stacks(len(participants), spec.param_count)
 
     def train_stack(i: int, lane: nn.Workspace) -> list[ClientUpdate]:
         rows = slice(bounds[i], bounds[i + 1])

@@ -64,7 +64,7 @@ def check_objective(
     if step <= 0:
         raise ValueError("finite-difference step must be > 0")
     probe = state.params.copy()
-    moved = nn.ModelState(probe, state.momentum, state.spec_hash)
+    moved = nn.ModelState(probe, state.spec_hash)
     worst = 0.0
     for c in coords:
         base = probe[c]

@@ -711,14 +711,10 @@ def tcnn_spec(input_shape: Shape = (3, 32, 32), class_count: int = 10, conv_kern
 
 @dataclass
 class ModelState:
-    """Flat parameter vector plus the SGD momentum buffer, bound to a spec."""
+    """Flat parameter vector bound to a spec; local stages start from zeroed momentum."""
 
     params: np.ndarray
-    momentum: np.ndarray
     spec_hash: str
-
-    def copy(self) -> "ModelState":
-        return ModelState(self.params.copy(), self.momentum.copy(), self.spec_hash)
 
 
 def init_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelState:
@@ -730,7 +726,7 @@ def init_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelState:
         fan_in, fan_out = layer.fans()
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         params[sl] = rng.uniform(-bound, bound, size=layer.param_count())
-    return ModelState(params, np.zeros_like(params), spec.spec_hash)
+    return ModelState(params, spec.spec_hash)
 
 
 def check_state(state: ModelState, spec: NetworkSpec) -> ModelState:
@@ -787,6 +783,16 @@ class Workspace:
         self._memory = np.empty(0)
         self._used = 0      # entries taken since the forward pass started
         self._lanes: list[Workspace] = []
+        self._stacks = np.empty(0)
+
+    def stacks(self, rows: int, n: int) -> np.ndarray:
+        """A (3, rows, n) array for a training round's parameter, momentum and
+        gradient stacks, in a region of its own kept from call to call: stacks
+        freed at a round's end leave the malloc heap's top free, glibc trims
+        it, and each round would fault them in again."""
+        if self._stacks.size < 3 * rows * n:
+            self._stacks = _mapped(3 * rows * n)
+        return self._stacks[:3 * rows * n].reshape(3, rows, n)
 
     def restart(self, size: int) -> None:
         """Start a forward pass that takes at most ``size`` entries: what
@@ -1087,8 +1093,9 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
 
     IEEE addition and multiplication commute, so this rounds exactly as the
     formula in sgd_step's docstring. No shortcut for momentum_coef == 0: the
-    formula's 0*m + x turns x = -0.0 into 0.0, and the momentum buffer is
-    saved with the state."""
+    formula's 0*m + g turns g = -0.0 into +0.0, so with w = -0.0, g = -0.0
+    and no decay it keeps w = -0.0 (-0.0 - lr*0.0), where w - lr*g would
+    give +0.0 and change the parameter's bytes."""
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
     if not (params.flags.c_contiguous and momentum.flags.c_contiguous and grad.flags.c_contiguous):
@@ -1116,19 +1123,15 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
                                  _first_bad_row(params) if stack else None)
 
 
-def sgd_step(
-    state: ModelState,
-    grad: np.ndarray,
-    lr: float,
-    momentum_coef: float = 0.0,
-    weight_decay: float = 0.0,
-) -> ModelState:
-    """v <- momentum*v + (grad + wd*params); params <- params - lr*v."""
-    if grad.shape != state.params.shape:
-        raise ShapeError(f"gradient length {grad.size} != parameter length {state.params.size}")
-    params, momentum = state.params.copy(), state.momentum.copy()
+def sgd_step(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: float,
+             momentum_coef: float = 0.0, weight_decay: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """v <- momentum*v + (grad + wd*params); params <- params - lr*v.
+    Returns the new (params, v) as new arrays; the inputs are unchanged."""
+    if grad.shape != params.shape:
+        raise ShapeError(f"gradient length {grad.size} != parameter length {params.size}")
+    params, momentum = params.copy(), momentum.copy()
     sgd_update(params, momentum, np.array(grad, dtype=np.float64), lr, momentum_coef, weight_decay)
-    return ModelState(params, momentum, state.spec_hash)
+    return params, momentum
 
 
 # ---------------------------------------------------------------------------
@@ -1171,18 +1174,17 @@ _STATE_MAGIC = b"FKMS"
 
 
 def save_state(state: ModelState, path: str | Path) -> None:
-    """Little-endian blob: magic, 32-byte spec hash, u64 length, params then
-    momentum as raw float64. It is written to a temporary file beside
-    ``path`` and renamed over it, so a failed write leaves whatever file was
-    at ``path`` as it was."""
+    """Little-endian blob of 44 + 8n bytes: magic, 32-byte spec hash, u64
+    length n, then the n params as raw float64. It is written to a
+    temporary file beside ``path`` and renamed over it, so a failed write
+    leaves whatever file was at ``path`` as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(_STATE_MAGIC + bytes.fromhex(state.spec_hash) + struct.pack("<Q", state.params.size))
-            for values in (state.params, state.momentum):
-                # a contiguous little-endian float64 array is written without a copy
-                fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+            # a contiguous little-endian float64 array is written without a copy
+            fh.write(np.ascontiguousarray(state.params, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -1197,9 +1199,7 @@ def load_state(path: str | Path) -> ModelState:
         raise ValueError(f"{path}: {len(blob)} bytes, shorter than the 44-byte header")
     spec_hash = blob[4:36].hex()
     (length,) = struct.unpack("<Q", blob[36:44])
-    expected = 44 + 2 * 8 * length
+    expected = 44 + 8 * length
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for {length} parameters, got {len(blob)}")
-    params = np.frombuffer(blob, dtype="<f8", count=length, offset=44).astype(np.float64)
-    momentum = np.frombuffer(blob, dtype="<f8", count=length, offset=44 + 8 * length).astype(np.float64)
-    return ModelState(params, momentum, spec_hash)
+    return ModelState(np.frombuffer(blob, dtype="<f8", offset=44).astype(np.float64), spec_hash)

@@ -194,7 +194,7 @@ def test_ka_loss_zero_for_identical_states():
     spec = nn.mlp_spec(2, (5,), 3)
     state = nn.init_state(spec, stream(4, "init"))
     a = one_entry_anchor([0.3, -0.7], 1, dominant={2})
-    loss, grad = anchor.ka_loss_and_grad(a, state, state.copy(), spec)
+    loss, grad = anchor.ka_loss_and_grad(a, state, nn.ModelState(state.params.copy(), state.spec_hash), spec)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(grad))
 
@@ -203,8 +203,8 @@ def test_ka_loss_hand_example():
     # teacher kept logits (1, 0), student kept logits (0, 0): loss = 1
     spec = nn.NetworkSpec((nn.Dense(1, 3),), (1,), 3)
     g_params = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # w maps x→(x,0,0); b=0
-    g_state = nn.ModelState(g_params, np.zeros(6), spec.spec_hash)
-    l_state = nn.ModelState(np.zeros(6), np.zeros(6), spec.spec_hash)
+    g_state = nn.ModelState(g_params, spec.spec_hash)
+    l_state = nn.ModelState(np.zeros(6), spec.spec_hash)
     a = one_entry_anchor([1.0], 0, dominant={2})
     loss, _ = anchor.ka_loss_and_grad(a, g_state, l_state, spec)
     assert loss == 1.0
@@ -235,9 +235,9 @@ def test_ka_grad_matches_central_differences():
     for c in coords:
         base = params[c]
         params[c] = base + step
-        plus, _ = anchor.ka_loss_and_grad(a, g_state, nn.ModelState(params, l_state.momentum, spec.spec_hash), spec)
+        plus, _ = anchor.ka_loss_and_grad(a, g_state, nn.ModelState(params, spec.spec_hash), spec)
         params[c] = base - step
-        minus, _ = anchor.ka_loss_and_grad(a, g_state, nn.ModelState(params, l_state.momentum, spec.spec_hash), spec)
+        minus, _ = anchor.ka_loss_and_grad(a, g_state, nn.ModelState(params, spec.spec_hash), spec)
         params[c] = base
         numeric = (plus - minus) / (2 * step)
         assert abs(grad[c] - numeric) / max(abs(grad[c]), abs(numeric), 1e-12) < 1e-4
@@ -398,7 +398,7 @@ def test_fused_step_keeps_label_and_finiteness_checks(name):
     anchored = anchor.anchor_rows([built], teacher, spec)
     with pytest.raises(nn.ShapeError, match="labels must lie"):
         nn.batch_labels(spec, np.where(labels == 3, spec.class_count, labels), len(inputs))
-    huge = nn.ModelState(np.full_like(student.params, 1e308), student.momentum, spec.spec_hash)
+    huge = nn.ModelState(np.full_like(student.params, 1e308), spec.spec_hash)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(nn.NonFiniteError, match=r"layer 0 \(") as info:
         fused_step(spec, huge, np.abs(inputs) + 1.0, labels, anchored, 0.3)

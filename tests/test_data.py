@@ -116,9 +116,10 @@ def test_blob_center_geometry():
 def train_linear(train, steps=300, lr=0.5):
     spec = nn.mlp_spec(train.inputs.shape[1], (), train.class_count)
     state = nn.init_state(spec, stream(7, "init"))
+    momentum = np.zeros(spec.param_count)
     for _ in range(steps):
         _, grad = nn.ce_loss_and_grad(state, spec, train.inputs, train.labels)
-        state = nn.sgd_step(state, grad, lr=lr, momentum_coef=0.9)
+        state.params, momentum = nn.sgd_step(state.params, momentum, grad, lr=lr, momentum_coef=0.9)
     return spec, state
 
 

@@ -82,19 +82,19 @@ def test_zero_epochs_returns_global_exactly():
     ds, spec, state, shard = small_setup()
     [update] = federation.local_train(cfg_for("fedavg", epochs=0), 1, [shard], state, spec, ds)
     assert np.array_equal(update.state.params, state.params)
-    assert not update.state.momentum.any()
     assert update.loss_trace == ()
     assert update.sample_count == len(shard)
 
 
 def test_training_changes_parameters_and_logs_loss():
     ds, spec, state, shard = small_setup()
+    before = state.params.copy()
     [update] = federation.local_train(cfg_for("fedavg", epochs=3), 1, [shard], state, spec, ds)
     assert not np.array_equal(update.state.params, state.params)
     assert len(update.loss_trace) == 3
     assert update.loss_trace[-1] < update.loss_trace[0]
     # caller's global state untouched
-    assert not state.momentum.any()
+    assert state.params.tobytes() == before.tobytes()
 
 
 def test_fedprox_zero_mu_is_bitwise_fedavg():
@@ -155,7 +155,7 @@ def test_fedka_local_train_matches_two_pass_reference():
         anchor.build_anchor(lopsided, shared, ds, arng), strategy.mu_anchor, arng)
     assert fused.anchor_log == tuple((e.label, e.source, e.sample_id) for e in built.entries)
     assert {e.source for e in built.entries} == {"shared", "local"} and built.dominant
-    ref = nn.ModelState(state.params.copy(), np.zeros_like(state.params), state.spec_hash)
+    ref, momentum = nn.ModelState(state.params.copy(), state.spec_hash), np.zeros_like(state.params)
     inputs, labels = ds.take(lopsided.indices)
     brng = stream(cfg.master_seed, "batch", 1, lopsided.client_id)
     trace = []
@@ -166,8 +166,8 @@ def test_fedka_local_train_matches_two_pass_reference():
             sel = order[start:start + t.batch_size]
             loss, grad = nn.ce_loss_and_grad(ref, spec, inputs[sel], labels[sel])
             ka_loss, ka_grad = anchor.ka_loss_and_grad(built, state, ref, spec)
-            ref = nn.sgd_step(ref, grad + strategy.beta * ka_grad,
-                              t.lr, t.momentum, t.weight_decay)
+            ref.params, momentum = nn.sgd_step(ref.params, momentum, grad + strategy.beta * ka_grad,
+                                               t.lr, t.momentum, t.weight_decay)
             losses.append(loss + strategy.beta * ka_loss)
         trace.append(float(np.mean(losses)))
     np.testing.assert_allclose(fused.state.params, ref.params, rtol=1e-10, atol=1e-13)
@@ -220,10 +220,10 @@ def lockstep_setup(preset):
 
 def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
     """One client alone, step by step through the training step on a stack
-    of one and nn.sgd_step."""
+    of one and nn.sgd_step; returns the client's state, its loss trace, its
+    anchor log and its parameters after each epoch."""
     strategy, t = cfg.strategy, cfg.training
-    state = nn.ModelState(global_state.params.copy(), np.zeros_like(global_state.params),
-                          global_state.spec_hash)
+    params, momentum = global_state.params.copy(), np.zeros_like(global_state.params)
     term, anchor_log = None, ()
     if strategy.kind == "fedka":
         arng = stream(cfg.master_seed, "anchor", r, shard.client_id)
@@ -247,17 +247,17 @@ def serial_reference(cfg, r, shard, global_state, spec, ds, shared):
             rows = anchored.layout((len(sel),))
             x = inputs[sel] if term is None else np.concatenate([inputs[sel], anchored.inputs])
             grad = np.empty((1, spec.param_count))
-            logits, p_loss = anchor.fused_gradient(spec, state.params[None], x, labels[sel], rows,
+            logits, p_loss = anchor.fused_gradient(spec, params[None], x, labels[sel], rows,
                                                    strategy.beta, grad, center, strategy.mu)
             loss = float(anchor.fused_losses(logits, labels[sel], rows, strategy.beta)[0])
             if center is not None:
                 loss += float(p_loss[0])
-            state = nn.sgd_step(state, grad[0], t.lr, t.momentum, t.weight_decay)
+            params, momentum = nn.sgd_step(params, momentum, grad[0], t.lr, t.momentum, t.weight_decay)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
         if cfg.metrics.epoch_forgetting:
-            epoch_states.append(state.copy())
-    return state, tuple(trace), anchor_log, epoch_states
+            epoch_states.append(params)
+    return nn.ModelState(params, global_state.spec_hash), tuple(trace), anchor_log, epoch_states
 
 
 def lockstep_cfg(kind, **strategy):
@@ -293,14 +293,12 @@ def test_lockstep_matches_serial_reference_byte_for_byte(preset, kind, strategy)
         ref, trace, anchor_log, epoch_states = serial_reference(cfg, 2, shard, state, spec, ds, shared)
         assert update.sample_count == len(shard)
         assert update.state.params.tobytes() == ref.params.tobytes()
-        assert update.state.momentum.tobytes() == ref.momentum.tobytes()
         assert np.array(update.loss_trace).tobytes() == np.array(trace).tobytes()
         assert update.anchor_log == anchor_log
         # the last epoch's state is the update's own
         assert len(update.epoch_states) + 1 == len(epoch_states) == 3
         for got, want in zip([*update.epoch_states, update.state], epoch_states):
-            assert got.params.tobytes() == want.params.tobytes()
-            assert got.momentum.tobytes() == want.momentum.tobytes()
+            assert got.params.tobytes() == want.tobytes()
     # a different grouping of the same clients gives the same updates, and an empty group none
     halves = (federation.local_train(cfg, 2, shards[:2], state, spec, ds, shared)
               + federation.local_train(cfg, 2, [], state, spec, ds, shared)
@@ -326,7 +324,6 @@ def test_training_workspace_changes_no_bit():
         fresh = federation.local_train(cfg, r, group, state, spec, ds, shared)
         for a, b in zip(kept, fresh, strict=True):
             assert a.state.params.tobytes() == b.state.params.tobytes()
-            assert a.state.momentum.tobytes() == b.state.momentum.tobytes()
             assert a.loss_trace == b.loss_trace
     assert workspace._memory.size > 0
 
@@ -473,11 +470,29 @@ def test_more_training_stacks_than_cores_lose_no_update():
             for a, b in zip(updates, serial, strict=True):
                 assert a.client_id == b.client_id
                 assert a.state.params.tobytes() == b.state.params.tobytes()
-                assert a.state.momentum.tobytes() == b.state.momentum.tobytes()
                 assert a.loss_trace == b.loss_trace
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == 1
+
+
+def test_rounds_on_one_workspace_train_in_its_kept_stack_memory():
+    """The round's parameter, momentum and gradient stacks live in the
+    workspace: a later round, and one with fewer participants, trains in the
+    memory of the first, and every update is the one of a fresh workspace."""
+    ds, spec, state, shards = lockstep_setup("mlp")
+    shards = {s.client_id: s for s in shards}
+    cfg = lockstep_cfg("fedavg")
+    fewer = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, participation_ratio=0.4))
+    workspace = nn.Workspace()
+    kept = workspace.stacks(len(shards), spec.param_count)
+    for r, round_cfg in ((1, cfg), (2, cfg), (3, fewer)):
+        updates = federation.run_round(round_cfg, r, shards, state, spec, ds, None, workspace)
+        fresh = federation.run_round(round_cfg, r, shards, state, spec, ds, None, nn.Workspace())
+        assert len(updates) == (2 if r == 3 else 5)
+        for a, b in zip(updates, fresh, strict=True):
+            assert np.shares_memory(a.state.params, kept)
+            assert a.state.params.tobytes() == b.state.params.tobytes()
 
 
 def recording_steps(monkeypatch):
@@ -564,15 +579,13 @@ def test_failing_clients_in_two_stacks_raise_the_earlier_stack(monkeypatch):
 
 
 def make_update(params, n, spec_hash="x", client=0):
-    state = nn.ModelState(np.asarray(params, dtype=float),
-                          np.ones(len(params)), spec_hash)
+    state = nn.ModelState(np.asarray(params, dtype=float), spec_hash)
     return federation.ClientUpdate(client, state, n, (0.0,))
 
 
 def test_single_client_aggregation_is_identity():
     agg = federation.aggregate([make_update([1.5, -2.5], 7)])
     assert np.array_equal(agg.params, [1.5, -2.5])
-    assert not agg.momentum.any()
 
 
 def test_weighted_mean_hand_example():
@@ -606,7 +619,7 @@ def test_aggregate_validation():
     with pytest.raises(nn.ShapeError):
         federation.aggregate([make_update([1.0], 1), make_update([2.0], 1, spec_hash="y")])
     with pytest.raises(ValueError):
-        federation.ClientUpdate(0, nn.ModelState(np.zeros(1), np.zeros(1), "x"), 0, ())
+        federation.ClientUpdate(0, nn.ModelState(np.zeros(1), "x"), 0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def constant_class0_model(input_dim, k):
     spec = nn.mlp_spec(input_dim, (), k)
     params = np.zeros(spec.param_count)
     params[-k] = 10.0  # bias of class 0
-    return spec, nn.ModelState(params, np.zeros_like(params), spec.spec_hash)
+    return spec, nn.ModelState(params, spec.spec_hash)
 
 
 def test_constant_predictor_class_accuracy():
@@ -81,7 +81,7 @@ def test_random_logits_are_chance_level():
 
 def test_argmax_ties_go_to_lowest_class():
     spec = nn.mlp_spec(2, (), 3)
-    state = nn.ModelState(np.zeros(spec.param_count), np.zeros(spec.param_count), spec.spec_hash)
+    state = nn.ModelState(np.zeros(spec.param_count), spec.spec_hash)
     ds = data.LabeledDataset(np.ones((3, 2)), np.array([0, 1, 2]), 3, "ties")
     acc = metrics.classwise_accuracy(state, spec, ds)
     # all logits equal -> everything predicted as class 0
@@ -418,8 +418,7 @@ def test_overflow_in_a_block_is_raised_with_its_layer(threads, monkeypatch):
     inputs[block] = 1e305     # 64 * 1e305 stays finite; 128 times that does not
     ds = data.LabeledDataset(inputs, ds.labels, ds.class_count, "planted")
     ones = np.ones(spec.param_count)
-    states = [nn.ModelState(ones, ones, spec.spec_hash),
-              nn.ModelState(ones * 1e308, ones, spec.spec_hash)]
+    states = [nn.ModelState(ones, spec.spec_hash), nn.ModelState(ones * 1e308, spec.spec_hash)]
     cores(monkeypatch, threads)
     _, _, failures = record_lanes(monkeypatch)
     with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(128->10\)\)"):

@@ -148,7 +148,7 @@ def test_per_sample_ce_without_offsets_scores_the_rows_as_one_run(preset):
 def test_dense_identity_passes_input_through():
     spec = nn.NetworkSpec((nn.Dense(3, 3),), (3,), 3)
     params = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
-    state = nn.ModelState(params, np.zeros_like(params), spec.spec_hash)
+    state = nn.ModelState(params, spec.spec_hash)
     x = np.array([[0.5, -2.0, 7.0]])
     assert np.array_equal(nn.forward_logits(state, spec, x), x)
 
@@ -357,7 +357,7 @@ def test_stack_backward_through_a_workspace_gives_single_model_bytes(spec, monke
     if spec is POOL_RELU_CONV:
         assert (True, False) in layouts
     for p, rows in enumerate(slice(a, b) for a, b in zip(offsets, offsets[1:])):
-        state = nn.ModelState(params[p], np.zeros_like(params[p]), spec.spec_hash)
+        state = nn.ModelState(params[p], spec.spec_hash)
         _, caches = nn.forward_with_caches(state, spec, x[rows])
         single = nn.backward_from_logits(spec, params[p], caches, grad_logits[rows]).tobytes()
         assert [grad[p].tobytes() for grad in stacked] == [single] * 3
@@ -615,7 +615,7 @@ def test_forward_rejects_bad_inputs():
 def test_forward_reports_layer_of_overflow():
     spec = nn.NetworkSpec((nn.Dense(2, 2),), (2,), 2)
     params = np.array([1e308, 0.0, 0.0, 1e308, 0.0, 0.0])
-    state = nn.ModelState(params, np.zeros(6), spec.spec_hash)
+    state = nn.ModelState(params, spec.spec_hash)
     with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match="layer 0"):
         nn.forward_logits(state, spec, np.full((1, 2), 1e30))
 
@@ -624,7 +624,7 @@ def test_forward_reports_layer_of_overflow_beyond_layer_0():
     # layer 0 passes 1e300 through; only the dense layer 2 overflows
     spec = nn.mlp_spec(2, (2,), 2)
     params = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1e10, 0.0, 0.0, 1e10, 0.0, 0.0])
-    state = nn.ModelState(params, np.zeros(12), spec.spec_hash)
+    state = nn.ModelState(params, spec.spec_hash)
     x = np.array([[1.0, 1.0], [1e300, 1.0]])
     with np.errstate(over="ignore"):
         with pytest.raises(nn.NonFiniteError, match=r"layer 2 \(dense\(2->2\)\)"):
@@ -644,7 +644,7 @@ def test_forward_reports_layer_of_overflow_beyond_layer_0():
 def test_workspace_reports_layer_of_overflow():
     spec = nn.NetworkSpec((nn.Dense(2, 2),), (2,), 2)
     params = np.array([1e308, 0.0, 0.0, 1e308, 0.0, 0.0])
-    state = nn.ModelState(params, np.zeros(6), spec.spec_hash)
+    state = nn.ModelState(params, spec.spec_hash)
     with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match="layer 0"):
         nn.forward(spec, state.params, np.full((1, 2), 1e30), workspace=nn.Workspace())
 
@@ -830,9 +830,9 @@ def numeric_grad(state, spec, x, y, coords, step=1e-6):
     for c in coords:
         base = params[c]
         params[c] = base + step
-        plus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.momentum, state.spec_hash), spec, x, y)
+        plus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.spec_hash), spec, x, y)
         params[c] = base - step
-        minus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.momentum, state.spec_hash), spec, x, y)
+        minus, _ = nn.ce_loss_and_grad(nn.ModelState(params, state.spec_hash), spec, x, y)
         params[c] = base
         out[c] = (plus - minus) / (2 * step)
     return out
@@ -865,7 +865,7 @@ def test_conv_pool_gradient_matches_central_differences():
 def test_activation_margin_detects_exact_kink():
     spec = nn.NetworkSpec((nn.Dense(2, 2), nn.Relu(), nn.Dense(2, 2)), (2,), 2)
     params = np.zeros(spec.param_count)
-    state = nn.ModelState(params, params.copy(), spec.spec_hash)
+    state = nn.ModelState(params, spec.spec_hash)
     assert nn.activation_margin(state, spec, np.ones((1, 2))) == 0.0
 
 
@@ -875,37 +875,30 @@ def test_activation_margin_detects_exact_kink():
 
 
 def test_sgd_step_hand_example():
-    spec = nn.NetworkSpec((nn.Dense(1, 2),), (1,), 2)
     # v = 0.9*[0.5,0,0,0] + (g + 0.01*p); p' = p - 0.1*v, worked by hand
-    state = nn.ModelState(
-        np.array([1.0, -2.0, 0.0, 0.0]),
-        np.array([0.5, 0.0, 0.0, 0.0]),
-        spec.spec_hash,
-    )
+    params, momentum = np.array([1.0, -2.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0, 0.0])
     grad = np.array([0.2, -0.4, 0.0, 0.0])
-    new = nn.sgd_step(state, grad, lr=0.1, momentum_coef=0.9, weight_decay=0.01)
-    assert np.allclose(new.momentum, [0.66, -0.42, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(new.params, [0.934, -1.958, 0.0, 0.0], atol=1e-15)
-    # input state untouched
-    assert state.params[0] == 1.0 and state.momentum[0] == 0.5
+    new_params, new_momentum = nn.sgd_step(params, momentum, grad, lr=0.1, momentum_coef=0.9,
+                                           weight_decay=0.01)
+    assert np.allclose(new_momentum, [0.66, -0.42, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(new_params, [0.934, -1.958, 0.0, 0.0], atol=1e-15)
+    # inputs untouched
+    assert params[0] == 1.0 and momentum[0] == 0.5
 
 
 def test_sgd_plain_step_without_momentum_or_decay():
-    spec = nn.NetworkSpec((nn.Dense(1, 1),), (1,), 1)
-    state = nn.ModelState(np.array([2.0, 3.0]), np.zeros(2), spec.spec_hash)
-    new = nn.sgd_step(state, np.array([1.0, -1.0]), lr=0.5)
-    assert np.array_equal(new.params, [1.5, 3.5])
+    new, _ = nn.sgd_step(np.array([2.0, 3.0]), np.zeros(2), np.array([1.0, -1.0]), lr=0.5)
+    assert np.array_equal(new, [1.5, 3.5])
 
 
 def test_sgd_rejects_bad_arguments():
-    spec = nn.NetworkSpec((nn.Dense(1, 1),), (1,), 1)
-    state = nn.ModelState(np.zeros(2), np.zeros(2), spec.spec_hash)
+    params, momentum = np.zeros(2), np.zeros(2)
     with pytest.raises(ValueError):
-        nn.sgd_step(state, np.zeros(2), lr=0.0)
+        nn.sgd_step(params, momentum, np.zeros(2), lr=0.0)
     with pytest.raises(nn.ShapeError):
-        nn.sgd_step(state, np.zeros(3), lr=0.1)
+        nn.sgd_step(params, momentum, np.zeros(3), lr=0.1)
     with pytest.raises(nn.NonFiniteError):
-        nn.sgd_step(state, np.array([np.inf, 0.0]), lr=0.1)
+        nn.sgd_step(params, momentum, np.array([np.inf, 0.0]), lr=0.1)
 
 
 @pytest.mark.parametrize("fault, row, col", [
@@ -936,9 +929,10 @@ def test_training_reduces_loss_on_tiny_problem():
     spec, state = small_mlp(seed=20)
     x, y = random_batch(spec, 16, seed=21)
     first, _ = nn.ce_loss_and_grad(state, spec, x, y)
+    momentum = np.zeros(spec.param_count)
     for _ in range(60):
         _, grad = nn.ce_loss_and_grad(state, spec, x, y)
-        state = nn.sgd_step(state, grad, lr=0.1, momentum_coef=0.9)
+        state.params, momentum = nn.sgd_step(state.params, momentum, grad, lr=0.1, momentum_coef=0.9)
     last, _ = nn.ce_loss_and_grad(state, spec, x, y)
     assert last < first * 0.5
 
@@ -950,21 +944,20 @@ def test_training_reduces_loss_on_tiny_problem():
 
 def test_state_round_trip_is_bit_exact(tmp_path):
     spec, state = small_mlp(seed=30)
-    state.momentum[:] = stream(31, "m").normal(size=state.momentum.shape)
+    state.params[:3] = [-0.0, np.nextafter(0.0, 1.0), -np.finfo(float).max]
     path = tmp_path / "model.bin"
     nn.save_state(state, path)
     back = nn.load_state(path)
     assert back.spec_hash == state.spec_hash
-    assert np.array_equal(back.params, state.params)
-    assert np.array_equal(back.momentum, state.momentum)
+    assert back.params.tobytes() == state.params.tobytes()
+    assert path.stat().st_size == 44 + 8 * spec.param_count
 
 
 def test_saved_state_is_header_then_little_endian_arrays(tmp_path):
     spec, state = small_mlp(seed=32)
-    state.momentum[:] = stream(33, "m").normal(size=state.momentum.shape)
     expected = (b"FKMS" + bytes.fromhex(state.spec_hash) + struct.pack("<Q", spec.param_count)
-                + state.params.astype("<f8").tobytes() + state.momentum.astype("<f8").tobytes())
-    swapped = nn.ModelState(state.params.astype(">f8"), state.momentum.astype(">f8"), state.spec_hash)
+                + state.params.astype("<f8").tobytes())
+    swapped = nn.ModelState(state.params.astype(">f8"), state.spec_hash)
     for saved in (state, swapped):
         nn.save_state(saved, tmp_path / "model.bin")
         assert (tmp_path / "model.bin").read_bytes() == expected
@@ -975,7 +968,8 @@ def test_failed_save_leaves_the_older_file_intact(tmp_path):
     path = tmp_path / "model.bin"
     nn.save_state(state, path)
     saved = path.read_bytes()
-    broken = nn.ModelState(state.params + 1.0, np.full(state.momentum.shape, "x"), state.spec_hash)
+    # the header reaches the temporary file before the params fail to convert
+    broken = nn.ModelState(np.full(state.params.shape, "x"), state.spec_hash)
     with pytest.raises(ValueError):
         nn.save_state(broken, path)
     assert path.read_bytes() == saved
@@ -995,6 +989,19 @@ def test_load_state_rejects_garbage(tmp_path):
         nn.load_state(path)
     path.write_bytes(blob[:40])
     with pytest.raises(ValueError, match=f"{path.name}: 40 bytes, shorter than the 44-byte header"):
+        nn.load_state(path)
+
+
+def test_load_state_rejects_a_file_that_also_holds_momentum(tmp_path):
+    """Checkpoints once held the momentum after the params: 44 + 16n bytes,
+    whose first 44 + 8n are today's file. Such a file fails on its length."""
+    spec, state = small_mlp(seed=35)
+    n = spec.param_count
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"FKMS" + bytes.fromhex(state.spec_hash) + struct.pack("<Q", n)
+                     + state.params.astype("<f8").tobytes() + bytes(8 * n))
+    with pytest.raises(ValueError, match=f"expected {44 + 8 * n} bytes for {n} parameters, "
+                                         f"got {44 + 16 * n}$"):
         nn.load_state(path)
 
 
