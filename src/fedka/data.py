@@ -289,39 +289,30 @@ def dirichlet_partition(
 
 def apply_reduction_schedule(
     shard: ClientShard,
-    schedule: Iterable[tuple[int, int, int]],
+    rows: Iterable[tuple[int, int]],
     dataset: LabeledDataset,
 ) -> ClientShard:
-    """Shrink classes per a (round, class, keep_count) schedule.
-
-    Entries are applied in round order; each truncates its class, which
-    must lie in [0, class_count), to its ``keep_count`` lowest original
-    indices, and roles are recomputed. federation.shards_by_round applies a
-    client's rows one round at a time, each round's rows to the shard the
-    round before left.
+    """Apply one round's (class, keep) rows, checked in class order: each
+    class, which must lie in [0, class_count) and be named once, keeps its
+    ``keep`` lowest-indexed samples, and roles are recomputed. The rounds
+    belong to federation.shards_by_round, which applies each round's rows
+    to the shard the round before left.
     """
-    entries = sorted(schedule, key=lambda e: (e[0], e[1]))
-    last_round: dict[int, int] = {}
-    indices = shard.indices
-    labels = shard.labels
-    for rnd, klass, keep in entries:
-        if klass in last_round and rnd <= last_round[klass]:
-            raise ValueError(f"rounds for class {klass} must be strictly increasing")
-        last_round[klass] = rnd
+    drop = np.zeros(len(shard.indices), dtype=bool)
+    named: set[int] = set()
+    for klass, keep in sorted(rows):
         if not 0 <= klass < dataset.class_count:
-            raise ValueError(f"round {rnd}: class {klass} outside [0, {dataset.class_count})")
-        current = int((labels == klass).sum())
-        if keep < 0 or keep > current:
-            raise ValueError(
-                f"round {rnd}: cannot keep {keep} of {current} class-{klass} samples"
-            )
-        members = indices[labels == klass]
-        mask = np.isin(indices, members[keep:], invert=True)  # indices ascending: keep lowest
-        indices = indices[mask]
-        labels = labels[mask]
-    if len(indices) == len(shard.indices):
+            raise ValueError(f"class {klass} outside [0, {dataset.class_count})")
+        if klass in named:
+            raise ValueError(f"class {klass} named twice")
+        named.add(klass)
+        members = np.flatnonzero(shard.labels == klass)  # indices ascending: keep lowest
+        if not 0 <= keep <= len(members):
+            raise ValueError(f"cannot keep {keep} of {len(members)} class-{klass} samples")
+        drop[members[keep:]] = True
+    if not drop.any():
         return shard
-    return make_shard(shard.client_id, indices, dataset, shard.gamma)
+    return make_shard(shard.client_id, shard.indices[~drop], dataset, shard.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -336,25 +336,28 @@ def build_shards(cfg: ExperimentConfig, train: LabeledDataset) -> list[ClientSha
 def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, dict[int, ClientShard]]:
     """Each client's shard from the round it takes effect: key 0 holds the
     partition, each later key the clients that a reduction row shrinks at
-    that round (a row at round 0 takes effect in round 1), each round's rows
-    applied to the client's shard of the round before. Every row is applied
-    here, before round 1, including rows due after the last round.
+    that round. A client's rows are grouped by their round, and the rounds
+    are applied in ascending order, each to the shard the round before
+    left; round 0's result is stored under key 1, so a round-0 and a
+    round-1 row on one class both take effect in round 1, in that order.
+    Every row is applied here, before round 1, including rows due after
+    the last round.
     """
     base = {s.client_id: s for s in build_shards(cfg, train)}
-    rows: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for client, rnd, klass, keep in cfg.reduction:
-        rows.setdefault(client, {}).setdefault(max(rnd, 1), []).append((rnd, klass, keep))
+        rows.setdefault(client, {}).setdefault(rnd, []).append((klass, keep))
     changes = {0: base}
     for client, by_round in rows.items():
         if client not in base:
             raise RunError(f"reduction schedule names unknown client {client}")
         shard = base[client]
-        try:
-            for rnd in sorted(by_round):
-                shard = changes.setdefault(rnd, {})[client] = apply_reduction_schedule(
-                    shard, by_round[rnd], train)
-        except ValueError as exc:
-            raise RunError(f"reduction schedule of client {client}: {exc}") from None
+        for rnd in sorted(by_round):
+            try:
+                shard = apply_reduction_schedule(shard, by_round[rnd], train)
+            except ValueError as exc:
+                raise RunError(f"reduction schedule of client {client}: round {rnd}: {exc}") from None
+            changes.setdefault(max(rnd, 1), {})[client] = shard
     return changes
 
 

@@ -53,14 +53,6 @@ def _accuracy(hits: np.ndarray, test_set: LabeledDataset) -> np.ndarray:
     return np.divide(hits, counts, out=np.full(hits.shape, np.nan), where=counts > 0)
 
 
-def accuracy_from_logits(logits: np.ndarray, test_set: LabeledDataset) -> np.ndarray:
-    """Per-class argmax accuracy; NaN where the test set lacks the class.
-
-    Argmax ties resolve to the lowest class id.
-    """
-    return _accuracy(_class_hits(logits, test_set.labels, test_set.class_count), test_set)
-
-
 # every block of an evaluation pass has at least this many rows: OpenBLAS
 # takes its small-matrix kernels for small enough products, and they round
 # differently from the kernels a whole test set's products take

@@ -1148,7 +1148,7 @@ def activation_margin(state: ModelState, spec: NetworkSpec, inputs: np.ndarray) 
     Pool windows that are entirely clamped (max == 0 directly after a ReLU)
     are locally constant, so their zero gap is not a kink; the ReLU term
     already guards the spots where a clamped unit could switch sign."""
-    _, caches = forward(spec, check_state(state, spec).params, check_inputs(spec, inputs), True)
+    _, caches = forward_with_caches(state, spec, inputs)
     margin = math.inf
     for i, (layer, cache) in enumerate(zip(spec.layers, caches)):
         if isinstance(layer, Relu):

@@ -268,6 +268,16 @@ def test_compare_requires_finished_runs(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_compare_refuses_an_empty_rounds_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert cli.main(["run", cfg, "--quiet"]) == 0
+    run_dir = tmp_path / "runs" / "t-seed11"
+    rounds = run_dir / "metrics" / "rounds.csv"
+    rounds.write_text(rounds.read_text().splitlines()[0] + "\n")
+    assert cli.main(["compare", str(run_dir)]) == 3
+    assert f"{run_dir} has an empty rounds.csv, nothing to compare" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------

@@ -230,6 +230,9 @@ def test_apply_overrides():
     assert raw["strategy"] == {"kind": "fedavg"}  # original untouched
     with pytest.raises(ConfigError, match="key=value"):
         apply_overrides(raw, ["oops"])
+    for key in ("name.first", "model.hidden.0"):
+        with pytest.raises(ConfigError, match=re.escape(f"override '{key}' descends into a non-mapping")):
+            apply_overrides(raw, [f"{key}=4"])
 
 
 def test_load_config_file(tmp_path):
@@ -246,6 +249,22 @@ def test_load_config_file(tmp_path):
         load_config_file(bad)
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(tmp_path / "nope.yaml")
+    bad.write_text('{"name": "t",')
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}: invalid JSON: ")):
+        load_config_file(bad)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: [t\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}: invalid YAML: ")):
+        load_config_file(bad)
+
+
+def test_missing_and_non_mapping_sections_are_named():
+    raw = minimal_raw(partition=[2, 0.5])
+    del raw["model"]
+    with pytest.raises(ConfigError) as err:
+        resolve(raw)
+    assert "model: section is required" in err.value.errors
+    assert "partition: must be a mapping, got list" in err.value.errors
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ byte-by-byte with struct.pack, not through the loader.
 
 import csv
 import math
+import re
 import struct
 
 import numpy as np
@@ -240,28 +241,28 @@ def test_empty_schedule_is_identity():
 def test_stepwise_reduction_to_zero():
     ds = blob_ds(k=3)
     shard = make_test_shard(ds)
-    schedule = [(50, 1, 10), (60, 1, 5), (70, 1, 0)]
-    # round by round, each row applied to the shard the row before left
-    mid = data.apply_reduction_schedule(shard, schedule[:1], ds)
+    # round by round, each round's rows applied to the shard the round before left
+    mid = data.apply_reduction_schedule(shard, [(1, 10)], ds)
     assert mid.counts[1] == 10
     # kept samples are the lowest original indices of that class
     original = shard.class_members(1)
     assert np.array_equal(mid.class_members(1), original[:10])
-    late = data.apply_reduction_schedule(mid, schedule[1:2], ds)
+    late = data.apply_reduction_schedule(mid, [(1, 5)], ds)
     assert late.counts[1] == 5
     assert np.array_equal(late.class_members(1), original[:5])
-    gone = data.apply_reduction_schedule(shard, schedule, ds)
-    assert np.array_equal(data.apply_reduction_schedule(late, schedule[2:], ds).indices, gone.indices)
+    gone = data.apply_reduction_schedule(late, [(1, 0)], ds)
     assert gone.counts[1] == 0
     assert 1 in gone.missing
     assert gone.counts[0] == shard.counts[0]
+    # keeping a whole class drops nothing: the shard comes back as it was
+    assert data.apply_reduction_schedule(gone, [(0, 60), (1, 0)], ds) is gone
 
 
 def test_reduction_recomputes_roles():
     ds = blob_ds(k=3)
     shard = make_test_shard(ds, class1_count=40)
     assert 1 in shard.dominant
-    reduced = data.apply_reduction_schedule(shard, [(10, 1, 2)], ds)
+    reduced = data.apply_reduction_schedule(shard, [(1, 2)], ds)
     # 2 of 62 ~ 3.2% < 5%
     assert 1 in reduced.non_dominant
 
@@ -269,14 +270,19 @@ def test_reduction_recomputes_roles():
 def test_reduction_validation():
     ds = blob_ds(k=3)
     shard = make_test_shard(ds)
-    with pytest.raises(ValueError, match="cannot keep"):
-        data.apply_reduction_schedule(shard, [(5, 1, 1000)], ds)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        data.apply_reduction_schedule(shard, [(5, 1, 30), (5, 1, 20)], ds)
+    with pytest.raises(ValueError, match="cannot keep 1000 of 40 class-1 samples"):
+        data.apply_reduction_schedule(shard, [(1, 1000)], ds)
+    with pytest.raises(ValueError, match="cannot keep -1 of 60 class-0 samples"):
+        data.apply_reduction_schedule(shard, [(0, -1)], ds)
+    with pytest.raises(ValueError, match="class 1 named twice"):
+        data.apply_reduction_schedule(shard, [(1, 30), (1, 20)], ds)
     # a class outside the dataset, even with nothing to keep
     for klass in (99, -1):
-        with pytest.raises(ValueError, match=rf"round 1: class {klass} outside \[0, 3\)"):
-            data.apply_reduction_schedule(shard, [(1, klass, 0)], ds)
+        with pytest.raises(ValueError, match=rf"^class {klass} outside \[0, 3\)$"):
+            data.apply_reduction_schedule(shard, [(klass, 0)], ds)
+    # rows are checked in class order, so the lowest bad class is named
+    with pytest.raises(ValueError, match="cannot keep 1000 of 60 class-0"):
+        data.apply_reduction_schedule(shard, [(1, 1000), (0, 1000)], ds)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +314,23 @@ def test_idx_fixture_round_trip(tmp_path):
 
 def test_idx_truncated_file_names_lengths(tmp_path):
     ip, lp = write_idx_pair(tmp_path, [1] * 8, [0, 1])
-    ip.write_bytes(ip.read_bytes()[:-3])
+    whole = ip.read_bytes()
+    ip.write_bytes(whole[:-3])
     with pytest.raises(data.IdxFormatError, match="expected 24 bytes.*got 21"):
+        data.load_idx(ip, lp)
+    # the magic and one of the three image dimensions
+    ip.write_bytes(whole[:8])
+    with pytest.raises(data.IdxFormatError,
+                       match=re.escape(f"{ip}: byte 8: truncated header: 8 bytes, need 16")):
+        data.load_idx(ip, lp)
+    ip.write_bytes(whole[:3])
+    with pytest.raises(data.IdxFormatError,
+                       match=re.escape(f"{ip}: byte 0: file holds 3 bytes, no room for a magic number")):
+        data.load_idx(ip, lp)
+    ip.write_bytes(whole)
+    lp.write_bytes(lp.read_bytes() + bytes([1]))
+    with pytest.raises(data.IdxFormatError,
+                       match=re.escape(f"{lp}: byte 11: expected 10 bytes for 2 labels, got 11")):
         data.load_idx(ip, lp)
 
 
@@ -368,6 +389,20 @@ def test_assignment_csv_rejects_label_tamper(tmp_path):
     rows[1] = ",".join(first)
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="labeled"):
+        data.load_assignments(path, ds, gamma=0.1)
+
+
+def test_assignment_csv_rejects_unknown_samples_and_duplicates(tmp_path):
+    ds = blob_ds(k=4, per_class=50)
+    path = tmp_path / "assign.csv"
+    header = "sample_id,client_id,label\n"
+    for idx in (len(ds), -1):
+        path.write_text(header + f"0,0,{ds.labels[0]}\n{idx},1,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sample_id {idx} outside the dataset")):
+            data.load_assignments(path, ds, gamma=0.1)
+    # one sample given to two clients
+    path.write_text(header + f"0,0,{ds.labels[0]}\n1,0,{ds.labels[1]}\n0,1,{ds.labels[0]}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate sample assignments")):
         data.load_assignments(path, ds, gamma=0.1)
 
 

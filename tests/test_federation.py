@@ -875,8 +875,11 @@ def test_shard_timeline_matches_per_round_schedule(tmp_path):
         for k in sorted(k for k in changes if 0 < k <= r):
             shards.update(changes[k])
         for cid, shard in shards.items():
-            due = [tuple(row[1:]) for row in rows if row[0] == cid and row[1] <= r]
-            want = data.apply_reduction_schedule(base[cid], due, train)
+            # each class keeps the lowest samples its latest due row names
+            keep = {klass: n for c, rnd, klass, n in sorted(rows, key=lambda row: row[1])
+                    if c == cid and rnd <= r}
+            kept = [base[cid].class_members(k)[:keep.get(k)] for k in range(train.class_count)]
+            want = data.make_shard(cid, np.concatenate(kept), train, base[cid].gamma)
             assert np.array_equal(shard.indices, want.indices), (r, cid)
             assert (shard.dominant, shard.non_dominant, shard.missing) == (
                 want.dominant, want.non_dominant, want.missing), (r, cid)
@@ -920,6 +923,16 @@ def test_every_schedule_row_checked_before_round_one(tmp_path):
     assert not (tmp_path / "two" / "run" / "metrics").exists()
 
 
+def test_class_named_twice_in_one_round_names_the_round(tmp_path):
+    # one class at round 2 twice, after a valid row at round 1 on the same class
+    rows = [[0, 1, 0, 2], [0, 2, 0, 1], [0, 2, 0, 0]]
+    cfg = config.resolve(raw_config(tmp_path, partition=BALANCED_PAIR, schedules={"reduction": rows}))
+    with pytest.raises(federation.RunError,
+                       match="^reduction schedule of client 0: round 2: class 0 named twice$"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "run" / "metrics").exists()
+
+
 def test_partition_file_that_assigns_no_sample_fails_before_writing(tmp_path):
     path = tmp_path / "assignments.csv"
     path.write_text("sample_id,client_id,label\n")
@@ -945,6 +958,13 @@ def test_partition_file_with_a_negative_client_fails_before_writing(tmp_path):
         data.load_assignments(path, train, gamma=0.1)
     cfg = config.resolve(raw_config(tmp_path, partition={"file": str(path), "gamma": 0.1}))
     with pytest.raises(ValueError, match="client_id -1 is negative"):
+        federation.run_experiment(cfg)
+    assert not (tmp_path / "run" / "metrics").exists()
+
+
+def test_tcnn_preset_on_flat_samples_fails_before_writing(tmp_path):
+    cfg = config.resolve(raw_config(tmp_path, model={"preset": "t_cnn"}))
+    with pytest.raises(ValueError, match=re.escape("t_cnn wants (C, H, W) samples, dataset has (2,)")):
         federation.run_experiment(cfg)
     assert not (tmp_path / "run" / "metrics").exists()
 

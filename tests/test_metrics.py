@@ -73,9 +73,13 @@ def test_constant_predictor_class_accuracy():
 
 def test_random_logits_are_chance_level():
     k = 4
-    ds = data.synth_blobs(k, 1000, 6, 0.0, seed=3)
-    logits = stream(4, "logits").normal(size=(len(ds), k))
-    acc = metrics.accuracy_from_logits(logits, ds)
+    # one center for every class, and an identity layer: the logits are
+    # the inputs' noise, independent of the labels
+    ds = data.synth_blobs(k, 1000, k, 0.0, seed=3)
+    spec = nn.mlp_spec(k, (), k)
+    state = nn.ModelState(np.concatenate([np.eye(k).ravel(), np.zeros(k)]), spec.spec_hash)
+    assert nn.forward_logits(state, spec, ds.inputs).tobytes() == ds.inputs.tobytes()
+    acc = metrics.classwise_accuracy(state, spec, ds)
     assert np.all(np.abs(acc - 1.0 / k) < 0.05)
 
 
@@ -117,15 +121,23 @@ def test_forgetting_records_satisfy_their_own_equation():
         assert r.round == 9 and r.client == 1
 
 
-def test_accuracy_from_logits_matches_per_class_means():
+def per_class_means(logits, ds):
+    """The mean of each class's argmax hits, NaN for a class the test set
+    lacks: the reference every evaluation's bytes are checked against."""
+    correct = logits.argmax(axis=1) == ds.labels
+    return np.array([correct[ds.labels == k].mean() if (ds.labels == k).any() else np.nan
+                     for k in range(ds.class_count)])
+
+
+def test_classwise_accuracy_matches_per_class_means():
     # class 2 has no test samples
     labels = stream(8, "labels").choice([0, 1, 3], size=200)
-    ds = data.LabeledDataset(np.zeros((200, 1)), labels, 4, "gap")
-    logits = stream(9, "logits").normal(size=(200, 4))
-    correct = logits.argmax(axis=1) == labels
-    expected = np.array([correct[labels == k].mean() if (labels == k).any() else np.nan
-                         for k in range(4)])
-    assert metrics.accuracy_from_logits(logits, ds).tobytes() == expected.tobytes()
+    ds = data.LabeledDataset(stream(9, "inputs").normal(size=(200, 5)), labels, 4, "gap")
+    spec = nn.mlp_spec(5, (), 4)
+    state = nn.init_state(spec, stream(9, "init"))
+    expected = per_class_means(nn.forward_logits(state, spec, ds.inputs), ds)
+    assert math.isnan(expected[2]) and 0 < np.nanmin(expected) < np.nanmax(expected) < 1
+    assert metrics.classwise_accuracy(state, spec, ds).tobytes() == expected.tobytes()
 
 
 def eval_case(preset):
@@ -151,7 +163,7 @@ def test_workspace_evaluation_matches_fresh_passes(preset):
         acc = metrics.classwise_accuracy(state, spec, ds, workspace)
         fresh = nn.forward_logits(state, spec, ds.inputs)
         assert logits == fresh.tobytes()
-        assert acc.tobytes() == metrics.accuracy_from_logits(fresh, ds).tobytes()
+        assert acc.tobytes() == per_class_means(fresh, ds).tobytes()
         assert math.isnan(acc[2])
         records = metrics.measure_local_forgetting(
             data.make_shard(0, np.arange(10), ds, gamma=0.05), acc, acc, 1)
@@ -266,7 +278,7 @@ def test_blocked_logits_equal_the_whole_set_pass():
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_accuracies_do_not_depend_on_the_thread_count(threads, monkeypatch):
     spec, ds, states = wide_case()
-    expected = np.stack([metrics.accuracy_from_logits(nn.forward_logits(s, spec, ds.inputs), ds)
+    expected = np.stack([per_class_means(nn.forward_logits(s, spec, ds.inputs), ds)
                          for s in states])
     cores(monkeypatch, threads)
     lanes, _, _ = record_lanes(monkeypatch)
@@ -324,7 +336,7 @@ def test_more_threads_than_cores_lose_no_block(monkeypatch):
     assert spec.macs_per_row * 2000 >= nn.THREAD_MACS
     ds = data.LabeledDataset(stream(23, "x").normal(size=(16000, 32)), np.arange(16000) % 2, 2, "stress")
     states = [nn.init_state(spec, stream(s, "init")) for s in range(24, 30)]
-    expected = np.stack([metrics.accuracy_from_logits(nn.forward_logits(s, spec, ds.inputs), ds)
+    expected = np.stack([per_class_means(nn.forward_logits(s, spec, ds.inputs), ds)
                          for s in states])
     cores(monkeypatch, 8)
     interval = sys.getswitchinterval()
