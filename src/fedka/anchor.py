@@ -29,21 +29,10 @@ VARIANTS = ("full", "ka_n", "ka_m", "none")
 SELECTIONS = ("random", "hard", "proficient")
 
 
-@dataclass(frozen=True)
-class SharedDataset:
-    """One sample per class, assembled once per experiment."""
-
-    inputs: np.ndarray       # (K, *feature shape)
-    sample_ids: np.ndarray   # provenance: index into the source dataset
-    class_count: int
-
-    def __post_init__(self):
-        if len(self.inputs) != self.class_count or len(self.sample_ids) != self.class_count:
-            raise ValueError(f"shared dataset must hold exactly {self.class_count} entries")
-
-
-def build_shared_dataset(dataset: LabeledDataset, seed: int) -> SharedDataset:
-    """Pick one sample per class: first hit in a seed-shuffled index order.
+def build_shared_dataset(dataset: LabeledDataset, seed: int) -> np.ndarray:
+    """The shared one-per-class dataset, assembled once per experiment, as
+    the (K,) dataset indices of its samples, class k's at k: the first
+    class-k hit in a seed-shuffled index order.
 
     With partitioned data the picks land on arbitrary clients, so no single
     client sources the whole set.
@@ -61,7 +50,7 @@ def build_shared_dataset(dataset: LabeledDataset, seed: int) -> SharedDataset:
     if remaining:
         missing = np.flatnonzero(chosen < 0).tolist()
         raise ValueError(f"no samples anywhere for classes {missing}")
-    return SharedDataset(dataset.inputs[chosen], chosen, dataset.class_count)
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -146,15 +135,17 @@ def select_anchor_strategy(
 
 def build_anchor(
     shard: ClientShard,
-    shared: SharedDataset,
+    shared: np.ndarray,
     dataset: LabeledDataset,
     rng: np.random.Generator,
     *,
     variant: str = "full",
     chooser: Callable[[int, np.random.Generator], int] | None = None,
 ) -> KnowledgeAnchor:
-    """Assemble the per-round anchor: shared samples for missing classes,
-    one local sample for each non-dominant class, nothing for dominant.
+    """Assemble the per-round anchor: the shared sample (``shared``, the
+    sample ids of build_shared_dataset) for each missing class, one local
+    sample for each non-dominant class, nothing for dominant. Every entry's
+    input is its sample's row of ``dataset``.
 
     The chooser (see select_anchor_strategy) picks the local sample; by
     default it draws uniformly. Class ids are visited in ascending order so
@@ -166,10 +157,10 @@ def build_anchor(
     entries = []
     for k in sorted(allowed):
         if k in shard.missing:
-            entries.append(AnchorEntry(shared.inputs[k], k, "shared", int(shared.sample_ids[k])))
+            source, sample_id = "shared", int(shared[k])
         else:
-            sample_id = chooser(k, rng)
-            entries.append(AnchorEntry(dataset.inputs[sample_id], k, "local", sample_id))
+            source, sample_id = "local", chooser(k, rng)
+        entries.append(AnchorEntry(dataset.inputs[sample_id], k, source, sample_id))
     return KnowledgeAnchor(tuple(entries), frozenset(shard.dominant))
 
 

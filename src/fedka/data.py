@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -234,57 +234,42 @@ def make_shard(client_id: int, indices: np.ndarray, dataset: LabeledDataset, gam
     return ClientShard(client_id, indices, labels, counts, dom, non, mis, gamma)
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    client_count: int
-    alpha: float
-    seed: int
-    min_samples_per_client: int = 1
-
-    def __post_init__(self):
-        if self.client_count < 1:
-            raise ValueError("client_count must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if self.min_samples_per_client < 0:
-            raise ValueError("min_samples_per_client must be >= 0")
-
-
-def dirichlet_partition(
-    dataset: LabeledDataset,
-    spec: PartitionSpec,
-    gamma: float = DEFAULT_GAMMA,
-    max_retries: int = 100,
-) -> list[ClientShard]:
-    """Label-skewed split: per class k, client proportions ~ Dir(alpha * 1_N).
-
-    The whole draw is retried (bounded) until every client holds at least
-    ``min_samples_per_client`` samples.
+def dirichlet_partition(dataset: LabeledDataset, clients: int, alpha: float, seed: int,
+                        min_samples_per_client: int = 1, gamma: float = DEFAULT_GAMMA,
+                        max_retries: int = 100) -> list[ClientShard]:
+    """Label-skewed split over ``clients`` shards: per class k, client
+    proportions ~ Dir(alpha * 1_N), drawn from the ``partition`` stream of
+    ``seed``. The whole draw is retried (bounded) until every client holds
+    at least ``min_samples_per_client`` samples; 0 acts as 1, since no
+    shard may be empty.
     """
-    n_clients = spec.client_count
-    rng = stream(spec.seed, "partition")
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if min_samples_per_client < 0:
+        raise ValueError(f"min_samples_per_client must be >= 0, got {min_samples_per_client}")
+    rng = stream(seed, "partition")
     for _ in range(max_retries + 1):
-        assigned: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
+        assigned: list[list[np.ndarray]] = [[] for _ in range(clients)]
         for k in range(dataset.class_count):
             members = dataset.class_indices[k]
             if len(members) == 0:
                 continue
-            proportions = rng.dirichlet(np.full(n_clients, spec.alpha))
+            proportions = rng.dirichlet(np.full(clients, alpha))
             counts = rng.multinomial(len(members), proportions)
             shuffled = rng.permutation(members)
             offsets = np.cumsum(counts)[:-1]
             for client, chunk in enumerate(np.split(shuffled, offsets)):
                 assigned[client].append(chunk)
         sizes = [sum(len(c) for c in chunks) for chunks in assigned]
-        if min(sizes) >= max(spec.min_samples_per_client, 1):
+        if min(sizes) >= max(min_samples_per_client, 1):
             return [
                 make_shard(i, np.concatenate(chunks), dataset, gamma)
                 for i, chunks in enumerate(assigned)
             ]
-    raise PartitionError(
-        f"could not give every client >= {spec.min_samples_per_client} samples "
-        f"after {max_retries} retries; raise alpha or lower client_count"
-    )
+    raise PartitionError(f"could not give every client >= {min_samples_per_client} samples "
+                         f"after {max_retries} retries; raise alpha or lower clients")
 
 
 def apply_reduction_schedule(

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, anchor, nn
 from .config import ExperimentConfig
-from .data import (ClientShard, LabeledDataset, PartitionSpec, apply_reduction_schedule,
-                   dirichlet_partition, load_assignments, load_idx, synth_blobs)
+from .data import (ClientShard, LabeledDataset, apply_reduction_schedule, dirichlet_partition,
+                   load_assignments, load_idx, synth_blobs)
 from .metrics import (MetricsWriter, RoundRecord, classwise_accuracies, classwise_accuracy,
                       global_accuracy, measure_local_forgetting, write_summary)
 from .rng import stream
@@ -74,7 +74,7 @@ class _Client:
 
 def _plan_client(cfg: ExperimentConfig, round_index: int, shard: ClientShard,
                  global_state: nn.ModelState, spec: nn.NetworkSpec, dataset: LabeledDataset,
-                 shared: anchor.SharedDataset | None) -> _Client:
+                 shared: np.ndarray | None) -> _Client:
     """The client's anchor and every batch of its round, drawn from its own
     ``anchor`` and ``batch`` streams; its labels and inputs are checked
     here, once, rather than at every step."""
@@ -121,14 +121,16 @@ def local_train(
     global_state: nn.ModelState,
     spec: nn.NetworkSpec,
     dataset: LabeledDataset,
-    shared: anchor.SharedDataset | None = None,
+    shared: np.ndarray | None = None,
     workspace: nn.Workspace | None = None,
     stack: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[ClientUpdate]:
     """Train a fresh copy of the global model on each client's shard, under
     ``cfg.training`` and ``cfg.strategy``, all clients in lockstep; returns
-    the updates in the order of ``shards``. The passes run through the
-    ``workspace``, which nothing else may use meanwhile.
+    the updates in the order of ``shards``. A fedka client's anchor takes
+    its missing classes' samples from ``shared``, the sample ids of
+    anchor.build_shared_dataset. The passes run through the ``workspace``,
+    which nothing else may use meanwhile.
 
     Each copy starts with zeroed momentum, and its update holds its
     parameters only. Proximal and anchor terms are evaluated only when their
@@ -326,11 +328,13 @@ def build_model_spec(cfg: ExperimentConfig, sample_shape: tuple[int, ...], class
 
 
 def build_shards(cfg: ExperimentConfig, train: LabeledDataset) -> list[ClientShard]:
+    """The partition's shards: read from ``partition.file`` when set, else
+    dirichlet_partition with the section's clients, alpha, seed,
+    min_samples_per_client and gamma."""
     p = cfg.partition
     if p.file:
         return load_assignments(p.file, train, p.gamma)
-    spec = PartitionSpec(p.clients, p.alpha, p.seed, p.min_samples_per_client)
-    return dirichlet_partition(train, spec, gamma=p.gamma)
+    return dirichlet_partition(train, p.clients, p.alpha, p.seed, p.min_samples_per_client, p.gamma)
 
 
 def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, dict[int, ClientShard]]:
@@ -363,7 +367,7 @@ def shards_by_round(cfg: ExperimentConfig, train: LabeledDataset) -> dict[int, d
 
 def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
               global_state: nn.ModelState, spec: nn.NetworkSpec, train: LabeledDataset,
-              shared: anchor.SharedDataset | None, workspace: nn.Workspace) -> list[ClientUpdate]:
+              shared: np.ndarray | None, workspace: nn.Workspace) -> list[ClientUpdate]:
     """Round r's local stages: the sampled participants train on their
     shards in lockstep, split into k stacks, stack i the unit i of
     nn.on_lanes on k threads, so a caller that keeps one ``workspace``
@@ -422,8 +426,9 @@ def _clear_outputs(out: Path) -> None:
 
 
 # What no round of a run changes, as start builds it: the config, the train
-# and test sets, the model spec, the shared dataset (fedka), shards_by_round,
-# and the workspace through whose lane t thread t trains and evaluates.
+# and test sets, the model spec, the shared dataset's sample ids (fedka),
+# shards_by_round, and the workspace through whose lane t thread t trains and
+# evaluates.
 RunInputs = namedtuple("RunInputs", "cfg train test spec shared changes workspace")
 
 

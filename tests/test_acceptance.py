@@ -33,7 +33,7 @@ from fedka import nn
 from fedka.anchor import (AnchorEntry, KnowledgeAnchor, build_anchor,
                           build_shared_dataset, downsample_anchor)
 from fedka.config import resolve
-from fedka.data import (PartitionSpec, classify_roles, dirichlet_partition,
+from fedka.data import (classify_roles, dirichlet_partition,
                         make_shard, synth_blobs)
 from fedka.federation import (aggregate, build_datasets, build_shards, local_train,
                               run_experiment)
@@ -232,7 +232,7 @@ def test_criterion_03_role_and_anchor_oracle_equivalence():
             anchor_ok &= e.label not in shard.dominant
             if e.label in shard.missing:
                 anchor_ok &= e.source == "shared"
-                anchor_ok &= e.sample_id == int(shared.sample_ids[e.label])
+                anchor_ok &= e.sample_id == int(shared[e.label])
             else:
                 anchor_ok &= e.source == "local"
                 anchor_ok &= e.sample_id in shard.class_members(e.label)
@@ -254,7 +254,7 @@ def test_criterion_04_aggregation_equality_and_convexity():
     """Aggregation equals an independent weighted mean to 1e-12 and stays
     inside the per-coordinate convex envelope for 20 straight rounds."""
     train = synth_blobs(3, 60, 4, 4.0, seed=321)
-    shards = dirichlet_partition(train, PartitionSpec(3, 0.5, 1234, 8))
+    shards = dirichlet_partition(train, 3, 0.5, 1234, 8)
     spec = nn.mlp_spec(4, (6,), 3)
     state = nn.init_state(spec, stream(99, "init"))
     cfg = resolve(blob_raw("aggregation", 99, {"kind": "fedavg"},

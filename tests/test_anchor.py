@@ -33,26 +33,25 @@ def shard_with_roles(ds, spec_counts, gamma=0.05, client_id=0):
 def test_shared_dataset_one_sample_per_class():
     ds = blob_ds(k=10)
     shared = anchor.build_shared_dataset(ds, seed=5)
-    assert len(shared.inputs) == 10
+    assert shared.shape == (10,)
     for k in range(10):
-        assert ds.labels[shared.sample_ids[k]] == k
-        assert np.array_equal(shared.inputs[k], ds.inputs[shared.sample_ids[k]])
+        assert ds.labels[shared[k]] == k
 
 
 def test_shared_dataset_deterministic_per_seed():
     ds = blob_ds(k=6)
     a = anchor.build_shared_dataset(ds, seed=5)
     b = anchor.build_shared_dataset(ds, seed=5)
-    assert np.array_equal(a.sample_ids, b.sample_ids)
+    assert np.array_equal(a, b)
     c = anchor.build_shared_dataset(ds, seed=6)
-    assert not np.array_equal(a.sample_ids, c.sample_ids)
+    assert not np.array_equal(a, c)
 
 
 def test_shared_dataset_single_contributor_is_fine():
     # all classes present in a tiny dataset: still one pick per class
     ds = data.synth_blobs(3, 1, 2, 4.0, seed=2)
     shared = anchor.build_shared_dataset(ds, seed=0)
-    assert sorted(shared.sample_ids.tolist()) == [0, 1, 2]
+    assert sorted(shared.tolist()) == [0, 1, 2]
 
 
 def test_shared_dataset_missing_class_errors():
@@ -76,7 +75,8 @@ def test_case_split_missing_from_shared_nondominant_from_local():
     assert len(built) == 2
     by_label = {e.label: e for e in built.entries}
     assert by_label[0].source == "shared"
-    assert by_label[0].sample_id == shared.sample_ids[0]
+    assert by_label[0].sample_id == shared[0]
+    assert np.array_equal(by_label[0].input, ds.inputs[shared[0]])
     assert by_label[1].source == "local"
     assert by_label[1].sample_id in set(shard.class_members(1))
     assert np.array_equal(by_label[1].input, ds.inputs[by_label[1].sample_id])

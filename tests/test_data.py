@@ -161,7 +161,7 @@ def blob_ds(k=10, per_class=100, seed=20):
 
 def test_single_client_gets_everything():
     ds = blob_ds()
-    shards = data.dirichlet_partition(ds, data.PartitionSpec(1, 0.5, seed=0))
+    shards = data.dirichlet_partition(ds, 1, 0.5, seed=0)
     assert len(shards) == 1
     assert np.array_equal(shards[0].indices, np.arange(len(ds)))
 
@@ -169,7 +169,7 @@ def test_single_client_gets_everything():
 def test_partition_is_exact_for_many_seeds():
     ds = blob_ds()
     for seed in range(8):
-        shards = data.dirichlet_partition(ds, data.PartitionSpec(7, 0.3, seed=seed))
+        shards = data.dirichlet_partition(ds, 7, 0.3, seed=seed)
         merged = np.concatenate([s.indices for s in shards])
         assert len(merged) == len(ds)
         assert len(np.unique(merged)) == len(ds)
@@ -179,18 +179,17 @@ def test_partition_is_exact_for_many_seeds():
 
 def test_partition_is_deterministic():
     ds = blob_ds()
-    spec = data.PartitionSpec(5, 0.2, seed=42)
-    a = data.dirichlet_partition(ds, spec)
-    b = data.dirichlet_partition(ds, spec)
+    a = data.dirichlet_partition(ds, 5, 0.2, seed=42)
+    b = data.dirichlet_partition(ds, 5, 0.2, seed=42)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.indices, sb.indices)
-    c = data.dirichlet_partition(ds, data.PartitionSpec(5, 0.2, seed=43))
+    c = data.dirichlet_partition(ds, 5, 0.2, seed=43)
     assert any(not np.array_equal(sa.indices, sc.indices) for sa, sc in zip(a, c))
 
 
 def test_small_alpha_skews_and_large_alpha_balances():
     ds = blob_ds(per_class=10000)
-    skewed = data.dirichlet_partition(ds, data.PartitionSpec(10, 0.1, seed=5))
+    skewed = data.dirichlet_partition(ds, 10, 0.1, seed=5)
     matrix = np.stack([s.counts for s in skewed])
     assert np.any(matrix == 0)  # missing classes appear
     top_share = (matrix.max(axis=1) / matrix.sum(axis=1)).mean()
@@ -198,7 +197,7 @@ def test_small_alpha_skews_and_large_alpha_balances():
 
     global_share = ds.class_counts / len(ds)
     for seed in range(10):
-        shards = data.dirichlet_partition(ds, data.PartitionSpec(10, 1000.0, seed=seed))
+        shards = data.dirichlet_partition(ds, 10, 1000.0, seed=seed)
         for s in shards:
             share = s.counts / len(s)
             rel = np.abs(share - global_share) / global_share
@@ -208,12 +207,42 @@ def test_small_alpha_skews_and_large_alpha_balances():
 def test_impossible_minimum_raises_with_advice():
     ds = data.synth_blobs(2, 2, 2, 3.0, seed=1)  # 4 samples
     with pytest.raises(data.PartitionError, match="alpha"):
-        data.dirichlet_partition(ds, data.PartitionSpec(5, 0.5, seed=0), max_retries=5)
+        data.dirichlet_partition(ds, 5, 0.5, seed=0, max_retries=5)
+
+
+def test_partition_argument_validation():
+    ds = blob_ds(k=4, per_class=50)
+    for args, message in [((0, 0.5), "clients must be >= 1, got 0"), ((3, 0.0), "alpha must be > 0, got 0.0"),
+                          ((3, -1.0), "alpha must be > 0"), ((3, float("nan")), "alpha must be > 0")]:
+        with pytest.raises(ValueError, match=message):
+            data.dirichlet_partition(ds, *args, seed=0)
+    with pytest.raises(ValueError, match="min_samples_per_client must be >= 0, got -1"):
+        data.dirichlet_partition(ds, 3, 0.5, seed=0, min_samples_per_client=-1)
+    # no shard may be empty, so a minimum of 0 acts as 1: seed 0's first
+    # draw over 6 samples leaves a client empty, and is retried
+    tiny = data.synth_blobs(2, 3, 2, 3.0, seed=1)
+    with pytest.raises(data.PartitionError):
+        data.dirichlet_partition(tiny, 3, 0.3, seed=0, min_samples_per_client=0, max_retries=0)
+    for a, b in zip(data.dirichlet_partition(tiny, 3, 0.3, seed=0, min_samples_per_client=0),
+                    data.dirichlet_partition(tiny, 3, 0.3, seed=0), strict=True):
+        assert len(a) >= 1 and np.array_equal(a.indices, b.indices)
+
+
+def test_partition_skips_a_class_without_samples():
+    """A class absent from the dataset draws nothing and is every shard's
+    missing class: the shards are those of the dataset without it."""
+    ds = blob_ds(k=3, per_class=40)
+    wider = data.LabeledDataset(ds.inputs, ds.labels, 4, "class 3 absent")
+    for a, b in zip(data.dirichlet_partition(wider, 3, 0.5, seed=4),
+                    data.dirichlet_partition(ds, 3, 0.5, seed=4), strict=True):
+        assert np.array_equal(a.indices, b.indices)
+        assert a.counts.tolist() == b.counts.tolist() + [0]
+        assert 3 in a.missing
 
 
 def test_shards_expose_roles_with_requested_gamma():
     ds = blob_ds()
-    shards = data.dirichlet_partition(ds, data.PartitionSpec(4, 0.1, seed=9), gamma=0.2)
+    shards = data.dirichlet_partition(ds, 4, 0.1, seed=9, gamma=0.2)
     for s in shards:
         assert s.gamma == 0.2
         dom, non, mis = data.classify_roles(s.counts, 0.2)
@@ -367,7 +396,7 @@ def test_idx_label_outside_class_range(tmp_path):
 
 def test_assignment_csv_round_trip(tmp_path):
     ds = blob_ds(k=4, per_class=50)
-    shards = data.dirichlet_partition(ds, data.PartitionSpec(3, 0.4, seed=2), gamma=0.1)
+    shards = data.dirichlet_partition(ds, 3, 0.4, seed=2, gamma=0.1)
     path = tmp_path / "assign.csv"
     data.export_assignments(shards, path)
     back = data.load_assignments(path, ds, gamma=0.1)
@@ -380,7 +409,7 @@ def test_assignment_csv_round_trip(tmp_path):
 
 def test_assignment_csv_rejects_label_tamper(tmp_path):
     ds = blob_ds(k=4, per_class=50)
-    shards = data.dirichlet_partition(ds, data.PartitionSpec(3, 0.4, seed=2))
+    shards = data.dirichlet_partition(ds, 3, 0.4, seed=2)
     path = tmp_path / "assign.csv"
     data.export_assignments(shards, path)
     rows = path.read_text().splitlines()
@@ -408,7 +437,7 @@ def test_assignment_csv_rejects_unknown_samples_and_duplicates(tmp_path):
 
 def test_count_matrix_matches_shards(tmp_path):
     ds = blob_ds(k=4, per_class=50)
-    shards = data.dirichlet_partition(ds, data.PartitionSpec(3, 0.4, seed=2))
+    shards = data.dirichlet_partition(ds, 3, 0.4, seed=2)
     path = tmp_path / "matrix.csv"
     data.export_count_matrix(shards, path)
     with open(path, newline="") as fh:
@@ -416,6 +445,9 @@ def test_count_matrix_matches_shards(tmp_path):
     assert rows[0] == ["client", "class_0", "class_1", "class_2", "class_3"]
     for shard, row in zip(shards, rows[1:]):
         assert [int(v) for v in row] == [shard.client_id] + shard.counts.tolist()
+    with pytest.raises(ValueError, match="no shards"):
+        data.export_count_matrix([], tmp_path / "empty.csv")
+    assert not (tmp_path / "empty.csv").exists()
 
 
 def test_dataset_rejects_bad_labels():
@@ -423,3 +455,18 @@ def test_dataset_rejects_bad_labels():
         data.LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 5]), 3, "bad")
     with pytest.raises(ValueError, match="empty"):
         data.LabeledDataset(np.zeros((0, 2)), np.array([], dtype=int), 3, "empty")
+    with pytest.raises(ValueError, match="3 inputs vs 2 labels"):
+        data.LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), 3, "short")
+
+
+def test_shard_rejects_broken_invariants():
+    labels, counts, roles = [0, 1, 1], [1, 2], (frozenset({0, 1}), frozenset(), frozenset())
+    data.ClientShard(0, [2, 5, 7], labels, counts, *roles, 0.05)
+    for indices, labels_, counts_, message in [
+        ([2, 5], labels, counts, "indices and labels misaligned"),
+        ([2, 5, 7], labels, [1, 1], "counts do not add up to the shard size"),
+        ([2, 7, 5], labels, counts, "strictly increasing"),
+        ([2, 5, 5], labels, counts, "strictly increasing"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            data.ClientShard(0, indices, labels_, counts_, *roles, 0.05)

@@ -189,6 +189,14 @@ def test_fedka_requires_shared_dataset():
         federation.local_train(cfg_for("fedka"), 1, [shard], state, spec, ds)
 
 
+def test_local_train_refuses_an_unknown_strategy_kind():
+    ds, spec, state, shard = small_setup()
+    cfg = cfg_for("fedavg")
+    cfg = dataclasses.replace(cfg, strategy=dataclasses.replace(cfg.strategy, kind="fedsgd"))
+    with pytest.raises(ValueError, match="unknown strategy 'fedsgd'"):
+        federation.local_train(cfg, 1, [shard], state, spec, ds)
+
+
 # ---------------------------------------------------------------------------
 # lockstep training against a serial reference
 # ---------------------------------------------------------------------------
@@ -367,16 +375,21 @@ def test_a_non_finite_anchor_input_names_the_first_client_it_reaches():
     class 1 stands in the anchors of clients 1, 3 and 4, which miss that
     class: client 1 comes first in both orders. Shared class 0 stands in
     those of clients 2 and 3: with classes 0 and 1 poisoned, client 2 comes
-    first in stack order, client 1 in shard order."""
+    first in stack order, client 1 in shard order. The poisoned samples are
+    train-set rows that no shard holds, so no batch meets them."""
     ds, spec, state, shards = lockstep_setup("mlp")
+    held = np.concatenate([s.indices for s in shards])
+    spare = np.array([np.setdiff1d(ds.class_indices[k], held)[-1] for k in range(ds.class_count)])
+    inputs = ds.inputs.copy()
+    inputs[spare, 0] = np.nan
+    poisoned = data.LabeledDataset(inputs, ds.labels, ds.class_count, "poisoned")
     shared = anchor.build_shared_dataset(ds, seed=9)
     for classes, client in [([1], 1), ([0, 1], 2)]:
-        inputs = shared.inputs.copy()
-        inputs[classes, 0] = np.nan
-        poisoned = anchor.SharedDataset(inputs, shared.sample_ids, shared.class_count)
+        ids = shared.copy()
+        ids[classes] = spare[classes]
         with pytest.raises(federation.RunError,
                            match=f"round 2, client {client}: non-finite values in network inputs") as info:
-            federation.local_train(lockstep_cfg("fedka", beta=0.3), 2, shards, state, spec, ds, poisoned)
+            federation.local_train(lockstep_cfg("fedka", beta=0.3), 2, shards, state, spec, poisoned, ids)
         assert isinstance(info.value.__cause__, nn.NonFiniteError)
 
 
@@ -425,7 +438,7 @@ def test_parallel_clients_0_picks_the_stacks_by_work(preset, cores, stacks, monk
         spec = nn.tcnn_spec((1, 28, 28), 4, conv_kernel=5)
     else:
         ds, spec = flat, nn.mlp_spec(784, (128,), 4)
-    shards = {s.client_id: s for s in data.dirichlet_partition(ds, data.PartitionSpec(4, 1.0, 5))}
+    shards = {s.client_id: s for s in data.dirichlet_partition(ds, 4, 1.0, 5)}
     state = nn.init_state(spec, stream(5, "init"))
     cfg = lockstep_cfg("fedavg")
     cfg = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, batch_size=32))
@@ -570,6 +583,18 @@ def test_failing_clients_in_two_stacks_raise_the_earlier_stack(monkeypatch):
                              workspace)
     assert isinstance(info.value.__cause__, nn.NonFiniteError)
     assert [stacks[lane] for lane in workspace.lanes(3)] == [[2], [0, 3], [1, 4]]
+    assert threading.active_count() == 1
+
+
+def test_run_round_names_the_round_of_a_failure_no_client_caused():
+    """A failure in a stack that is not a RunError, here a fedka round
+    without the shared dataset, is reported with its round and chained."""
+    ds, spec, state, shards = lockstep_setup("mlp")
+    with pytest.raises(federation.RunError,
+                       match=r"^round 3: fedka training needs the shared one-per-class dataset$") as info:
+        federation.run_round(lockstep_cfg("fedka"), 3, {s.client_id: s for s in shards}, state, spec, ds,
+                             None, nn.Workspace())
+    assert type(info.value.__cause__) is ValueError
     assert threading.active_count() == 1
 
 

@@ -145,6 +145,14 @@ def test_nothing_to_check_is_refused(seeds, coords):
         run_gradcheck(seeds, coords, include_cnn=False)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5])
+def test_non_positive_step_is_refused(step):
+    state, x, y = _state_and_batch()
+    grad, _ = step_of_one(SPEC, state, x, y)
+    with pytest.raises(ValueError, match="finite-difference step must be > 0"):
+        check_objective(grad, objective_loss(SPEC, x, y), state, np.arange(5), step=step)
+
+
 def test_run_gradcheck_mlp_only():
     results = run_gradcheck(seeds=2, coords_per_seed=8, include_cnn=False)
     assert len(results) == 3

@@ -69,6 +69,9 @@ def test_constant_predictor_class_accuracy():
     assert np.array_equal(acc, [1.0, 0.0, 0.0, 0.0])
     # balanced test set: global equals plain mean
     assert metrics.global_accuracy(acc, ds) == pytest.approx(0.25)
+    three = data.synth_blobs(3, 10, 3, 2.0, seed=2)
+    with pytest.raises(ValueError, match="model emits 4 classes, test set has 3"):
+        metrics.classwise_accuracy(state, spec, three)
 
 
 def test_random_logits_are_chance_level():

@@ -464,12 +464,13 @@ def test_backward_without_input_grad_keeps_param_grad(layer, in_shape):
     assert gp_only.tobytes() == gp.tobytes()
 
 
-@pytest.mark.parametrize("preset", ["mlp", "t_cnn"])
-def test_backward_never_asks_layer_zero_for_input_grad(preset, monkeypatch):
-    if preset == "mlp":
-        spec = nn.mlp_spec(6, (8,), 4)
-    else:
-        spec = nn.tcnn_spec((1, 10, 10), 3, conv_kernel=3)
+@pytest.mark.parametrize("spec", [
+    nn.mlp_spec(6, (8,), 4),
+    nn.tcnn_spec((1, 10, 10), 3, conv_kernel=3),
+    nn.NetworkSpec((nn.Relu(), nn.Dense(6, 4)), (6,), 4),
+    nn.NetworkSpec((nn.MaxPool(2), nn.Flatten(), nn.Dense(8, 4)), (2, 4, 4), 4),
+], ids=["mlp", "t_cnn", "relu-first", "pool-first"])
+def test_backward_never_asks_layer_zero_for_input_grad(spec, monkeypatch):
     state = nn.init_state(spec, stream(6, "init"))
     x, _ = random_batch(spec, 5)
     _, caches = nn.forward_with_caches(state, spec, x)
@@ -545,6 +546,18 @@ def test_spec_rejects_shape_breaks():
         nn.NetworkSpec((nn.Dense(4, 5),), (4,), 3)
     with pytest.raises(nn.ShapeError):
         nn.NetworkSpec((nn.Conv2d(3, 8, 40), nn.Flatten(), nn.Dense(8, 2)), (3, 32, 32), 2)
+    with pytest.raises(nn.ShapeError, match=r"layer 0: conv2d\(3->2,k3\) expects \(C=3, H, W\) input"):
+        nn.NetworkSpec((nn.Conv2d(3, 2, 3), nn.Flatten(), nn.Dense(72, 2)), (1, 8, 8), 2)
+    with pytest.raises(nn.ShapeError, match=r"layer 0: maxpool\(k2\) expects \(C, H, W\) input, got \(16,\)"):
+        nn.NetworkSpec((nn.MaxPool(2), nn.Dense(4, 2)), (16,), 2)
+    with pytest.raises(nn.ShapeError, match=r"layer 0: maxpool\(k5\) window exceeds input \(1, 4, 4\)"):
+        nn.NetworkSpec((nn.MaxPool(5), nn.Flatten(), nn.Dense(1, 2)), (1, 4, 4), 2)
+    with pytest.raises(nn.ShapeError, match="class_count must be >= 1"):
+        nn.NetworkSpec((nn.Dense(4, 3),), (4,), 0)
+    with pytest.raises(nn.ShapeError, match="at least one layer"):
+        nn.NetworkSpec((), (4,), 3)
+    with pytest.raises(nn.ShapeError, match=r"invalid input shape \(1, 0, 4\)"):
+        nn.NetworkSpec((nn.Flatten(), nn.Dense(0, 3)), (1, 0, 4), 3)
 
 
 @pytest.mark.parametrize("spec, areas, row", [
@@ -599,6 +612,10 @@ def test_state_spec_binding_is_enforced():
     spec_b = nn.mlp_spec(6, (9,), 4)
     with pytest.raises(nn.ShapeError, match="spec"):
         nn.forward_logits(state_a, spec_b, np.zeros((1, 6)))
+    short = nn.ModelState(state_a.params[:-1], spec_a.spec_hash)
+    with pytest.raises(nn.ShapeError, match=f"state holds {spec_a.param_count - 1} parameters, "
+                                            f"spec wants {spec_a.param_count}"):
+        nn.forward_logits(short, spec_a, np.zeros((1, 6)))
 
 
 def test_forward_rejects_bad_inputs():
@@ -610,6 +627,8 @@ def test_forward_rejects_bad_inputs():
     x, y = random_batch(spec, 5)
     with pytest.raises(nn.ShapeError, match="batch has 5 inputs but 4 labels"):
         nn.ce_loss_and_grad(state, spec, x, y[:4])
+    with pytest.raises(ValueError, match="empty batch"):
+        nn.ce_loss_and_grad(state, spec, x[:0], y[:0])
 
 
 def test_forward_reports_layer_of_overflow():
@@ -899,6 +918,11 @@ def test_sgd_rejects_bad_arguments():
         nn.sgd_step(params, momentum, np.zeros(3), lr=0.1)
     with pytest.raises(nn.NonFiniteError):
         nn.sgd_step(params, momentum, np.array([np.inf, 0.0]), lr=0.1)
+    strided = np.zeros(4)[::2]
+    for args in [(strided, momentum, np.zeros(2)), (params, strided, np.zeros(2)),
+                 (params, momentum, strided)]:
+        with pytest.raises(ValueError, match="C-contiguous"):
+            nn.sgd_update(*args, 0.1, 0.9, 0.0)
 
 
 @pytest.mark.parametrize("fault, row, col", [
@@ -1013,6 +1037,20 @@ def test_forward_is_bit_deterministic():
     b = nn.forward_logits(state, spec, x)
     assert np.array_equal(a, b)
     assert a.shape == (3, 5)
+
+
+def test_margin_skips_one_by_one_pools():
+    """A 1x1 pool window has no top-two gap: the margin is the one of the
+    same network without the pool, which has the same parameters."""
+    conv = (nn.Conv2d(1, 2, 3), nn.Relu())
+    head = (nn.Flatten(), nn.Dense(32, 2))
+    pooled = nn.NetworkSpec((*conv, nn.MaxPool(1), *head), (1, 6, 6), 2)
+    plain = nn.NetworkSpec((*conv, *head), (1, 6, 6), 2)
+    state = nn.init_state(pooled, stream(52, "init"))
+    x = stream(53, "x").normal(size=(3, 1, 6, 6))
+    margin = nn.activation_margin(state, pooled, x)
+    assert 0.0 < margin < math.inf
+    assert margin == nn.activation_margin(nn.ModelState(state.params, plain.spec_hash), plain, x)
 
 
 def test_margin_ignores_fully_clamped_pool_windows():
