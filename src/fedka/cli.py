@@ -37,7 +37,7 @@ from .config import (
 from .data import export_assignments, export_count_matrix
 from .federation import build_datasets, build_shards, run_experiment
 from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, run_gradcheck
-from .metrics import read_rounds, rounds_to_target
+from .metrics import fmt, read_rounds, rounds_to_target
 
 OUTPUT_ROOT_ENV = "FEDKA_OUTPUT_ROOT"
 
@@ -91,8 +91,7 @@ def cmd_partition(args) -> int:
         for shard in shards:
             for k in range(shard.class_count):
                 share = shard.counts[k] / len(shard)
-                writer.writerow([shard.client_id, k, int(shard.counts[k]),
-                                 f"{share:.10g}", shard.role_of(k)])
+                writer.writerow([shard.client_id, k, int(shard.counts[k]), fmt(share), shard.role_of(k)])
 
     for shard in shards:
         counts = " ".join(f"{c:5d}" for c in shard.counts)
@@ -147,15 +146,15 @@ def cmd_compare(args) -> int:
         rows.append({
             "run": run["name"],
             "dir": str(run["dir"]),
-            "final_acc": f"{final:.10g}",
+            "final_acc": fmt(final),
             "rounds_to_target": "\\" if reached is None else str(reached),
-            "speedup": "\\" if spd is None else f"{spd:.10g}",
+            "speedup": "\\" if spd is None else fmt(spd),
         })
 
     header = ["run", "final_acc", "rounds_to_target", "speedup"]
     md_lines = [
         f"Baseline: {baseline['name']} ({baseline['dir']}), "
-        f"target accuracy {target:.10g}",
+        f"target accuracy {fmt(target)}",
         "",
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",

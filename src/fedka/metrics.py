@@ -180,14 +180,15 @@ def rounds_to_target(curve: Sequence[tuple[int, float]], target: float) -> int |
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
+def fmt(v: float) -> str:
+    """A float as every metric file and report prints it: 10 significant digits."""
     return f"{v:.10g}"
 
 
 def _forgetting_row(rec: ForgettingRecord, *epoch: str) -> str:
     return ",".join([
         str(rec.round), *epoch, str(rec.client), str(rec.klass), rec.role,
-        _fmt(rec.acc_global), _fmt(rec.acc_local), _fmt(rec.tau),
+        fmt(rec.acc_global), fmt(rec.acc_local), fmt(rec.tau),
     ]) + "\n"
 
 
@@ -235,7 +236,7 @@ class MetricsWriter:
         """Persist one finished round. ``all_clients`` yields (client_id,
         n_samples) for every client, participant or not."""
         self._rounds.write(
-            ",".join([str(rec.round), _fmt(rec.global_acc)] + [_fmt(a) for a in rec.class_acc]) + "\n"
+            ",".join([str(rec.round), fmt(rec.global_acc)] + [fmt(a) for a in rec.class_acc]) + "\n"
         )
         participants = set(rec.participants)
         for client_id, n in all_clients:
@@ -244,7 +245,7 @@ class MetricsWriter:
                 str(rec.round), str(client_id),
                 "1" if client_id in participants else "0",
                 str(n),
-                _fmt(loss) if loss is not None else "",
+                fmt(loss) if loss is not None else "",
             ]) + "\n")
         for fh in self._files:
             fh.flush()
@@ -315,7 +316,7 @@ def write_summary(path, final_round: RoundRecord | None, curve: Sequence[tuple[i
     table = {}
     for target in targets:
         reached = rounds_to_target(curve, target) if curve else None
-        table[_fmt(target)] = reached
+        table[fmt(target)] = reached
     payload = {
         "final_round": final_round.round if final_round else None,
         "final_global_acc": final_round.global_acc if final_round else None,

@@ -26,13 +26,13 @@ forward_with_caches only check a state and its inputs before it.
 A convolution is an explicit GEMM over an im2col column matrix
 (Chellapilla et al. 2006), and its input gradient a GEMM followed by col2im.
 The forward pass builds its column matrix in chunks of rows that fit
-COLUMN_BUDGET, and a forward-only pass of one model runs the layers before
-Flatten in such chunks of rows too (NetworkSpec.conv_stage), so that its
-memory does not grow with the rows it evaluates. The column matrices, and
-the activations and input gradients a pass makes, can live in a Workspace,
-which a caller keeps from pass to pass. A ReLU works in place, forward on an
-array the pass wrote, backward always: its input gradient is its output
-gradient, written over.
+COLUMN_BUDGET, and a forward-only pass, of one model or of a stack, runs the
+layers before Flatten in such chunks of each client's rows too
+(NetworkSpec.conv_stage), so that its memory does not grow with the rows it
+evaluates. The column matrices, and the activations and input gradients a
+pass makes, can live in a Workspace, which a caller keeps from pass to pass.
+A ReLU works in place, forward on an array the pass wrote, backward always:
+its input gradient is its output gradient, written over.
 
 How many threads a job gets follows from its multiply-adds (thread_count):
 a unit of work below THREAD_MACS runs on the calling thread, since starting
@@ -613,7 +613,7 @@ class NetworkSpec:
 
     @cached_property
     def conv_stage(self) -> tuple[int, int]:
-        """How a forward-only pass of one model runs in row chunks: the
+        """How a forward-only pass runs in row chunks of each client: the
         number of layers before the first Flatten, and the rows of a chunk,
         the largest of their conv layers' Conv2d.chunk_rows, which every
         other one divides. (0, 0) for a spec without conv layers, whose
@@ -641,10 +641,11 @@ class NetworkSpec:
         """Entries a forward pass over ``rows`` rows and the backward pass
         after it can take from a Workspace at most: every layer's output,
         the two gradient areas and one column matrix, each rounded up to a
-        64-byte line. A forward-only pass takes less: the stage before
-        Flatten's output over all rows (no wider than a gradient area),
-        every other output only for one chunk of rows, and column matrices
-        of at most COLUMN_BUDGET entries, unless one row needs more."""
+        64-byte line. A forward-only pass, of one model or of a stack, takes
+        less: the stage before Flatten's output over all rows (no wider than
+        a gradient area), every other output only for one chunk of one
+        client's rows, and column matrices of at most COLUMN_BUDGET entries,
+        unless one row needs more."""
         return rows * self._workspace_row + 8 * (len(self.layers) + 2)
 
     @cached_property
@@ -757,13 +758,13 @@ class Workspace:
     after another from one region of memory: every layer's output, the conv
     layers' im2col column matrices (given back once the layer is done with
     them), and in a backward pass two areas that the input gradients of the
-    Dense, Conv2d and MaxPool layers take turns in. A forward-only pass of
-    one model takes the outputs of the layers before Flatten for one chunk
-    of rows, and every chunk takes the same memory again
-    (NetworkSpec.conv_stage); the chunks' last outputs are copied into one
-    array over all rows. A forward pass starts again at
-    the start of the region, and a backward pass goes on after the arrays
-    of the forward pass before it.
+    Dense, Conv2d and MaxPool layers take turns in. A forward-only pass, of
+    one model or of a stack, takes the outputs of the layers before Flatten
+    for one chunk of one client's rows, and every chunk takes the same
+    memory again (NetworkSpec.conv_stage); the chunks' last outputs are
+    copied into one array over all rows. A forward pass starts again at the
+    start of the region, and a backward pass goes on after the arrays of the
+    forward pass before it.
     The region is mapped outside the malloc heaps, and the kernel maps its
     pages in as a pass first touches them. It only grows: a forward pass
     that could take more than the region holds (NetworkSpec.workspace_size)
@@ -830,24 +831,32 @@ def forward(spec: NetworkSpec, params: np.ndarray, x: np.ndarray, keep_caches: b
     (check_inputs): a caller checks its data once, not at every pass.
 
     With a ``workspace``, the layers write their outputs into its region
-    (see Workspace), where they live until its next forward pass. A pass of
-    one model that keeps no caches runs the layers before Flatten in chunks
-    of rows (NetworkSpec.conv_stage); the dense layers run on all rows at
-    once, as a product split by rows rounds differently."""
+    (see Workspace), where they live until its next forward pass. A pass
+    that keeps no caches runs the layers before Flatten client by client,
+    in chunks of rows counted from the client's first row
+    (NetworkSpec.conv_stage), each chunk a pass of that client's model
+    alone; the dense layers run on all rows at once, as a product split by
+    rows rounds differently."""
     caches: list[np.ndarray] | None = [] if keep_caches else None
     if workspace is not None:
         workspace.restart(spec.workspace_size(len(x)))
-    stage, chunk = spec.conv_stage if caches is None and offsets is None else (0, 0)
+    stage, chunk = spec.conv_stage if caches is None else (0, 0)
     if stage:
         shape = (len(x), *spec.layer_shapes[stage])
         staged = _layout(None if workspace is None else workspace.take(math.prod(shape)), shape)
         used = None if workspace is None else workspace._used
-        for lo in range(0, len(x), chunk):
-            staged[lo:lo + chunk] = _layers(spec, params, x[lo:lo + chunk], range(stage), None,
-                                            None, workspace)
-            if workspace is not None:
-                # the next chunk takes the same memory
-                workspace._used = used
+        slices, stack = _clients(offsets, len(x), params)
+        for p, rows in enumerate(slices):
+            for lo in range(rows.start, rows.stop, chunk):
+                hi = min(lo + chunk, rows.stop)
+                try:
+                    staged[lo:hi] = _layers(spec, stack[p], x[lo:hi], range(stage), None, None, workspace)
+                except NonFiniteError as exc:
+                    exc.client = None if offsets is None else p
+                    raise
+                if workspace is not None:
+                    # the next chunk takes the same memory
+                    workspace._used = used
         x = staged
     logits = _layers(spec, params, x, range(stage, len(spec.layers)), caches, offsets, workspace,
                      owned=stage > 0)
@@ -914,7 +923,8 @@ def forward_copies(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, off
     """The logits of the checked ``inputs`` under copies of one model, the
     rows ``offsets[i]:offsets[i + 1]`` through copy i (a stack pass, see
     forward): so each run of rows gets bit for bit the logits of
-    forward_logits over that run alone."""
+    forward_logits over that run alone, and the conv stage runs in chunks
+    of rows, as there, whatever the number of rows."""
     params = np.broadcast_to(check_state(state, spec).params, (len(offsets) - 1, spec.param_count))
     return forward(spec, params, check_inputs(spec, inputs, offsets), False, tuple(offsets))[0]
 
@@ -1041,7 +1051,8 @@ def per_sample_ce(state: ModelState, spec: NetworkSpec, inputs: np.ndarray, labe
     """Individual CE losses, used for hard / proficient sample mining. With
     ``offsets``, the rows ``offsets[i]:offsets[i + 1]`` go through the model
     as a stack of copies of it (forward_copies), so each run of rows scores
-    bit-for-bit as it would alone; without them, all rows are one run."""
+    bit-for-bit as it would alone, and the conv stage takes the memory of
+    one chunk of rows; without them, all rows are one run."""
     logits = forward_copies(state, spec, inputs, (0, len(inputs)) if offsets is None else offsets)
     n = len(logits)
     return ce_losses(logits, np.asarray(labels), np.arange(n), (1,) * n)

@@ -58,19 +58,33 @@ for _selection in ("hard", "proficient"):
     CASES[f"mlp-fedka-{_selection}"] = {
         **BLOB, "partition": {**BLOB["partition"], "gamma": 0.5},
         "strategy": {"kind": "fedka", "beta": 0.3, "selection": _selection}}
+# the ablation variants anchor the non-dominant classes alone (ka_n, local
+# rows only) or the missing ones alone (ka_m, shared rows only), and a cap of
+# one entry samples every anchor of several entries down to one
+for _name, _anchor in (("ka_n", {"variant": "ka_n"}), ("ka_m", {"variant": "ka_m"}),
+                       ("cap", {"mu_anchor": 1})):
+    CASES[f"mlp-fedka-{_name}"] = {
+        **BLOB, "partition": {**BLOB["partition"], "gamma": 0.5},
+        "strategy": {"kind": "fedka", "beta": 0.3, **_anchor}}
 # the fedka case sends the anchor rows through conv and pool backward too
 CASES["tcnn-fedka"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedka", "beta": 0.3}}
 CASES["tcnn-fedprox"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedprox", "mu": 0.5},
                          "metrics": {"epoch_forgetting": True}}
-# three clients of 2, 14 and 2 samples at batch 3: client 1 (no anchor) takes
-# five steps an epoch, the last of two rows, and outlasts the others, whose
-# two batch rows are followed by two anchor rows
 # two stacks of one client, in two threads: each needs buffers of its own
 CASES["tcnn-fedavg-parallel"] = {**CASES["tcnn-fedavg"],
                                  "training": {**CASES["tcnn-fedavg"]["training"], "parallel_clients": 2}}
+# three clients of 2, 14 and 2 samples at batch 3: client 1 (no anchor) takes
+# five steps an epoch, the last of two rows, and outlasts the others, whose
+# two batch rows are followed by two anchor rows
 CASES["tcnn-fedka-steps"] = {**CASES["tcnn-fedka"], "partition": {"clients": 3, "alpha": 0.5},
                              "training": {"rounds": 2, "local_epochs": 2, "batch_size": 3,
                                           "lr": 0.05}}
+# the one case whose anchors come from a forward-only pass of a conv stack:
+# gamma 0.5 leaves classes of several samples non-dominant, and hard
+# selection scores each of them under the round's global model
+CASES["tcnn-fedka-hard"] = {**CASES["tcnn-fedka"],
+                            "partition": {**CASES["tcnn-fedka"]["partition"], "gamma": 0.5},
+                            "strategy": {"kind": "fedka", "beta": 0.3, "selection": "hard"}}
 
 # every checkpoints/final.bin below re-pinned when a checkpoint stopped
 # holding the momentum buffer, which every run saved as zeros: each digest
@@ -171,6 +185,42 @@ DIGESTS = {
         "checkpoints/final.bin":
             "7214fe4c029a0967dc29c661ef379bfc20e78e0c82d8b17ce329d2201d8fcc93",
     },
+    "mlp-fedka-ka_n": {
+        "metrics/clients.csv":
+            "14ad20ea0380f42380e78a63492f1df46c1913096212575794e9c5c3176e6d49",
+        "metrics/forgetting.csv":
+            "815d930f072a1a76b6e79697a54d935ef937acdb9f6add8baf9e8ba4a2c507b4",
+        "metrics/rounds.csv":
+            "c55bca9a350a7f79d48ba097965ad5020b1305ee40a588a6a4ead4e7c8b219b0",
+        "anchors.csv":
+            "e746cc7f2919a396ddb98da73081663c2f68190254861fef5c0616b93a984671",
+        "checkpoints/final.bin":
+            "ae6508b095fb09ce7135fa64661857dbc1a430723370dd86c686ffd17769586b",
+    },
+    "mlp-fedka-ka_m": {
+        "metrics/clients.csv":
+            "64b89fcff8100d7ab9cbb5777819cc403ac9019d3f717e5c5476393c4ae7f47c",
+        "metrics/forgetting.csv":
+            "6ff052549c3285de054c4b3570efe6fc3a82d3193d89207aac0432f22b8c7453",
+        "metrics/rounds.csv":
+            "f258cd327cd676cd74e08d863eca162207a40e9613166c336c9285870d1a363b",
+        "anchors.csv":
+            "96b271933c0664df69c25cfdbc1ca8cd407dff0b69306d99dd3f3c1e78fdbea4",
+        "checkpoints/final.bin":
+            "7445b042c932173b648b0b2590697a53e536e6506b6f02180d68943ba8c72483",
+    },
+    "mlp-fedka-cap": {
+        "metrics/clients.csv":
+            "3819425f0ed7196f5085324e8338269e18280c9b231ec310b65a4417cb476775",
+        "metrics/forgetting.csv":
+            "f8af3679400b95ad91db649a5c731841d5fcf16e827d63c958d3f947496dac18",
+        "metrics/rounds.csv":
+            "5daf17131c105a1def6e1530aec43fde49910d21854fd970947dd3ad02aa4100",
+        "anchors.csv":
+            "5513c43ff1737b0b9bfc9577642c0a2a7e732894ab86bfc9765d61df204814cc",
+        "checkpoints/final.bin":
+            "aebb572d8dc80e38aa4a29713bf84cf8516afdd3ba02f2dcab4b763a0b4556d3",
+    },
     # t_cnn: every final.bin re-pinned when Conv2d's input gradient became
     # col2im (W.T @ grad_out, then k*k shifted adds). It sums the input
     # gradient in another order than the full correlation it replaced, so
@@ -202,6 +252,19 @@ DIGESTS = {
             "cb51b5514f7a3ff7ec542db178f27e4dae05941036703c8419fd7c2f08ea1a1e",
         "checkpoints/final.bin":
             "4ed69f85df099ca318f6238e799d93d4cf59ccf2bfdb0ec6a416cb88288833de",
+    },
+    # pinned before a stack's forward-only pass ran its conv stage in row
+    # chunks, and unchanged by it
+    "tcnn-fedka-hard": {
+        "metrics/clients.csv":
+            "94818e57d6ec4e9c5c3ae1c430c25e83080b120f9d9565f2cf656723038eb2d7",
+        "metrics/forgetting.csv":
+            "2404f88ee2aa9dc6e879281b8f8e395f84d6b9cf0b470078e56ae4cf26b5129a",
+        "metrics/rounds.csv": TCNN_CSVS["metrics/rounds.csv"],
+        "anchors.csv":
+            "842e57fbe50ebd5d1ab58e7e8ceacfb409548904da40ca840da72fc9fcbe4c1a",
+        "checkpoints/final.bin":
+            "2bf13c7653b3ceee6f5e551315c84bc5d187e0d0e2497422297ed11bb7877f68",
     },
     "tcnn-fedprox": {
         **TCNN_CSVS,
@@ -255,8 +318,8 @@ def test_metric_files_match_golden_digests(case, tmp_path):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("case", ["mlp-fedka", "tcnn-fedavg", "tcnn-fedka", "tcnn-fedka-steps",
-                                  "tcnn-fedprox"])
+@pytest.mark.parametrize("case", ["mlp-fedka", "tcnn-fedavg", "tcnn-fedka", "tcnn-fedka-hard",
+                                  "tcnn-fedka-steps", "tcnn-fedprox"])
 def test_digests_hold_on_any_number_of_cores(case, cores, tmp_path, monkeypatch):
     """With the work threshold at 0, the thread counts follow the cores
     alone: on 2 cores every round trains in 2 stacks and every evaluation

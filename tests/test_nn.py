@@ -452,6 +452,39 @@ def test_stack_clients_beyond_one_chunk_get_the_bytes_of_their_own_passes():
         assert logits[rows].tobytes() == nn.forward_logits(state, spec, inputs[rows]).tobytes()
 
 
+def test_stack_pass_without_caches_runs_the_conv_stage_in_chunks_of_each_clients_rows():
+    """A forward-only stack pass runs the layers before Flatten client by
+    client, in chunks of 16 1x28x28 t_cnn rows counted from each client's
+    first row. Scoring 800 rows as hard selection does (per_sample_ce, a
+    stack of copies) peaks within twice forward_logits' traced peak on the
+    same rows; with the stage over all rows at once it peaked 18 times as
+    high (225 against 12.5 MiB). Client rows (0, 7, 40, 41) straddle the
+    chunks, and each client of a stack of distinct models gets the bytes of
+    forward_logits over its rows alone, with or without a workspace."""
+    spec = nn.tcnn_spec((1, 28, 28), 10, conv_kernel=5)
+    assert spec.conv_stage == (6, 16)
+    state = nn.init_state(spec, stream(44, "init"))
+    x, y = random_batch(spec, 800, seed=45)
+    peaks = []
+    for score in (lambda: nn.forward_logits(state, spec, x),
+                  lambda: nn.per_sample_ce(state, spec, x, y, (0, 7, 40, 41, 800))):
+        tracemalloc.start()
+        try:
+            score()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+    offsets = (0, 7, 40, 41)
+    states = [nn.init_state(spec, stream(46, "init", p)) for p in range(3)]
+    params = np.stack([s.params for s in states])
+    for workspace in (None, nn.Workspace()):
+        logits, caches = nn.forward(spec, params, x[:41], False, offsets, workspace)
+        assert caches is None
+        for s, a, b in zip(states, offsets, offsets[1:]):
+            assert logits[a:b].tobytes() == nn.forward_logits(s, spec, x[a:b]).tobytes()
+
+
 @pytest.mark.parametrize("layer, in_shape",[(nn.Dense(6, 4), (6,)), (nn.Conv2d(2, 3, 3), (2, 6, 5))])
 def test_backward_without_input_grad_keeps_param_grad(layer, in_shape):
     rng = stream(5, "layer")
@@ -653,6 +686,18 @@ def test_forward_reports_layer_of_overflow_beyond_layer_0():
         with pytest.raises(nn.NonFiniteError, match="layer 2") as caught:
             nn.forward(spec, np.stack([params, params]), x, True, (0, 1, 2))
     assert caught.value.client == 1
+
+
+def test_stack_pass_without_caches_names_the_client_whose_conv_stage_overflows():
+    spec = nn.tcnn_spec((1, 12, 12), 2, conv_kernel=3)
+    params = np.stack([nn.init_state(spec, stream(48, "init", p)).params for p in range(3)])
+    params[1, spec.param_slices[0]] = 1e308
+    x = np.ones((5, 1, 12, 12))
+    with np.errstate(over="ignore"):
+        for workspace in (None, nn.Workspace()):
+            with pytest.raises(nn.NonFiniteError, match=r"layer 0 \(conv2d") as caught:
+                nn.forward(spec, params, x, offsets=(0, 2, 4, 5), workspace=workspace)
+            assert caught.value.client == 1
 
 
 # ---------------------------------------------------------------------------
