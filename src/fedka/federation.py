@@ -132,15 +132,18 @@ def local_train(
     anchor.build_shared_dataset. The passes run through the ``workspace``,
     which nothing else may use meanwhile.
 
-    Each copy starts with zeroed momentum, and its update holds its
-    parameters only. Proximal and anchor terms are evaluated only when their
-    weights are nonzero, so a zero-weight run is bit-identical to plain
-    averaging; the anchor itself is still built (it has its own stream, and
-    the audit trail stays meaningful).
+    Each copy starts with zeroed momentum, which its first step does not
+    read (nn.sgd_update's first_step), and its update holds its parameters
+    only. Proximal and anchor terms are evaluated only when their weights
+    are nonzero, so a zero-weight run is bit-identical to plain averaging;
+    the anchor itself is still built (it has its own stream, and the audit
+    trail stays meaningful).
 
     The copies' parameters, momentum and gradients are three (P, n) stacks,
     P = len(shards): the C-contiguous arrays of ``stack``, or arrays
-    allocated here when None. Each step makes
+    allocated here when None. Only the momentum rows of the clients that
+    take a second step are written, a prefix of the stack; a round whose
+    clients take one step each writes none. Each step makes
     one forward pass, one loss gradient and one SGD update for every client
     that still has batches, and a client leaves the stack when they run out.
     Every client draws from its own streams and every GEMM runs on its own
@@ -207,7 +210,9 @@ def local_train(
         stack = tuple(np.empty((len(clients), spec.param_count)) for _ in range(3))
     params, momentum, grad = stack
     params[...] = global_state.params
-    momentum[...] = 0.0
+    # the momentum rows that steps read: those of the clients that take a
+    # second step, a prefix of the stack
+    momentum_rows = sum(c.steps > 1 for c in clients)
     losses = np.empty(counts.shape)
     epoch_states: list[list[nn.ModelState]] = [[] for _ in clients]
     layouts: dict[tuple[int, ...], tuple[anchor.FusedRows, np.ndarray | None]] = {}
@@ -251,7 +256,8 @@ def local_train(
             logits, prox_loss = anchor.fused_gradient(
                 spec, stack_params, inputs, labels[batch], rows, strategy.beta, stack_grad,
                 center, strategy.mu, workspace)
-            nn.sgd_update(stack_params, momentum[:active], stack_grad, t.lr, t.momentum, t.weight_decay)
+            nn.sgd_update(stack_params, momentum[:min(active, momentum_rows)], stack_grad, t.lr,
+                          t.momentum, t.weight_decay, first_step=s == 0)
         except nn.NonFiniteError as exc:
             raise failed(clients[exc.client].shard.client_id, exc) from exc
         logits_kept.append(logits)
@@ -377,10 +383,11 @@ def run_round(cfg: ExperimentConfig, r: int, shards: dict[int, ClientShard],
     more than the participants. The stacks hold about as many samples
     each: the largest shard goes first, each to the stack with the fewest
     samples so far. The stacks' parameter, momentum and gradient rows are
-    ``workspace.stacks``, a contiguous range of rows per stack; the updates'
-    states live there until the workspace's next round. Returns the
-    updates in client order; a failure raises RunError naming the round
-    (and the client, when one is at fault).
+    ``workspace.stacks``, a contiguous range of rows per stack, of which
+    local_train writes the momentum rows of the clients that take a second
+    step only; the updates' states live there until the workspace's next
+    round. Returns the updates in client order; a failure raises RunError
+    naming the round (and the client, when one is at fault).
     """
     t = cfg.training
     participants = sample_participants(

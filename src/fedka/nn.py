@@ -790,7 +790,9 @@ class Workspace:
         """A (3, rows, n) array for a training round's parameter, momentum and
         gradient stacks, in a region of its own kept from call to call: stacks
         freed at a round's end leave the malloc heap's top free, glibc trims
-        it, and each round would fault them in again."""
+        it, and each round would fault them in again. Training writes only
+        the momentum rows of the clients that take a second step, so the
+        pages of the other momentum rows are not faulted in by it."""
         if self._stacks.size < 3 * rows * n:
             self._stacks = _mapped(3 * rows * n)
         return self._stacks[:3 * rows * n].reshape(3, rows, n)
@@ -1096,7 +1098,7 @@ CACHE_BLOCK = 1 << 15
 
 
 def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: float,
-               momentum_coef: float = 0.0, weight_decay: float = 0.0) -> None:
+               momentum_coef: float = 0.0, weight_decay: float = 0.0, first_step: bool = False) -> None:
     """sgd_step in place, on a flat vector or a (P, n) stack: ``params`` and
     ``momentum`` take their new values, and ``grad`` is used up as scratch.
     The arrays must be C-contiguous. The finiteness checks run block by
@@ -1106,7 +1108,13 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
     formula in sgd_step's docstring. No shortcut for momentum_coef == 0: the
     formula's 0*m + g turns g = -0.0 into +0.0, so with w = -0.0, g = -0.0
     and no decay it keeps w = -0.0 (-0.0 - lr*0.0), where w - lr*g would
-    give +0.0 and change the parameter's bytes."""
+    give +0.0 and change the parameter's bytes.
+
+    A ``first_step`` starts from zeroed momentum without reading it: the
+    velocity is g + 0.0, the bytes of momentum_coef*0 + g for a finite
+    momentum_coef. ``momentum`` then holds the first rows of the stack only,
+    those of the clients that step again, or none; they take the velocity,
+    and no other momentum entry is written."""
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
     if not (params.flags.c_contiguous and momentum.flags.c_contiguous and grad.flags.c_contiguous):
@@ -1125,9 +1133,14 @@ def sgd_update(params: np.ndarray, momentum: np.ndarray, grad: np.ndarray, lr: f
         decay = scratch[:len(w)]
         np.multiply(w, weight_decay, out=decay)
         g += decay                              # grad + wd*params
-        m *= momentum_coef
-        np.add(g, m, out=m)                     # the velocity
-        np.multiply(m, lr, out=g)               # the step
+        if first_step:
+            g += 0.0                            # the velocity
+            m[...] = g[:len(m)]
+            g *= lr                             # the step
+        else:
+            m *= momentum_coef
+            np.add(g, m, out=m)                 # the velocity
+            np.multiply(m, lr, out=g)           # the step
         w -= g
         if not np.isfinite(w).all():
             raise NonFiniteError("parameters became non-finite after SGD step",

@@ -508,6 +508,34 @@ def test_rounds_on_one_workspace_train_in_its_kept_stack_memory():
             assert a.state.params.tobytes() == b.state.params.tobytes()
 
 
+def test_round_of_one_step_clients_writes_no_momentum_row():
+    """A t_cnn round whose clients take one step each leaves the momentum
+    rows of the workspace's stacks untouched: their pages fault in only when
+    written after the round, a later round leaves what was written there,
+    and every update is the one of a fresh workspace."""
+    flat = data.synth_blobs(4, 5, 784, 4.0, seed=3)
+    ds = data.LabeledDataset(flat.inputs.reshape(-1, 1, 28, 28), flat.labels, 4, "images")
+    spec = nn.tcnn_spec((1, 28, 28), 4, conv_kernel=5)
+    shards = {s.client_id: s for s in data.dirichlet_partition(ds, 2, 1.0, 5)}
+    state = nn.init_state(spec, stream(5, "init"))
+    cfg = lockstep_cfg("fedavg")
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(
+        cfg.training, batch_size=32, local_epochs=1, parallel_clients=1))
+    assert max(len(s) for s in shards.values()) <= 32
+    workspace = nn.Workspace()
+    momentum = workspace.stacks(len(shards), spec.param_count)[1]
+    federation.run_round(cfg, 1, shards, state, spec, ds, None, workspace)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    momentum[...] = np.nan
+    faulted = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) * resource.getpagesize()
+    assert faulted >= momentum.nbytes - resource.getpagesize()
+    updates = federation.run_round(cfg, 2, shards, state, spec, ds, None, workspace)
+    assert np.isnan(momentum).all()
+    fresh = federation.run_round(cfg, 2, shards, state, spec, ds, None, nn.Workspace())
+    for a, b in zip(updates, fresh, strict=True):
+        assert a.state.params.tobytes() == b.state.params.tobytes()
+
+
 def recording_steps(monkeypatch):
     """Count the SGD updates and stacked training steps local_train makes
     (not every nn.forward: the teacher's pass is one too)."""

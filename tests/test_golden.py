@@ -66,6 +66,12 @@ for _name, _anchor in (("ka_n", {"variant": "ka_n"}), ("ka_m", {"variant": "ka_m
     CASES[f"mlp-fedka-{_name}"] = {
         **BLOB, "partition": {**BLOB["partition"], "gamma": 0.5},
         "strategy": {"kind": "fedka", "beta": 0.3, **_anchor}}
+# shards of 82, 20 and 18 samples at batch 24 and one epoch: every round one
+# stack holds a client of four steps and two of one step, which leave the
+# stack after the first (test_mixed_steps_case_stacks_one_and_several_steps)
+CASES["mlp-fedprox-mixed-steps"] = {
+    **BLOB, "master_seed": 3, "strategy": {"kind": "fedprox", "mu": 0.5},
+    "training": {**BLOB["training"], "local_epochs": 1, "batch_size": 24}}
 # the fedka case sends the anchor rows through conv and pool backward too
 CASES["tcnn-fedka"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedka", "beta": 0.3}}
 CASES["tcnn-fedprox"] = {**CASES["tcnn-fedavg"], "strategy": {"kind": "fedprox", "mu": 0.5},
@@ -266,6 +272,18 @@ DIGESTS = {
         "checkpoints/final.bin":
             "2bf13c7653b3ceee6f5e551315c84bc5d187e0d0e2497422297ed11bb7877f68",
     },
+    # pinned before a first step stopped reading zeroed momentum
+    "mlp-fedprox-mixed-steps": {
+        "metrics/clients.csv":
+            "990129bd70ed84e0fb7118614123efead5a8f3efcf3fe8465e1cf7b537cbfce0",
+        "metrics/forgetting.csv":
+            "2b5f5f313467f346e3646dd91c010ef75921834c7bc3750dad34a11a7792524f",
+        "metrics/rounds.csv":
+            "d22f0c24d7453018256179413d42fab2cfb5cee8148e16ae8f4da437467d7ece",
+        "anchors.csv": "absent",
+        "checkpoints/final.bin":
+            "6c4dfe06c027019e824b72f69992c0f75e0159f58150d7c81b6263c40b02b779",
+    },
     "tcnn-fedprox": {
         **TCNN_CSVS,
         "metrics/clients.csv":
@@ -318,8 +336,8 @@ def test_metric_files_match_golden_digests(case, tmp_path):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("case", ["mlp-fedka", "tcnn-fedavg", "tcnn-fedka", "tcnn-fedka-hard",
-                                  "tcnn-fedka-steps", "tcnn-fedprox"])
+@pytest.mark.parametrize("case", ["mlp-fedka", "mlp-fedprox-mixed-steps", "tcnn-fedavg", "tcnn-fedka",
+                                  "tcnn-fedka-hard", "tcnn-fedka-steps", "tcnn-fedprox"])
 def test_digests_hold_on_any_number_of_cores(case, cores, tmp_path, monkeypatch):
     """With the work threshold at 0, the thread counts follow the cores
     alone: on 2 cores every round trains in 2 stacks and every evaluation
@@ -362,3 +380,19 @@ def test_round_steps_reach_the_runs_checkpoints_without_writing(case, tmp_path):
         got = nn.load_state(out / "checkpoints" / f"round_{k:05d}.bin")
         assert got.params.tobytes() == want.params.tobytes()
     assert (out / "metrics" / "rounds.csv").read_text().splitlines()[1:] == rows
+
+
+def test_mixed_steps_case_stacks_one_and_several_steps(tmp_path, monkeypatch):
+    """Every round of the mixed-steps case trains one stack in which one
+    client takes several steps and the others one step each."""
+    steps = {}
+    original = federation.local_train
+
+    def recorder(cfg, r, shards, *rest):
+        t = cfg.training
+        steps[r] = sorted(-(-len(s) // t.batch_size) * t.local_epochs for s in shards)
+        return original(cfg, r, shards, *rest)
+
+    monkeypatch.setattr(federation, "local_train", recorder)
+    run_digests("mlp-fedprox-mixed-steps", tmp_path)
+    assert steps == {r: [1, 1, 4] for r in (1, 2, 3)}

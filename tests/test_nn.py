@@ -989,9 +989,40 @@ def test_sgd_update_names_the_stack_row_that_fails(fault, row, col):
         params[row, col], grad[row, col], lr = 1e308, -1e308, 10.0
         message = "after SGD step"
     for w, g, client in ((params, grad, row), (params[row], grad[row], None)):
-        with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match=message) as info:
-            nn.sgd_update(w.copy(), np.zeros_like(w), g.copy(), lr, 0.9, 1e-4)
-        assert info.value.client == client
+        for first_step in (False, True):
+            with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError, match=message) as info:
+                nn.sgd_update(w.copy(), np.zeros_like(w), g.copy(), lr, 0.9, 1e-4, first_step)
+            assert info.value.client == client
+
+
+@pytest.mark.parametrize("momentum_coef", [0.0, 0.9])
+def test_sgd_first_step_turns_negative_zero_velocity_positive(momentum_coef):
+    """With w = -0.0, g = -0.0 and no decay, the first-step form keeps the
+    bytes of a step over zeroed momentum: velocity +0.0 and w = -0.0."""
+    w, g = np.full(4, -0.0), np.full(4, -0.0)
+    want_w, want_m = w.copy(), np.zeros(4)
+    nn.sgd_update(want_w, want_m, g.copy(), 0.1, momentum_coef, 0.0)
+    got_w, got_m = w.copy(), np.full(4, np.nan)
+    nn.sgd_update(got_w, got_m, g.copy(), 0.1, momentum_coef, 0.0, first_step=True)
+    assert got_w.tobytes() == want_w.tobytes() == np.full(4, -0.0).tobytes()
+    assert got_m.tobytes() == want_m.tobytes() == np.zeros(4).tobytes()
+
+
+def test_sgd_first_step_writes_the_momentum_rows_it_is_given_only():
+    """A (3, 20,000) stack with one momentum row, which ends inside the first
+    2^15-entry block: the first-step form gives every parameter the bytes of
+    a step over zeroed momentum, and writes those 20,000 momentum entries
+    and no others."""
+    assert 20_000 < nn.CACHE_BLOCK
+    rng = stream(23, "sgd first step")
+    params, grad = rng.normal(size=(3, 20_000)), rng.normal(size=(3, 20_000))
+    want_w, want_m = params.copy(), np.zeros_like(params)
+    nn.sgd_update(want_w, want_m, grad.copy(), 0.1, 0.9, 1e-4)
+    got_w, kept = params.copy(), np.full((3, 20_000), np.nan)
+    nn.sgd_update(got_w, kept[:1], grad.copy(), 0.1, 0.9, 1e-4, first_step=True)
+    assert got_w.tobytes() == want_w.tobytes()
+    assert kept[0].tobytes() == want_m[0].tobytes()
+    assert np.isnan(kept[1:]).all()
 
 
 def test_training_reduces_loss_on_tiny_problem():
